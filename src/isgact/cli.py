@@ -25,7 +25,7 @@ from .globalization import (
     build_globalization,
     check_fiber_injectivity,
     mediating,
-    seeds_related,
+    seed_edges,
 )
 from .morphisms import ActionMap, GlobalizationTriple
 from .textio import (
@@ -37,6 +37,10 @@ from .textio import (
     load_structure,
     structure_ref,
 )
+
+
+class UsageError(ValueError):
+    """A command-line argument is malformed or names nothing that exists."""
 
 
 def _structure_dot(isg: InverseSemigroupoid) -> str:
@@ -60,10 +64,8 @@ def _quotient_dot(glob: Globalization) -> str:
         for seed in members:
             lines.append(f'    {node[seed]} [label="({seed.arrow},{seed.point})"];')
         lines.append("  }")
-    for i in range(len(seeds)):
-        for j in range(i + 1, len(seeds)):
-            if seeds_related(glob.action, seeds[i], seeds[j]):
-                lines.append(f"  {node[seeds[i]]} -- {node[seeds[j]]};")
+    for i, j in seed_edges(seeds, glob.action):
+        lines.append(f"  n{i} -- n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -112,7 +114,7 @@ def _parse_point_map(text: str) -> dict[str, str]:
     mapping: dict[str, str] = {}
     for tok in text.replace(",", " ").split():
         if "->" not in tok:
-            raise ParseError(1, 1, f"map entry {tok} must read x->y")
+            raise UsageError(f"--embedding entry {tok} must read x->y")
         x, _, y = tok.partition("->")
         mapping[x] = y
     return mapping
@@ -137,7 +139,7 @@ def _cmd_validate(args) -> int:
             all_ok = all_ok and p_rep.ok and e_rep.ok
             structures.append(isg)
         else:
-            raise ParseError(1, 1, f"unknown file extension: {name}")
+            raise UsageError(f"unknown file extension: {name}")
     if args.dot:
         for isg in structures:
             sys.stdout.write(_structure_dot(isg))
@@ -170,7 +172,10 @@ def _cmd_mediate(args) -> int:
     target_action, _ = load_action(args.target)
     if args.embedding:
         raw = _parse_point_map(args.embedding)
-        mapping = {x: raw.get(str(x), raw.get(x)) for x in action.carrier}
+        unmapped = [x for x in action.carrier if str(x) not in raw]
+        if unmapped:
+            raise UsageError("--embedding gives no image for: " + ", ".join(str(x) for x in unmapped))
+        mapping = {x: raw[str(x)] for x in action.carrier}
     else:
         mapping = {x: x for x in action.carrier}
     j = ActionMap(action, target_action, mapping)
@@ -213,13 +218,17 @@ def _cmd_catalog(args) -> int:
             print(f"{entry.name}: {len(entry.structure.arrows)} arrows; actions: {tags}")
         return 0
     if args.entry not in entries:
-        raise ParseError(1, 1, f"unknown catalog entry {args.entry}")
+        raise UsageError(f"unknown catalog entry {args.entry}")
     entry = entries[args.entry]
     if args.emit_structure:
         sys.stdout.write(format_structure(entry.structure))
         return 0
     if args.action is None:
-        raise ParseError(1, 1, "--action is required unless --emit-structure is given")
+        raise UsageError("--action is required unless --emit-structure is given")
+    global_indices = [i for i, ca in enumerate(entry.actions) if ca.global_tag]
+    if args.action not in global_indices:
+        valid = ", ".join(map(str, global_indices))
+        raise UsageError(f"--action {args.action} is not a global action of {entry.name}; valid indices: {valid}")
     restricted = random_partial_action(entry, args.action, args.seed)
     sys.stdout.write(format_action(restricted, f"{entry.name}.isgd"))
     return 0
@@ -271,7 +280,7 @@ def run_cli(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError) as exc:
+    except (ParseError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValidationFailure as exc:

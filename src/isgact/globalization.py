@@ -10,7 +10,7 @@ embedding, and every map into a global action factors through it uniquely.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .actions import PartialAction, is_global, validate_p_axioms
 from .core import StructuralError, ValidationReport, Violation
@@ -40,7 +40,6 @@ class Quotient:
 
     def __init__(self, seeds: list[Seed], roots: list[int]):
         self.seeds = tuple(seeds)
-        index_of = {seed: i for i, seed in enumerate(self.seeds)}
         label: dict[int, int] = {}
         members: list[list[Seed]] = []
         class_of: dict[Seed, int] = {}
@@ -55,7 +54,6 @@ class Quotient:
         self.class_of = class_of
         self.classes = tuple(tuple(m) for m in members)
         self.representatives = tuple(m[0] for m in self.classes)
-        self._index_of = index_of
 
     @property
     def n_classes(self) -> int:
@@ -96,33 +94,64 @@ def build_seed_set(action: PartialAction) -> list[Seed]:
     return out
 
 
-def seeds_related(action: PartialAction, p: Seed, q: Seed) -> bool:
-    """One-step relation on seeds; reflexive and symmetric, not transitive in general.
+def seed_edges(seeds: Sequence[Seed], action: PartialAction) -> list[tuple[int, int]]:
+    """Every one-step related pair of seeds, as sorted index pairs (i, j) with i < j.
 
     (s, x) relates to (t, y) when either inv(t) composes with s, x lies in
     dom_of[inv(s) t] and theta[inv(t) s] carries x to y, or both arrows are
-    idempotent and x equals y.
+    idempotent and x equals y.  So for a seed (s, x) and an arrow t sharing
+    its codomain, the only candidate partner is (t, theta[inv(t) s](x)), found
+    by one index lookup; the idempotent seeds at one point are all related.
+    The cost is about seeds times arrows per codomain, not seeds squared.
     """
-    s, x = p
-    t, y = q
     isg = action.semigroupoid
-    if isg.composable(isg.inv(t), s):
-        carry = isg.mul(isg.inv(t), s)
-        if x in action.dom_of[isg.mul(isg.inv(s), t)] and action.theta[carry].get(x) == y:
-            return True
+    index = {seed: i for i, seed in enumerate(seeds)}
+    by_arrow: dict[str, list[tuple[int, object]]] = {}
+    for i, (s, x) in enumerate(seeds):
+        by_arrow.setdefault(s, []).append((i, x))
+    # arrows t with seeds, keyed by dom(inv t): inv(t) composes with s iff that is cod(s)
+    partners: dict[str, list[str]] = {}
+    for t in by_arrow:
+        partners.setdefault(isg.dom(isg.inv(t)), []).append(t)
+
+    edges: set[tuple[int, int]] = set()
+    for s, block in by_arrow.items():
+        for t in partners.get(isg.cod(s), ()):
+            window = action.dom_of[isg.mul(isg.inv(s), t)]
+            carry = action.theta[isg.mul(isg.inv(t), s)]
+            for i, x in block:
+                if x in window:
+                    # a Seed hashes and compares as the plain pair
+                    j = index.get((t, carry.get(x)))
+                    if j is not None and i < j:
+                        edges.add((i, j))
     idem = isg.idempotent_set()
-    return s in idem and t in idem and x == y
+    idempotent_at: dict = {}
+    for i, (s, x) in enumerate(seeds):
+        if s in idem:
+            idempotent_at.setdefault(x, []).append(i)
+    for group in idempotent_at.values():
+        edges.update(itertools.combinations(group, 2))
+    return sorted(edges)
 
 
 def close_equivalence(seeds: list[Seed], action: PartialAction) -> Quotient:
-    """Union-find closure of the one-step relation over all seed pairs."""
+    """Union-find closure of the one-step relation over the enumerated seed edges."""
     uf = _UnionFind(len(seeds))
-    for i in range(len(seeds)):
-        for j in range(i + 1, len(seeds)):
-            if seeds_related(action, seeds[i], seeds[j]):
-                uf.union(i, j)
+    for i, j in seed_edges(seeds, action):
+        uf.union(i, j)
     roots = [uf.find(i) for i in range(len(seeds))]
     return Quotient(seeds, roots)
+
+
+def _seed_domain(action: PartialAction, seeds: list[Seed], s: str) -> list[Seed]:
+    """The members of ``seeds`` on which the induced map of arrow s is defined."""
+    isg = action.semigroupoid
+    w = isg.mul(isg.inv(s), s)
+    window = {
+        p: action.dom_of[isg.mul(isg.inv(p), isg.mul(w, p))] for p in isg.arrows if isg.composable(s, p)
+    }
+    return [seed for seed in seeds if seed.point in window.get(seed.arrow, ())]
 
 
 def seed_domain(action: PartialAction, s: str) -> list[Seed]:
@@ -131,16 +160,7 @@ def seed_domain(action: PartialAction, s: str) -> list[Seed]:
     These are the seeds with (s, p) composable and x in
     dom_of[inv(p) inv(s) s p], in canonical order.
     """
-    isg = action.semigroupoid
-    w = isg.mul(isg.inv(s), s)
-    out = []
-    for p, x in build_seed_set(action):
-        if not isg.composable(s, p):
-            continue
-        conj = isg.mul(isg.inv(p), isg.mul(w, p))
-        if x in action.dom_of[conj]:
-            out.append(Seed(p, x))
-    return out
+    return _seed_domain(action, build_seed_set(action), s)
 
 
 class Globalization:
@@ -174,10 +194,10 @@ def build_globalization(action: PartialAction) -> Globalization:
     dom_of: dict[str, frozenset] = {}
     theta: dict[str, dict] = {}
     for s in isg.arrows:
-        landing = seed_domain(action, isg.inv(s))
+        landing = _seed_domain(action, seeds, isg.inv(s))
         dom_of[s] = frozenset(quotient.class_of[d] for d in landing)
         moves: dict[int, int] = {}
-        for p, x in seed_domain(action, s):
+        for p, x in _seed_domain(action, seeds, s):
             src = quotient.class_of[Seed(p, x)]
             dst = quotient.class_of[Seed(isg.mul(s, p), x)]
             if src in moves and moves[src] != dst:

@@ -36,13 +36,13 @@ from isgact import (
     parse_action,
     parse_structure,
     restrict,
-    seeds_related,
     validate_e_axioms,
     validate_p_axioms,
     verify_universal,
 )
 from isgact.catalog import catalog, random_partial_action
 
+from pairwise_oracle import seeds_related
 from worked_data import (
     CLASSES_A,
     CLASSES_B,

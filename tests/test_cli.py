@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from isgact import format_action, parse_action, parse_structure, restrict
 from isgact.catalog import three_point_action
 from isgact.cli import run_cli
@@ -145,3 +147,48 @@ def test_catalog_listing_and_emission(capsys, hybrid):
 def test_catalog_unknown_entry(capsys):
     code, _, err = run(capsys, "catalog", "--entry", "nope")
     assert code == 2
+    assert err == "error: unknown catalog entry nope\n"
+
+
+def test_catalog_without_an_action_index(capsys):
+    code, _, err = run(capsys, "catalog", "--entry", "two-object-hybrid")
+    assert code == 2
+    assert err == "error: --action is required unless --emit-structure is given\n"
+
+
+@pytest.mark.parametrize("index", ["5", "0", "-1"])
+def test_catalog_rejects_an_index_that_is_not_a_global_action(capsys, index):
+    code, out, err = run(capsys, "catalog", "--entry", "two-object-hybrid", "--action", index)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --action {index} is not a global action of two-object-hybrid; valid indices: 1\n"
+
+
+def test_validate_unknown_extension(capsys, fixtures_dir):
+    code, _, err = run(capsys, "validate", str(fixtures_dir.parent / "README.md"))
+    assert code == 2
+    assert err == f"error: unknown file extension: {fixtures_dir.parent / 'README.md'}\n"
+
+
+def test_mediate_embedding_syntax_error(capsys, fixtures_dir):
+    code, _, err = run(
+        capsys,
+        "mediate",
+        str(fixtures_dir / "three_point_restricted.pact"),
+        "--target", str(fixtures_dir / "three_point_global.pact"),
+        "--embedding", "1-2",
+    )
+    assert code == 2
+    assert err == "error: --embedding entry 1-2 must read x->y\n"
+
+
+def test_mediate_with_a_partial_embedding_names_the_unmapped_points(capsys, fixtures_dir):
+    code, _, err = run(
+        capsys,
+        "mediate",
+        str(fixtures_dir / "three_point_restricted.pact"),
+        "--target", str(fixtures_dir / "three_point_global.pact"),
+        "--embedding", "1->2",
+    )
+    assert code == 2
+    assert err == "error: --embedding gives no image for: 2\n"

@@ -20,13 +20,13 @@ from isgact import (
     mediating,
     restrict,
     seed_domain,
-    seeds_related,
     validate_e_axioms,
     verify_universal,
 )
 from isgact.core import SemigroupoidTable
 from isgact.catalog import four_point_action
 
+from pairwise_oracle import seeds_related
 from worked_data import (
     CLASSES_A,
     CLASSES_B,

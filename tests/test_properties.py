@@ -15,12 +15,13 @@ from isgact import (
     natural_leq_diagnostic,
     parse_action,
     parse_structure,
-    seeds_related,
+    seed_edges,
     validate_e_axioms,
     validate_p_axioms,
 )
-from isgact.catalog import catalog, random_partial_action
+from isgact.catalog import catalog, four_point_action, grow_catalog, random_partial_action
 
+from pairwise_oracle import pairwise_closure, pairwise_edges, seeds_related
 from worked_data import audit_equivalence_lemmas
 
 CATALOG = catalog()
@@ -28,6 +29,10 @@ STRUCTURES = [entry.structure for entry in CATALOG]
 ACTIONS = [ca.action for entry in CATALOG for ca in entry.actions]
 GLOBAL_SLOTS = [
     (entry, i) for entry in CATALOG for i, ca in enumerate(entry.actions) if ca.global_tag
+]
+GROWN = [grow_catalog(entry) for entry in CATALOG]
+GROWN_SLOTS = [
+    (entry, i) for entry in GROWN for i, ca in enumerate(entry.actions) if ca.global_tag
 ]
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -143,6 +148,30 @@ def test_seed_relation_is_reflexive_and_symmetric(action):
     for i, p in enumerate(seed_list):
         for q in seed_list[i + 1:]:
             assert seeds_related(action, p, q) == seeds_related(action, q, p)
+
+
+def _assert_closure_matches_the_pairwise_oracle(action):
+    seed_list = build_seed_set(action)
+    assert seed_edges(seed_list, action) == pairwise_edges(seed_list, action)
+    assert close_equivalence(seed_list, action).classes == pairwise_closure(seed_list, action).classes
+
+
+@pytest.mark.parametrize("action", [ca.action for entry in GROWN for ca in entry.actions])
+def test_closure_matches_the_pairwise_oracle_on_catalog_actions(action):
+    _assert_closure_matches_the_pairwise_oracle(action)
+
+
+def test_closure_matches_the_pairwise_oracle_off_the_axioms(hybrid):
+    # theta[a] leaves its declared domain here, so the domain test in the
+    # relation is not implied by theta being defined
+    _assert_closure_matches_the_pairwise_oracle(four_point_action(hybrid, bad_range=True))
+
+
+@given(slot=st.sampled_from(GROWN_SLOTS), seed=seeds)
+@settings(max_examples=60, deadline=None)
+def test_closure_matches_the_pairwise_oracle_on_seeded_restrictions(slot, seed):
+    entry, index = slot
+    _assert_closure_matches_the_pairwise_oracle(random_partial_action(entry, index, seed))
 
 
 @given(slot=slots, seed=seeds)
