@@ -13,7 +13,6 @@ from isgact import (
     build_globalization,
     check_fiber_injectivity,
     fiber_classes,
-    idempotents,
     inclusion_map,
     mediating,
     restrict,
@@ -43,7 +42,7 @@ def main():
     args = parser.parse_args()
 
     isg = two_object_hybrid()
-    print(f"structure: {len(isg.arrows)} arrows, idempotents {sorted(idempotents(isg))}")
+    print(f"structure: {len(isg.arrows)} arrows, idempotents {sorted(isg.idempotent_set())}")
 
     print("\nfour-point action, globalized:")
     glob_a = build_globalization(four_point_action(isg))

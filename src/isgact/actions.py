@@ -103,11 +103,6 @@ class PartialAction:
         return f"PartialAction({len(self.carrier)} points, {len(self.semigroupoid.arrows)} arrows)"
 
 
-def act(action: PartialAction, s: str, x):
-    """Point evaluation of the arrow map; None when x is outside its domain."""
-    return action.apply(s, x)
-
-
 def _composite_domain(action: PartialAction, s: str, t: str) -> set:
     """Largest set on which theta[s](theta[t](x)) makes sense."""
     allowed = action.dom_of[t] & action.dom_of[action.semigroupoid.inv(s)]
@@ -246,28 +241,6 @@ def is_global(action: PartialAction) -> bool:
     """True when every dom_of[s] equals dom_of[s inv(s)] (the action is valid beforehand)."""
     isg = action.semigroupoid
     return all(action.dom_of[s] == action.dom_of[isg.mul(s, isg.inv(s))] for s in isg.arrows)
-
-
-def is_global_diagnostic(action: PartialAction) -> bool:
-    """As is_global, but independently tests exact composite equality and insists both agree."""
-    isg = action.semigroupoid
-    by_domains = is_global(action)
-    by_composites = True
-    for s, t in isg.table.composable_pairs():
-        st = isg.mul(s, t)
-        comp = _composite_domain(action, s, t)
-        if comp != action.dom_of[isg.inv(st)]:
-            by_composites = False
-            break
-        if any(action.theta[s].get(action.theta[t][x]) != action.theta[st].get(x) for x in comp):
-            by_composites = False
-            break
-    if by_domains != by_composites:
-        raise RuntimeError(
-            f"global tests disagree (domains: {by_domains}, composites: {by_composites}); "
-            "the action is invalid or there is a bug"
-        )
-    return by_domains
 
 
 def restrict(source: PartialAction, subset: Iterable, trim: bool = False) -> PartialAction:

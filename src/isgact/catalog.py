@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .actions import PartialAction, is_global, restrict, validate_e_axioms, validate_p_axioms
-from .core import InverseSemigroupoid, SemigroupoidTable, infer_inverses
+from .core import InverseSemigroupoid, SemigroupoidTable
 from .globalization import build_globalization
 
 
@@ -64,9 +64,7 @@ def two_object_hybrid_table() -> SemigroupoidTable:
 
 
 def two_object_hybrid() -> InverseSemigroupoid:
-    isg = infer_inverses(two_object_hybrid_table())
-    assert isinstance(isg, InverseSemigroupoid)
-    return isg
+    return InverseSemigroupoid(two_object_hybrid_table())
 
 
 def four_point_action(isg: InverseSemigroupoid, bad_range: bool = False) -> PartialAction:
@@ -112,9 +110,7 @@ def cyclic_group(n: int) -> InverseSemigroupoid:
     names = ["e" if k == 0 else "g" * k for k in range(n)]
     mul = {(names[i], names[j]): names[(i + j) % n] for i in range(n) for j in range(n)}
     table = SemigroupoidTable(("o",), names, {a: "o" for a in names}, {a: "o" for a in names}, mul)
-    isg = infer_inverses(table)
-    assert isinstance(isg, InverseSemigroupoid)
-    return isg
+    return InverseSemigroupoid(table)
 
 
 def cyclic_regular_action(isg: InverseSemigroupoid) -> PartialAction:
@@ -149,9 +145,7 @@ def symmetric_inverse_2() -> InverseSemigroupoid:
             composite = {x: _SYM2_MAPS[s][y] for x, y in _SYM2_MAPS[t].items() if y in _SYM2_MAPS[s]}
             mul[(s, t)] = by_graph[frozenset(composite.items())]
     table = SemigroupoidTable(("o",), names, {a: "o" for a in names}, {a: "o" for a in names}, mul)
-    isg = infer_inverses(table)
-    assert isinstance(isg, InverseSemigroupoid)
-    return isg
+    return InverseSemigroupoid(table)
 
 
 def symmetric_inverse_2_action(isg: InverseSemigroupoid) -> PartialAction:
@@ -168,9 +162,7 @@ def pair_groupoid_2() -> InverseSemigroupoid:
     dom = {a: a[1] for a in arrows}
     cod = {a: a[0] for a in arrows}
     mul = {(s, t): s[0] + t[1] for s in arrows for t in arrows if s[1] == t[0]}
-    isg = infer_inverses(SemigroupoidTable(objects, arrows, dom, cod, mul))
-    assert isinstance(isg, InverseSemigroupoid)
-    return isg
+    return InverseSemigroupoid(SemigroupoidTable(objects, arrows, dom, cod, mul))
 
 
 def pair_groupoid_translation(isg: InverseSemigroupoid) -> PartialAction:
@@ -185,9 +177,7 @@ def semilattice_2() -> InverseSemigroupoid:
     arrows = ("top", "bot")
     mul = {("top", "top"): "top", ("top", "bot"): "bot", ("bot", "top"): "bot", ("bot", "bot"): "bot"}
     table = SemigroupoidTable(("o",), arrows, {a: "o" for a in arrows}, {a: "o" for a in arrows}, mul)
-    isg = infer_inverses(table)
-    assert isinstance(isg, InverseSemigroupoid)
-    return isg
+    return InverseSemigroupoid(table)
 
 
 def semilattice_identity_action(isg: InverseSemigroupoid) -> PartialAction:

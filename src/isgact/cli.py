@@ -18,7 +18,7 @@ from .actions import (
     validate_p_axioms,
 )
 from .catalog import catalog, random_partial_action
-from .core import InverseSemigroupoid, StructuralError, idempotents
+from .core import InverseSemigroupoid, StructuralError
 from .globalization import (
     Globalization,
     WellDefinednessError,
@@ -128,7 +128,7 @@ def _cmd_validate(args) -> int:
         if path.suffix == ".isgd":
             isg = load_structure(path)  # raises ValidationFailure on axiom errors
             print(f"{name}: ok (inverse semigroupoid, {len(isg.arrows)} arrows, "
-                  f"{len(idempotents(isg))} idempotents)")
+                  f"{len(isg.idempotent_set())} idempotents)")
             structures.append(isg)
         elif path.suffix == ".pact":
             action, isg = load_action(path)
@@ -172,6 +172,10 @@ def _cmd_mediate(args) -> int:
     target_action, _ = load_action(args.target)
     if args.embedding:
         raw = _parse_point_map(args.embedding)
+        points = {str(x) for x in action.carrier}
+        unknown = [x for x in raw if x not in points]
+        if unknown:
+            raise UsageError("--embedding maps points outside the carrier: " + ", ".join(unknown))
         unmapped = [x for x in action.carrier if str(x) not in raw]
         if unmapped:
             raise UsageError("--embedding gives no image for: " + ", ".join(str(x) for x in unmapped))

@@ -14,7 +14,14 @@ UNDEF = -1
 
 
 class StructuralError(ValueError):
-    """Input data references undeclared names or is shaped wrongly."""
+    """Input data references undeclared names or is shaped wrongly.
+
+    When the cause is a failed axiom scan, ``report`` holds its violations.
+    """
+
+    def __init__(self, message: str, report: ValidationReport | None = None):
+        self.report = report
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -218,30 +225,38 @@ def pseudo_inverses(table: SemigroupoidTable, s: str) -> list[str]:
 
 
 class InverseSemigroupoid:
-    """A validated semigroupoid in which every arrow has a unique pseudo-inverse.
+    """A semigroupoid in which every arrow has a unique pseudo-inverse.
 
-    The supplied inverse map is always cross-checked against an exhaustive
-    search; handing in a bad map raises rather than being trusted.
+    The constructor is the one way in and it checks everything once: the
+    semigroupoid axioms, then, only if they hold, the exhaustive
+    pseudo-inverse search.  A failure raises a StructuralError whose
+    ``report`` names the violations.
     """
 
-    def __init__(self, table: SemigroupoidTable, inv: Mapping[str, str]):
+    def __init__(self, table: SemigroupoidTable):
         report = validate_semigroupoid(table)
+        inv: dict[str, str] = {}
+        if report.ok:
+            violations = []
+            for s in table.arrows:
+                cands = pseudo_inverses(table, s)
+                if not cands:
+                    violations.append(Violation("no-inverse", f"arrow {s} has no pseudo-inverse", (s,)))
+                elif len(cands) > 1:
+                    violations.append(
+                        Violation(
+                            "non-unique-inverse",
+                            f"arrow {s} has several pseudo-inverses: {', '.join(cands)}",
+                            (s, cands[0], cands[1]),
+                        )
+                    )
+                else:
+                    inv[s] = cands[0]
+            report = ValidationReport(tuple(violations))
         if not report.ok:
-            raise StructuralError("table fails the semigroupoid axioms:\n" + report.render())
-        if set(inv) != set(table.arrows):
-            raise StructuralError("inverse map must be total on the arrow set")
-        for s in table.arrows:
-            cands = pseudo_inverses(table, s)
-            if len(cands) != 1:
-                raise StructuralError(
-                    f"arrow {s!r} has {len(cands)} pseudo-inverses; need exactly one"
-                )
-            if inv[s] != cands[0]:
-                raise StructuralError(
-                    f"declared inverse {inv[s]!r} of {s!r} disagrees with the unique pseudo-inverse {cands[0]!r}"
-                )
+            raise StructuralError("table is not an inverse semigroupoid:\n" + report.render(), report)
         self.table = table
-        self._inv = {s: inv[s] for s in table.arrows}
+        self._inv = inv
         self._idem = frozenset(e for e in table.arrows if table.mul(e, e) == e)
 
     @property
@@ -271,12 +286,13 @@ class InverseSemigroupoid:
         return dict(self._inv)
 
     def idempotent_set(self) -> frozenset[str]:
+        """The arrows e with (e, e) composable and e e = e."""
         return self._idem
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, InverseSemigroupoid):
             return NotImplemented
-        return self.table == other.table and self._inv == other._inv
+        return self.table == other.table
 
     def __repr__(self) -> str:
         return f"InverseSemigroupoid({len(self.objects)} objects, {len(self.arrows)} arrows)"
@@ -285,36 +301,14 @@ class InverseSemigroupoid:
 def infer_inverses(table: SemigroupoidTable) -> InverseSemigroupoid | ValidationReport:
     """Find the unique pseudo-inverse of every arrow by exhaustive search.
 
-    Returns the inverse semigroupoid on success; otherwise a report whose
-    violations name the arrows with no (or more than one) pseudo-inverse.
+    Returns the inverse semigroupoid on success; otherwise the report of the
+    failed axiom scan, or one whose violations name the arrows with no (or
+    more than one) pseudo-inverse.
     """
-    report = validate_semigroupoid(table)
-    if not report.ok:
-        return report
-    inv: dict[str, str] = {}
-    violations = []
-    for s in table.arrows:
-        cands = pseudo_inverses(table, s)
-        if not cands:
-            violations.append(Violation("no-inverse", f"arrow {s} has no pseudo-inverse", (s,)))
-        elif len(cands) > 1:
-            violations.append(
-                Violation(
-                    "non-unique-inverse",
-                    f"arrow {s} has several pseudo-inverses: {', '.join(cands)}",
-                    (s, cands[0], cands[1]),
-                )
-            )
-        else:
-            inv[s] = cands[0]
-    if violations:
-        return ValidationReport(tuple(violations))
-    return InverseSemigroupoid(table, inv)
-
-
-def idempotents(isg: InverseSemigroupoid) -> frozenset[str]:
-    """The arrows e with (e,e) composable and e e = e."""
-    return isg.idempotent_set()
+    try:
+        return InverseSemigroupoid(table)
+    except StructuralError as exc:
+        return exc.report
 
 
 def natural_leq(isg: InverseSemigroupoid, s: str, t: str) -> bool:
@@ -322,35 +316,6 @@ def natural_leq(isg: InverseSemigroupoid, s: str, t: str) -> bool:
     if isg.dom(s) != isg.dom(t) or isg.cod(s) != isg.cod(t):
         return False
     return isg.mul(t, isg.mul(isg.inv(s), s)) == s
-
-
-@dataclass(frozen=True)
-class OrderDiagnostic:
-    """All four equivalent ways to test the natural order on one pair."""
-
-    right_product: bool      # s = t (s* s)
-    right_idempotent: bool   # s = t e for some idempotent e
-    left_product: bool       # s = (s s*) t
-    left_idempotent: bool    # s = f t for some idempotent f
-
-    @property
-    def agree(self) -> bool:
-        return self.right_product == self.right_idempotent == self.left_product == self.left_idempotent
-
-    @property
-    def holds(self) -> bool:
-        return self.right_product
-
-
-def natural_leq_diagnostic(isg: InverseSemigroupoid, s: str, t: str) -> OrderDiagnostic:
-    if isg.dom(s) != isg.dom(t) or isg.cod(s) != isg.cod(t):
-        return OrderDiagnostic(False, False, False, False)
-    idem = isg.idempotent_set()
-    rp = isg.mul(t, isg.mul(isg.inv(s), s)) == s
-    lp = isg.mul(isg.mul(s, isg.inv(s)), t) == s
-    ri = any(isg.composable(t, e) and isg.mul(t, e) == s for e in isg.arrows if e in idem)
-    li = any(isg.composable(f, t) and isg.mul(f, t) == s for f in isg.arrows if f in idem)
-    return OrderDiagnostic(rp, ri, lp, li)
 
 
 def is_identity(table: SemigroupoidTable, e: str) -> bool:

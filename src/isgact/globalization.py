@@ -191,13 +191,14 @@ def build_globalization(action: PartialAction) -> Globalization:
     seeds = build_seed_set(action)
     quotient = close_equivalence(seeds, action)
 
+    # the map of s is defined on the classes of its seed domain and lands on those of inv(s)'s
+    seed_domains = {s: _seed_domain(action, seeds, s) for s in isg.arrows}
     dom_of: dict[str, frozenset] = {}
     theta: dict[str, dict] = {}
     for s in isg.arrows:
-        landing = _seed_domain(action, seeds, isg.inv(s))
-        dom_of[s] = frozenset(quotient.class_of[d] for d in landing)
+        dom_of[s] = frozenset(quotient.class_of[d] for d in seed_domains[isg.inv(s)])
         moves: dict[int, int] = {}
-        for p, x in _seed_domain(action, seeds, s):
+        for p, x in seed_domains[s]:
             src = quotient.class_of[Seed(p, x)]
             dst = quotient.class_of[Seed(isg.mul(s, p), x)]
             if src in moves and moves[src] != dst:

@@ -106,32 +106,6 @@ def is_embedding(f: ActionMap) -> ValidationReport:
     return ValidationReport(tuple(v))
 
 
-def embedding_by_points(f: ActionMap) -> ValidationReport:
-    """Independent pointwise route to the embedding property.
-
-    A point x lies in dom_of[inv(s)] exactly when its image lies in the target
-    dom_of[inv(s)] and is moved by theta[s] back into the image of the map; in
-    the affirmative case the two theta values must correspond.
-    """
-    src, tgt = f.source, f.target
-    isg = src.semigroupoid
-    v = list(is_action_map(f).violations) + _injectivity(f)
-    image = f.image()
-    for s in isg.arrows:
-        si = isg.inv(s)
-        for x in src.carrier:
-            member = x in src.dom_of[si]
-            w = tgt.theta[s].get(f(x)) if f(x) in tgt.dom_of[si] else None
-            outside = w is not None and w in image
-            if member != outside:
-                v.append(Violation("embedding-point", f"membership of {x} in dom_of[{si}] disagrees with the target trace for arrow {s}", (s, x)))
-            elif member:
-                moved = src.theta[s].get(x)
-                if moved is None or f(moved) != w:
-                    v.append(Violation("embedding-point", f"theta values for {x} under arrow {s} do not correspond", (s, x)))
-    return ValidationReport(tuple(v))
-
-
 def is_globalization_triple(f: ActionMap) -> ValidationReport:
     """Embedding into a valid global action."""
     reports = [is_embedding(f)]

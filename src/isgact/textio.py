@@ -192,6 +192,8 @@ def structure_ref(text: str) -> str:
         if len(toks) >= 2 and toks[0] == "structure" and toks[1] == "=":
             if len(toks) < 3 or not toks[2].strip():
                 raise ParseError(lineno, 1, "empty structure reference")
+            if "\x00" in toks[2]:
+                raise ParseError(lineno, 1, "structure reference contains a NUL byte")
             return toks[2].strip()
         break
     raise ParseError(1, 1, "action file must start with: structure = <path>")
@@ -277,10 +279,21 @@ def format_action(action: PartialAction, ref: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path: Path) -> str:
+    """The file's contents; a byte that is not UTF-8 is a positioned parse error naming the file."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        col = exc.start - data.rfind(b"\n", 0, exc.start)
+        raise ParseError(line, col, f"{path} is not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
+
+
 def load_structure(path: str | Path) -> InverseSemigroupoid:
     """Read, parse, validate, and inverse-check a structure file."""
     path = Path(path)
-    doc = parse_structure(path.read_text(encoding="utf-8"))
+    doc = parse_structure(_read_text(path))
     result = infer_inverses(doc.table)
     if isinstance(result, ValidationReport):
         raise ValidationFailure(str(path), result)
@@ -306,7 +319,7 @@ def load_structure(path: str | Path) -> InverseSemigroupoid:
 def load_action(path: str | Path) -> tuple[PartialAction, InverseSemigroupoid]:
     """Read an action file, loading its structure relative to the file's directory."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = _read_text(path)
     ref = structure_ref(text)
     isg = load_structure(path.parent / ref)
     return parse_action(text, isg), isg

@@ -24,7 +24,6 @@ from isgact import (
     compose,
     format_action,
     format_structure,
-    idempotents,
     inclusion_map,
     is_action_map,
     is_embedding,
@@ -76,7 +75,7 @@ def criterion(number: int, description: str, limit: float):
 def test_criterion_1_structure_golden(fixtures_dir):
     with criterion(1, "eight-arrow structure validates with the four expected idempotents", 1.0):
         isg = load_structure(fixtures_dir / "eight_arrow.isgd")
-        assert idempotents(isg) == {"a*a", "aa*", "b*b", "bb*"}
+        assert isg.idempotent_set() == {"a*a", "aa*", "b*b", "bb*"}
 
 
 def test_criterion_2_negative_fixture(fixtures_dir):

@@ -1,6 +1,5 @@
 from isgact import (
     build_globalization,
-    idempotents,
     is_global,
     is_isomorphism,
     restrict,
@@ -25,11 +24,11 @@ def test_catalog_contents():
     }
     hybrid = ENTRIES["two-object-hybrid"]
     assert len(hybrid.structure.arrows) == 8
-    assert len(idempotents(hybrid.structure)) == 4
+    assert len(hybrid.structure.idempotent_set()) == 4
     z2 = ENTRIES["cyclic-2"]
     assert len(z2.structure.objects) == 1
     assert len(z2.structure.arrows) == 2
-    assert len(idempotents(z2.structure)) == 1
+    assert len(z2.structure.idempotent_set()) == 1
     assert len(ENTRIES["symmetric-inverse-2"].structure.arrows) == 7
     assert len(ENTRIES["pair-groupoid-2"].structure.arrows) == 4
 

@@ -192,3 +192,38 @@ def test_mediate_with_a_partial_embedding_names_the_unmapped_points(capsys, fixt
     )
     assert code == 2
     assert err == "error: --embedding gives no image for: 2\n"
+
+
+def test_mediate_with_an_embedding_of_unknown_points(capsys, fixtures_dir):
+    code, out, err = run(
+        capsys,
+        "mediate",
+        str(fixtures_dir / "three_point_restricted.pact"),
+        "--target", str(fixtures_dir / "three_point_global.pact"),
+        "--embedding", "1->1,2->2,9->3",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --embedding maps points outside the carrier: 9\n"
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    [
+        ("bad.isgd", ["validate"]),
+        ("bad.pact", ["validate"]),
+        ("bad.pact", ["restrict", "--subset", "1"]),
+        ("bad.pact", ["globalize"]),
+        ("bad.pact", ["mediate", "--target", "three_point_global.pact"]),
+        ("bad.pact", ["check"]),
+    ],
+    ids=["validate-isgd", "validate-pact", "restrict", "globalize", "mediate", "check"],
+)
+def test_a_file_that_is_not_utf8_is_one_error_line(capsys, tmp_path, fixtures_dir, name, command):
+    bad = tmp_path / name
+    bad.write_bytes(b"[objects]\n\xff\xfe\n")
+    argv = [command[0], str(bad)] + [str(fixtures_dir / a) if a.endswith(".pact") else a for a in command[1:]]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: line 2, col 1: {bad} is not UTF-8 text (byte 0xff)\n"

@@ -1,15 +1,15 @@
 import pytest
 
+from isgact import core
 from isgact import (
     InverseSemigroupoid,
     SemigroupoidTable,
     StructuralError,
     ValidationReport,
-    idempotents,
     infer_inverses,
     is_identity,
+    load_structure,
     natural_leq,
-    natural_leq_diagnostic,
     pseudo_inverses,
     validate_semigroupoid,
 )
@@ -21,6 +21,8 @@ from isgact.catalog import (
     symmetric_inverse_2,
     two_object_hybrid_table,
 )
+
+from dual_route_oracles import natural_leq_diagnostic
 
 
 def one_object_table(arrows, mul):
@@ -57,6 +59,8 @@ def test_broken_product_is_an_associativity_violation():
     assert not report.ok
     witnesses = [v.witness for v in report.violations if v.tag == "associativity"]
     assert ("b", "b", "b*") in witnesses
+    # the inverse search never runs on a table that fails the axioms
+    assert infer_inverses(broken) == report
 
 
 def test_totality_definedness_and_endpoint_violations():
@@ -109,6 +113,9 @@ def test_no_inverse_is_reported():
     result = infer_inverses(table)
     assert isinstance(result, ValidationReport)
     assert any(v.tag == "no-inverse" and v.witness == ("x",) for v in result.violations)
+    with pytest.raises(StructuralError) as err:
+        InverseSemigroupoid(table)
+    assert err.value.report == result
 
 
 def test_non_unique_inverse_is_reported():
@@ -119,18 +126,29 @@ def test_non_unique_inverse_is_reported():
     assert any(v.tag == "non-unique-inverse" for v in result.violations)
 
 
-def test_declared_inverse_is_cross_checked(hybrid):
-    bad = hybrid.inverse_map()
-    bad["a"], bad["a*"] = "a", "a*"
-    with pytest.raises(StructuralError):
-        InverseSemigroupoid(hybrid.table, bad)
+def test_loading_runs_each_check_once(monkeypatch, fixtures_dir):
+    calls = {"validate_semigroupoid": 0, "pseudo_inverses": 0}
+
+    def counted(name):
+        original = getattr(core, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(core, name, counted(name))
+    isg = load_structure(fixtures_dir / "eight_arrow.isgd")
+    assert calls == {"validate_semigroupoid": 1, "pseudo_inverses": len(isg.arrows)}
 
 
 def test_idempotents(hybrid):
-    assert idempotents(hybrid) == {"a*a", "aa*", "b*b", "bb*"}
-    assert idempotents(cyclic_group(3)) == {"e"}
+    assert hybrid.idempotent_set() == {"a*a", "aa*", "b*b", "bb*"}
+    assert cyclic_group(3).idempotent_set() == {"e"}
     for s in hybrid.arrows:
-        assert hybrid.mul(s, hybrid.inv(s)) in idempotents(hybrid)
+        assert hybrid.mul(s, hybrid.inv(s)) in hybrid.idempotent_set()
 
 
 def test_natural_leq_examples(hybrid):

@@ -6,7 +6,6 @@ from isgact import (
     StructuralError,
     build_globalization,
     compose,
-    embedding_by_points,
     identity_map,
     inclusion_map,
     is_action_map,
@@ -16,6 +15,8 @@ from isgact import (
     mediating,
     restrict,
 )
+
+from dual_route_oracles import embedding_by_points
 
 
 @pytest.fixture()

@@ -107,6 +107,9 @@ def test_action_parse_errors(hybrid):
 def test_structure_ref_extraction(fixtures_dir):
     text = (fixtures_dir / "four_point.pact").read_text()
     assert structure_ref(text) == "eight_arrow.isgd"
+    # a NUL byte cannot name a file; it is a parse error, not an OS-level ValueError
+    with pytest.raises(ParseError, match="NUL byte"):
+        structure_ref("structure = eight\x00arrow.isgd\n")
 
 
 def test_declared_inverse_mismatch_fails_loading(tmp_path, hybrid):
