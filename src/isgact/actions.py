@@ -74,9 +74,6 @@ class PartialAction:
                     raise StructuralError(f"theta[{s}] maps {x!r} to {y!r} outside the carrier")
             self.theta[s] = m
 
-    def element_index(self, x) -> int:
-        return self._cidx[x]
-
     def sorted_elements(self, xs: Iterable) -> list:
         return sorted(xs, key=self._cidx.__getitem__)
 

@@ -31,11 +31,11 @@ from .morphisms import ActionMap, GlobalizationTriple
 from .textio import (
     ParseError,
     ValidationFailure,
+    _load_action,
+    _load_structure_once,
     format_action,
     format_structure,
     load_action,
-    load_structure,
-    structure_ref,
 )
 
 
@@ -123,15 +123,16 @@ def _parse_point_map(text: str) -> dict[str, str]:
 def _cmd_validate(args) -> int:
     all_ok = True
     structures = []
+    loaded: dict = {}  # each structure file is loaded once per command
     for name in args.files:
         path = Path(name)
         if path.suffix == ".isgd":
-            isg = load_structure(path)  # raises ValidationFailure on axiom errors
+            isg = _load_structure_once(path, loaded)  # raises ValidationFailure on axiom errors
             print(f"{name}: ok (inverse semigroupoid, {len(isg.arrows)} arrows, "
                   f"{len(isg.idempotent_set())} idempotents)")
             structures.append(isg)
         elif path.suffix == ".pact":
-            action, isg = load_action(path)
+            action, isg, _ = _load_action(path, loaded)
             p_rep = validate_p_axioms(action)
             e_rep = validate_e_axioms(action)
             print(p_rep.render(f"{name} [definitional axioms]"))
@@ -147,8 +148,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_restrict(args) -> int:
-    action, _ = load_action(args.action)
-    ref = structure_ref(Path(args.action).read_text(encoding="utf-8"))
+    action, _, ref = _load_action(Path(args.action), {})
     subset = [x for x in args.subset.replace(",", " ").split()]
     restricted = restrict(action, subset, trim=args.trim)
     sys.stdout.write(format_action(restricted, ref))
@@ -168,8 +168,9 @@ def _cmd_globalize(args) -> int:
 
 
 def _cmd_mediate(args) -> int:
-    action, _ = load_action(args.action)
-    target_action, _ = load_action(args.target)
+    loaded: dict = {}  # the two files usually share their structure file
+    action, _, _ = _load_action(Path(args.action), loaded)
+    target_action, _, _ = _load_action(Path(args.target), loaded)
     if args.embedding:
         raw = _parse_point_map(args.embedding)
         points = {str(x) for x in action.carrier}

@@ -143,9 +143,6 @@ class SemigroupoidTable:
             if self._mul[self._aidx[s]][self._aidx[t]] != UNDEF
         ]
 
-    def arrow_index(self, s: str) -> int:
-        return self._aidx[s]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SemigroupoidTable):
             return NotImplemented

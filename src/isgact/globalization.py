@@ -59,9 +59,6 @@ class Quotient:
     def n_classes(self) -> int:
         return len(self.classes)
 
-    def members(self, c: int) -> tuple[Seed, ...]:
-        return self.classes[c]
-
 
 class _UnionFind:
     def __init__(self, n: int):
@@ -144,25 +141,6 @@ def close_equivalence(seeds: list[Seed], action: PartialAction) -> Quotient:
     return Quotient(seeds, roots)
 
 
-def _seed_domain(action: PartialAction, seeds: list[Seed], s: str) -> list[Seed]:
-    """The members of ``seeds`` on which the induced map of arrow s is defined."""
-    isg = action.semigroupoid
-    w = isg.mul(isg.inv(s), s)
-    window = {
-        p: action.dom_of[isg.mul(isg.inv(p), isg.mul(w, p))] for p in isg.arrows if isg.composable(s, p)
-    }
-    return [seed for seed in seeds if seed.point in window.get(seed.arrow, ())]
-
-
-def seed_domain(action: PartialAction, s: str) -> list[Seed]:
-    """The seeds (p, x) on which the induced map of arrow s is defined.
-
-    These are the seeds with (s, p) composable and x in
-    dom_of[inv(p) inv(s) s p], in canonical order.
-    """
-    return _seed_domain(action, build_seed_set(action), s)
-
-
 class Globalization:
     """Quotient classes, the induced global action, and the canonical embedding."""
 
@@ -179,9 +157,14 @@ class Globalization:
 def build_globalization(action: PartialAction) -> Globalization:
     """Run the whole construction and verify the promised properties.
 
-    The induced per-class maps are rebuilt from every representative as a
-    well-definedness audit; the output is checked to be a valid global action
-    and the canonical map to be an embedding before anything is returned.
+    One pass over the seeds reads the class maps off the seed index: arrow s
+    sends the class of (p, x) to the class of (s p, x), and is defined there
+    exactly when (s p, x) is itself a seed, since inv(s p) s p equals
+    inv(p) inv(s) s p.  Every seed of a class is evaluated, as a
+    well-definedness audit.  The family of s is the key set of the map of
+    inv(s), and the idempotent seeds (e, x) give the class that x embeds into.
+    The output is checked to be a valid global action and the canonical map
+    to be an embedding before anything is returned.
     """
     pre = validate_p_axioms(action)
     if not pre.ok:
@@ -190,30 +173,38 @@ def build_globalization(action: PartialAction) -> Globalization:
     isg = action.semigroupoid
     seeds = build_seed_set(action)
     quotient = close_equivalence(seeds, action)
+    class_of = quotient.class_of
 
-    # the map of s is defined on the classes of its seed domain and lands on those of inv(s)'s
-    seed_domains = {s: _seed_domain(action, seeds, s) for s in isg.arrows}
-    dom_of: dict[str, frozenset] = {}
-    theta: dict[str, dict] = {}
+    # for each arrow p, the arrows s with s p defined, paired with the product
+    into: dict[str, list[str]] = {}
     for s in isg.arrows:
-        dom_of[s] = frozenset(quotient.class_of[d] for d in seed_domains[isg.inv(s)])
-        moves: dict[int, int] = {}
-        for p, x in seed_domains[s]:
-            src = quotient.class_of[Seed(p, x)]
-            dst = quotient.class_of[Seed(isg.mul(s, p), x)]
-            if src in moves and moves[src] != dst:
+        into.setdefault(isg.dom(s), []).append(s)
+    products = {p: [(s, isg.mul(s, p)) for s in into.get(isg.cod(p), ())] for p in isg.arrows}
+
+    # s sends the class of (p, x) to that of (s p, x), defined exactly when (s p, x) is a seed
+    idem = isg.idempotent_set()
+    theta: dict[str, dict] = {s: {} for s in isg.arrows}
+    landing: dict = {}
+    for seed in seeds:
+        p, x = seed
+        src = class_of[seed]
+        if p in idem:
+            landing.setdefault(x, set()).add(src)
+        for s, sp in products[p]:
+            # a Seed hashes and compares as the plain pair
+            dst = class_of.get((sp, x))
+            if dst is None:
+                continue
+            prev = theta[s].setdefault(src, dst)
+            if prev != dst:
                 raise RuntimeError(
-                    f"class map for arrow {s} is not well defined: class {src} sent to both {moves[src]} and {dst}"
+                    f"class map for arrow {s} is not well defined: class {src} sent to both {prev} and {dst}"
                 )
-            moves[src] = dst
-        theta[s] = moves
+    dom_of = {s: frozenset(theta[isg.inv(s)]) for s in isg.arrows}
 
     embed: dict = {}
     for x in action.carrier:
-        targets = set()
-        for e in isg.arrows:
-            if e in isg.idempotent_set() and x in action.dom_of[e]:
-                targets.add(quotient.class_of[Seed(e, x)])
+        targets = landing.get(x)
         if not targets:
             raise StructuralError(f"carrier element {x} lies in no idempotent domain")
         if len(targets) > 1:

@@ -125,7 +125,6 @@ class GlobalizationTriple:
         if not report.ok:
             raise StructuralError("not a globalization triple:\n" + report.render())
         self.embedding = embedding
-        self.target_is_global = True
 
     @property
     def target(self) -> PartialAction:

@@ -6,6 +6,7 @@ arrow names like a*a read verbatim.  A `#` starts a comment anywhere.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -316,10 +317,23 @@ def load_structure(path: str | Path) -> InverseSemigroupoid:
     return result
 
 
-def load_action(path: str | Path) -> tuple[PartialAction, InverseSemigroupoid]:
-    """Read an action file, loading its structure relative to the file's directory."""
-    path = Path(path)
+def _load_structure_once(path: Path, loaded: dict[str, InverseSemigroupoid]) -> InverseSemigroupoid:
+    """load_structure(path), unless ``loaded`` holds the file already; keys are resolved paths."""
+    key = os.path.realpath(path)
+    if key not in loaded:
+        loaded[key] = load_structure(path)
+    return loaded[key]
+
+
+def _load_action(path: Path, loaded: dict[str, InverseSemigroupoid]) -> tuple[PartialAction, InverseSemigroupoid, str]:
+    """The action file's action, its structure (through ``loaded``) and its structure reference."""
     text = _read_text(path)
     ref = structure_ref(text)
-    isg = load_structure(path.parent / ref)
-    return parse_action(text, isg), isg
+    isg = _load_structure_once(path.parent / ref, loaded)
+    return parse_action(text, isg), isg, ref
+
+
+def load_action(path: str | Path) -> tuple[PartialAction, InverseSemigroupoid]:
+    """Read an action file, loading its structure relative to the file's directory."""
+    action, isg, _ = _load_action(Path(path), {})
+    return action, isg

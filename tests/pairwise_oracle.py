@@ -1,11 +1,13 @@
-"""Reference oracle for the seed closure: the one-step relation tested on every pair.
+"""Reference oracles for the globalization: the one-step relation tested on
+every pair of seeds, and the seed domain of each class map by its window formula.
 
-This is the direct reading of the definition, quadratic in the number of
-seeds.  The library enumerates neighbours instead; the tests require both to
-give the same edges and the same partition.
+These are direct readings of the definitions, quadratic in the number of
+seeds or arrows.  The library enumerates neighbours and reads the class maps
+off the seed index instead; the tests require both routes to give the same
+edges, the same partition and the same class maps.
 """
 
-from isgact import PartialAction, Quotient, Seed
+from isgact import PartialAction, Quotient, Seed, build_seed_set
 from isgact.globalization import _UnionFind
 
 
@@ -43,3 +45,20 @@ def pairwise_closure(seeds, action: PartialAction) -> Quotient:
     for i, j in pairwise_edges(seeds, action):
         uf.union(i, j)
     return Quotient(seeds, [uf.find(i) for i in range(len(seeds))])
+
+
+def seed_domain(action: PartialAction, s: str, seeds=None) -> list[Seed]:
+    """The seeds (p, x) on which the induced map of arrow s is defined.
+
+    These are the seeds with (s, p) composable and x in
+    dom_of[inv(p) inv(s) s p], in canonical order; ``seeds`` defaults to the
+    whole seed set.
+    """
+    if seeds is None:
+        seeds = build_seed_set(action)
+    isg = action.semigroupoid
+    w = isg.mul(isg.inv(s), s)
+    window = {
+        p: action.dom_of[isg.mul(isg.inv(p), isg.mul(w, p))] for p in isg.arrows if isg.composable(s, p)
+    }
+    return [seed for seed in seeds if seed.point in window.get(seed.arrow, ())]

@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from isgact import format_action, parse_action, parse_structure, restrict
+from isgact import core, format_action, parse_action, parse_structure, restrict
 from isgact.catalog import three_point_action
 from isgact.cli import run_cli
 
@@ -227,3 +228,51 @@ def test_a_file_that_is_not_utf8_is_one_error_line(capsys, tmp_path, fixtures_di
     assert code == 2
     assert out == ""
     assert err == f"error: line 2, col 1: {bad} is not UTF-8 text (byte 0xff)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "eight_arrow.isgd", "four_point.pact", "three_point_global.pact"],
+        ["mediate", "three_point_restricted.pact", "--target", "three_point_global.pact"],
+    ],
+    ids=["validate", "mediate"],
+)
+def test_each_structure_file_is_validated_once_per_command(capsys, monkeypatch, fixtures_dir, argv):
+    calls = []
+    original = core.validate_semigroupoid
+
+    def counted(table):
+        calls.append(table)
+        return original(table)
+
+    monkeypatch.setattr(core, "validate_semigroupoid", counted)
+    argv = [str(fixtures_dir / a) if a.endswith((".isgd", ".pact")) else a for a in argv]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_a_rewritten_structure_file_is_read_again(capsys, tmp_path, fixtures_dir):
+    # structures are shared within one command, never across commands
+    path = tmp_path / "s.isgd"
+    path.write_text((fixtures_dir / "eight_arrow.isgd").read_text())
+    _, first, _ = run(capsys, "validate", str(path))
+    path.write_text("[objects]\no\n[arrows]\ne : o -> o\n[mul]\ne e = e\n")
+    _, second, _ = run(capsys, "validate", str(path))
+    assert "8 arrows" in first and "1 arrows" in second
+
+
+def test_restrict_reads_each_input_file_once(capsys, monkeypatch, fixtures_dir):
+    reads = []
+    for name in ("read_bytes", "read_text"):
+        original = getattr(Path, name)
+
+        def counted(self, *args, _original=original, **kwargs):
+            reads.append(self.resolve())
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, name, counted)
+    code, _, _ = run(capsys, "restrict", str(fixtures_dir / "three_point_global.pact"), "--subset", "1,2")
+    assert code == 0
+    assert sorted(p.name for p in reads) == ["eight_arrow.isgd", "three_point_global.pact"]

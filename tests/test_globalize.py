@@ -19,14 +19,13 @@ from isgact import (
     is_global,
     mediating,
     restrict,
-    seed_domain,
     validate_e_axioms,
     verify_universal,
 )
 from isgact.core import SemigroupoidTable
 from isgact.catalog import four_point_action
 
-from pairwise_oracle import seeds_related
+from pairwise_oracle import seed_domain, seeds_related
 from worked_data import (
     CLASSES_A,
     CLASSES_B,
@@ -112,8 +111,11 @@ def test_global_input_has_one_class_per_point(three_point):
 
 
 def test_seed_domains_match_the_worked_tables(four_point):
+    glob = build_globalization(four_point)
     for s, expected in SEED_DOMAIN_A.items():
         assert set(seed_domain(four_point, s)) == expected, s
+        # the library's class map of s is defined on exactly these seeds' classes
+        assert set(glob.global_action.theta[s]) == {glob.quotient.class_of[seed] for seed in expected}, s
     # idempotent seeds always lie in their own arrow's seed domain
     isg = four_point.semigroupoid
     for e in isg.idempotent_set():
@@ -198,7 +200,6 @@ def test_mediating_flags_an_unusable_target(three_point, two_point):
     bad = object.__new__(GlobalizationTriple)
     bad.embedding = inclusion_map(two_point, three_point)
     bad.embedding = type(bad.embedding)(two_point, three_point, {"1": "1", "2": "1"})
-    bad.target_is_global = True
     with pytest.raises(WellDefinednessError):
         mediating(glob, bad)
 

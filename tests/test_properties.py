@@ -20,7 +20,7 @@ from isgact import (
 from isgact.catalog import catalog, four_point_action, grow_catalog, random_partial_action
 
 from dual_route_oracles import natural_leq_diagnostic
-from pairwise_oracle import pairwise_closure, pairwise_edges, seeds_related
+from pairwise_oracle import pairwise_closure, pairwise_edges, seed_domain, seeds_related
 from worked_data import audit_equivalence_lemmas
 
 CATALOG = catalog()
@@ -171,6 +171,33 @@ def test_closure_matches_the_pairwise_oracle_off_the_axioms(hybrid):
 def test_closure_matches_the_pairwise_oracle_on_seeded_restrictions(slot, seed):
     entry, index = slot
     _assert_closure_matches_the_pairwise_oracle(random_partial_action(entry, index, seed))
+
+
+def _assert_class_maps_match_the_seed_domain_oracle(action):
+    glob = build_globalization(action)
+    isg = action.semigroupoid
+    class_of = glob.quotient.class_of
+    for s in isg.arrows:
+        domain = seed_domain(action, s, glob.quotient.seeds)
+        moves = glob.global_action.theta[s]
+        assert set(moves) == {class_of[seed] for seed in domain}, s
+        for p, x in domain:
+            assert moves[class_of[p, x]] == class_of[isg.mul(s, p), x], (s, p, x)
+        landing = seed_domain(action, isg.inv(s), glob.quotient.seeds)
+        assert glob.global_action.dom_of[s] == {class_of[seed] for seed in landing}, s
+
+
+@pytest.mark.parametrize("action", [ca.action for entry in GROWN for ca in entry.actions])
+def test_class_maps_match_the_seed_domain_oracle_on_catalog_actions(action):
+    # grow_catalog keeps every catalog action and adds its globalization
+    _assert_class_maps_match_the_seed_domain_oracle(action)
+
+
+@given(slot=st.sampled_from(GROWN_SLOTS), seed=seeds)
+@settings(max_examples=60, deadline=None)
+def test_class_maps_match_the_seed_domain_oracle_on_seeded_restrictions(slot, seed):
+    entry, index = slot
+    _assert_class_maps_match_the_seed_domain_oracle(random_partial_action(entry, index, seed))
 
 
 @given(slot=slots, seed=seeds)

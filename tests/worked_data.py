@@ -32,7 +32,8 @@ ETA_A = {
 EMBED_A = {"1": "1", "2": "2", "3": "3", "4": "4"}
 
 SEED_DOMAIN_A = {
-    # seed_domain(action, s) lists the seeds on which the class map of s acts
+    # the oracle seed_domain(action, s) of pairwise_oracle lists the seeds on
+    # which the class map of s acts
     "a": {("a*", "3"), ("a*", "4"), ("b", "1"), ("b*", "1"), ("a*a", "1"), ("bb*", "1"), ("b*b", "1")},
     "a*": {("a", "1"), ("aa*", "3"), ("aa*", "4")},
     "b": {("a*", "3"), ("a*", "4"), ("a*a", "1"), ("b", "1"), ("b*b", "1"), ("b*b", "2"), ("b*", "1"), ("b*", "4"), ("bb*", "1")},
