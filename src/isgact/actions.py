@@ -14,7 +14,6 @@ from .core import (
     StructuralError,
     ValidationReport,
     Violation,
-    natural_leq,
 )
 
 
@@ -148,8 +147,7 @@ def validate_p_axioms(action: PartialAction) -> ValidationReport:
             v.append(Violation("P2", f"dom_of[{s}] element {x} missing from dom_of[{e}]", (s, x)))
 
     # P3: the composite-domain equation plus pointwise agreement on it.
-    for s, t in isg.table.composable_pairs():
-        st = isg.mul(s, t)
+    for s, t, st in isg.products:
         lhs = _composite_domain(action, s, t)
         rhs = action.dom_of[isg.inv(st)] & action.dom_of[isg.inv(t)]
         for x in action.sorted_elements(lhs - rhs):
@@ -213,8 +211,7 @@ def validate_e_axioms(action: PartialAction) -> ValidationReport:
             v.append(Violation("E1", f"carrier element {x} lies in no arrow domain", (x,)))
 
     # E2: theta[st] extends theta[s] o theta[t] on the composite domain.
-    for s, t in isg.table.composable_pairs():
-        st = isg.mul(s, t)
+    for s, t, st in isg.products:
         for x in action.sorted_elements(_composite_domain(action, s, t)):
             mid = action.theta[t][x]
             through = action.theta[s].get(mid)
@@ -225,12 +222,9 @@ def validate_e_axioms(action: PartialAction) -> ValidationReport:
                 v.append(Violation("E2", f"theta[{s}] o theta[{t}] and theta[{st}] disagree at {x}", (s, t, x)))
 
     # E3: domains are monotone for the natural order.
-    for s in isg.arrows:
-        for t in isg.arrows:
-            if s == t or not natural_leq(isg, s, t):
-                continue
-            for x in action.sorted_elements(action.dom_of[s] - action.dom_of[t]):
-                v.append(Violation("E3", f"{s} <= {t} but dom_of[{s}] element {x} misses dom_of[{t}]", (s, t, x)))
+    for s, t in isg.strict_order:
+        for x in action.sorted_elements(action.dom_of[s] - action.dom_of[t]):
+            v.append(Violation("E3", f"{s} <= {t} but dom_of[{s}] element {x} misses dom_of[{t}]", (s, t, x)))
     return ValidationReport(tuple(v))
 
 
@@ -282,15 +276,15 @@ def check_derived_propositions(action: PartialAction) -> ValidationReport:
     """Re-verify consequences of the axioms; any failure marks an implementation bug.
 
     Covered: the image equation theta[s](X_{inv s} n X_t) = X_s n X_{st} for
-    composable pairs, domain/graph monotonicity along the natural order, and
-    intersection domains for composable idempotent pairs.
+    composable pairs, graph monotonicity along the natural order, and
+    intersection domains for composable idempotent pairs.  Domain
+    monotonicity along the order is axiom E3 of validate_e_axioms.
     """
     isg = action.semigroupoid
     idem = isg.idempotent_set()
     v: list[Violation] = []
 
-    for s, t in isg.table.composable_pairs():
-        st = isg.mul(s, t)
+    for s, t, st in isg.products:
         image = set()
         for x in action.dom_of[isg.inv(s)] & action.dom_of[t]:
             y = action.theta[s].get(x)
@@ -300,24 +294,15 @@ def check_derived_propositions(action: PartialAction) -> ValidationReport:
         for y in action.sorted_elements(image ^ expected):
             v.append(Violation("range-composition", f"image equation fails for ({s},{t}) at {y}", (s, t, y)))
 
-    for s in isg.arrows:
-        for t in isg.arrows:
-            if s == t or not natural_leq(isg, s, t):
-                continue
-            for x in action.sorted_elements(action.dom_of[s] - action.dom_of[t]):
-                v.append(Violation("order-domain", f"{s} <= {t} but dom_of[{s}] element {x} misses dom_of[{t}]", (s, t, x)))
-            for x in action.sorted_elements(action.dom_of[isg.inv(s)]):
-                if action.theta[t].get(x) != action.theta[s].get(x):
-                    v.append(Violation("order-extension", f"{s} <= {t} but theta[{t}] does not extend theta[{s}] at {x}", (s, t, x)))
+    for s, t in isg.strict_order:
+        for x in action.sorted_elements(action.dom_of[isg.inv(s)]):
+            if action.theta[t].get(x) != action.theta[s].get(x):
+                v.append(Violation("order-extension", f"{s} <= {t} but theta[{t}] does not extend theta[{s}] at {x}", (s, t, x)))
 
-    for e in isg.arrows:
-        if e not in idem:
+    for e, f, ef in isg.products:
+        if e not in idem or f not in idem:
             continue
-        for f in isg.arrows:
-            if f not in idem or not isg.composable(e, f):
-                continue
-            ef = isg.mul(e, f)
-            expected = action.dom_of[e] & action.dom_of[f]
-            for x in action.sorted_elements(action.dom_of[ef] ^ expected):
-                v.append(Violation("idempotent-domains", f"dom_of[{ef}] differs from dom_of[{e}] n dom_of[{f}] at {x}", (e, f, x)))
+        expected = action.dom_of[e] & action.dom_of[f]
+        for x in action.sorted_elements(action.dom_of[ef] ^ expected):
+            v.append(Violation("idempotent-domains", f"dom_of[{ef}] differs from dom_of[{e}] n dom_of[{f}] at {x}", (e, f, x)))
     return ValidationReport(tuple(v))

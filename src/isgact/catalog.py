@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .actions import PartialAction, is_global, restrict, validate_e_axioms, validate_p_axioms
+from .actions import PartialAction, is_global, restrict
 from .core import InverseSemigroupoid, SemigroupoidTable
 from .globalization import build_globalization
 
@@ -105,54 +105,64 @@ def three_point_action(isg: InverseSemigroupoid) -> PartialAction:
     return PartialAction(isg, carrier, dom_of, theta)
 
 
+def partial_bijections(maps: dict[str, dict], carrier: tuple) -> tuple[InverseSemigroupoid, PartialAction]:
+    """The one-object structure of named partial bijections of a carrier, and its natural action.
+
+    The product s t is the composite map "t, then s", named by looking its
+    graph up among the given maps, so the maps must be closed under
+    composition; such a set is an inverse semigroup (Wagner-Preston).
+    """
+    by_graph = {frozenset(m.items()): k for k, m in maps.items()}
+    mul = {}
+    for s, ms in maps.items():
+        for t, mt in maps.items():
+            composite = {x: ms[y] for x, y in mt.items() if y in ms}
+            mul[(s, t)] = by_graph[frozenset(composite.items())]
+    ends = {a: "o" for a in maps}
+    isg = InverseSemigroupoid(SemigroupoidTable(("o",), maps, ends, ends, mul))
+    return isg, _natural_action(isg, maps, carrier)
+
+
+def _natural_action(isg: InverseSemigroupoid, maps: dict[str, dict], carrier: tuple) -> PartialAction:
+    """Each named map moves the carrier by itself; its image is the arrow's domain."""
+    return PartialAction(isg, carrier, {s: m.values() for s, m in maps.items()}, maps)
+
+
+def _rotations(n: int) -> tuple[dict[str, dict], tuple]:
+    """Z_n as the rotations of n points: g^k sends point i to i + k mod n."""
+    points = tuple(str(i) for i in range(n))
+    maps = {"e" if k == 0 else "g" * k: {points[i]: points[(i + k) % n] for i in range(n)} for k in range(n)}
+    return maps, points
+
+
 def cyclic_group(n: int) -> InverseSemigroupoid:
     """The cyclic group of order n as a one-object structure."""
-    names = ["e" if k == 0 else "g" * k for k in range(n)]
-    mul = {(names[i], names[j]): names[(i + j) % n] for i in range(n) for j in range(n)}
-    table = SemigroupoidTable(("o",), names, {a: "o" for a in names}, {a: "o" for a in names}, mul)
-    return InverseSemigroupoid(table)
+    return partial_bijections(*_rotations(n))[0]
 
 
-def cyclic_regular_action(isg: InverseSemigroupoid) -> PartialAction:
-    """Everywhere-defined rotation of as many points as there are arrows."""
-    n = len(isg.arrows)
-    carrier = tuple(str(i) for i in range(n))
-    full = frozenset(carrier)
-    theta = {}
-    for k, s in enumerate(isg.arrows):
-        theta[s] = {str(i): str((i + k) % n) for i in range(n)}
-    return PartialAction(isg, carrier, {s: full for s in isg.arrows}, theta)
-
-
-_SYM2_MAPS = {
-    "z": {},
-    "e1": {"1": "1"},
-    "e2": {"2": "2"},
-    "id": {"1": "1", "2": "2"},
-    "sw": {"1": "2", "2": "1"},
-    "t12": {"1": "2"},
-    "t21": {"2": "1"},
-}
+# all seven partial injections of a two-point set
+_SYM2 = (
+    {
+        "z": {},
+        "e1": {"1": "1"},
+        "e2": {"2": "2"},
+        "id": {"1": "1", "2": "2"},
+        "sw": {"1": "2", "2": "1"},
+        "t12": {"1": "2"},
+        "t21": {"2": "1"},
+    },
+    ("1", "2"),
+)
 
 
 def symmetric_inverse_2() -> InverseSemigroupoid:
     """All seven partial injections of a two-point set under composition."""
-    names = tuple(_SYM2_MAPS)
-    by_graph = {frozenset(m.items()): k for k, m in _SYM2_MAPS.items()}
-    mul = {}
-    for s in names:
-        for t in names:
-            composite = {x: _SYM2_MAPS[s][y] for x, y in _SYM2_MAPS[t].items() if y in _SYM2_MAPS[s]}
-            mul[(s, t)] = by_graph[frozenset(composite.items())]
-    table = SemigroupoidTable(("o",), names, {a: "o" for a in names}, {a: "o" for a in names}, mul)
-    return InverseSemigroupoid(table)
+    return partial_bijections(*_SYM2)[0]
 
 
 def symmetric_inverse_2_action(isg: InverseSemigroupoid) -> PartialAction:
     """Each partial injection moves the two-point carrier by itself."""
-    dom_of = {s: frozenset(_SYM2_MAPS[s].values()) for s in isg.arrows}
-    theta = {s: dict(_SYM2_MAPS[s]) for s in isg.arrows}
-    return PartialAction(isg, ("1", "2"), dom_of, theta)
+    return _natural_action(isg, *_SYM2)
 
 
 def pair_groupoid_2() -> InverseSemigroupoid:
@@ -172,54 +182,48 @@ def pair_groupoid_translation(isg: InverseSemigroupoid) -> PartialAction:
     return PartialAction(isg, ("p", "q"), dom_of, theta)
 
 
+# two commuting idempotents with top bot = bot, identities on nested domains
+_SEMILATTICE_2 = ({"top": {"1": "1", "2": "2"}, "bot": {"1": "1"}}, ("1", "2"))
+
+
 def semilattice_2() -> InverseSemigroupoid:
     """Two commuting idempotents with top bot = bot."""
-    arrows = ("top", "bot")
-    mul = {("top", "top"): "top", ("top", "bot"): "bot", ("bot", "top"): "bot", ("bot", "bot"): "bot"}
-    table = SemigroupoidTable(("o",), arrows, {a: "o" for a in arrows}, {a: "o" for a in arrows}, mul)
-    return InverseSemigroupoid(table)
-
-
-def semilattice_identity_action(isg: InverseSemigroupoid) -> PartialAction:
-    """Both idempotents act as identities on nested domains."""
-    dom_of = {"top": {"1", "2"}, "bot": {"1"}}
-    theta = {"top": {"1": "1", "2": "2"}, "bot": {"1": "1"}}
-    return PartialAction(isg, ("1", "2"), dom_of, theta)
+    return partial_bijections(*_SEMILATTICE_2)[0]
 
 
 # ---------------------------------------------------------------------------
 # the catalog
 
 
-def _checked(name: str, structure: InverseSemigroupoid, *actions: tuple[str, PartialAction]) -> CatalogEntry:
-    tagged = []
-    for action_name, action in actions:
-        assert validate_p_axioms(action).ok, f"{name}/{action_name} fails the definitional axioms"
-        assert validate_e_axioms(action).ok, f"{name}/{action_name} fails the bijection axioms"
-        tagged.append(CatalogAction(action_name, action, is_global(action)))
-    return CatalogEntry(name, structure, tuple(tagged))
+def _entry(name: str, structure: InverseSemigroupoid, *actions: tuple[str, PartialAction]) -> CatalogEntry:
+    tagged = tuple(CatalogAction(action_name, action, is_global(action)) for action_name, action in actions)
+    return CatalogEntry(name, structure, tagged)
 
 
 def catalog() -> list[CatalogEntry]:
-    """Build the full catalog, validating every structure and action on the way."""
+    """Build the full catalog, tagging each action global or partial.
+
+    Every structure is validated on construction; the actions are known to
+    satisfy both axiom systems, which the test suite checks.
+    """
     hybrid = two_object_hybrid()
-    z2 = cyclic_group(2)
-    z3 = cyclic_group(3)
-    sym2 = symmetric_inverse_2()
     pairs = pair_groupoid_2()
-    lattice = semilattice_2()
+    z2, z2_regular = partial_bijections(*_rotations(2))
+    z3, z3_regular = partial_bijections(*_rotations(3))
+    sym2, sym2_natural = partial_bijections(*_SYM2)
+    lattice, lattice_identities = partial_bijections(*_SEMILATTICE_2)
     return [
-        _checked(
+        _entry(
             "two-object-hybrid",
             hybrid,
             ("four-point", four_point_action(hybrid)),
             ("three-point", three_point_action(hybrid)),
         ),
-        _checked("cyclic-2", z2, ("regular", cyclic_regular_action(z2))),
-        _checked("cyclic-3", z3, ("regular", cyclic_regular_action(z3))),
-        _checked("symmetric-inverse-2", sym2, ("natural", symmetric_inverse_2_action(sym2))),
-        _checked("pair-groupoid-2", pairs, ("translation", pair_groupoid_translation(pairs))),
-        _checked("semilattice-2", lattice, ("identities", semilattice_identity_action(lattice))),
+        _entry("cyclic-2", z2, ("regular", z2_regular)),
+        _entry("cyclic-3", z3, ("regular", z3_regular)),
+        _entry("symmetric-inverse-2", sym2, ("natural", sym2_natural)),
+        _entry("pair-groupoid-2", pairs, ("translation", pair_groupoid_translation(pairs))),
+        _entry("semilattice-2", lattice, ("identities", lattice_identities)),
     ]
 
 

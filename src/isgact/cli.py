@@ -25,7 +25,6 @@ from .globalization import (
     build_globalization,
     check_fiber_injectivity,
     mediating,
-    seed_edges,
 )
 from .morphisms import ActionMap, GlobalizationTriple
 from .textio import (
@@ -55,8 +54,7 @@ def _structure_dot(isg: InverseSemigroupoid) -> str:
 
 def _quotient_dot(glob: Globalization) -> str:
     """Seeds grouped by class, with an edge per one-step related pair."""
-    seeds = glob.quotient.seeds
-    node = {seed: f"n{i}" for i, seed in enumerate(seeds)}
+    node = {seed: f"n{i}" for i, seed in enumerate(glob.quotient.seeds)}
     lines = ["graph quotient {", "  node [shape=box];"]
     for c, members in enumerate(glob.quotient.classes):
         lines.append(f"  subgraph cluster_{c} {{")
@@ -64,7 +62,7 @@ def _quotient_dot(glob: Globalization) -> str:
         for seed in members:
             lines.append(f'    {node[seed]} [label="({seed.arrow},{seed.point})"];')
         lines.append("  }")
-    for i, j in seed_edges(seeds, glob.action):
+    for i, j in glob.quotient.edges:
         lines.append(f"  n{i} -- n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -8,6 +8,7 @@ the multiplication table is stored as a dense |S| x |S| array with an explicit
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 UNDEF = -1
@@ -285,6 +286,18 @@ class InverseSemigroupoid:
     def idempotent_set(self) -> frozenset[str]:
         """The arrows e with (e, e) composable and e e = e."""
         return self._idem
+
+    # built on first use: loading a structure that no action scan reads pays nothing
+
+    @cached_property
+    def products(self) -> tuple[tuple[str, str, str], ...]:
+        """Every composable pair with its product, (s, t, s t), s-major in declaration order."""
+        return tuple((s, t, self.table.mul(s, t)) for s, t in self.table.composable_pairs())
+
+    @cached_property
+    def strict_order(self) -> tuple[tuple[str, str], ...]:
+        """Every pair (s, t) with s <= t in the natural order and s != t, s-major in declaration order."""
+        return tuple((s, t) for s in self.arrows for t in self.arrows if s != t and natural_leq(self, s, t))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, InverseSemigroupoid):

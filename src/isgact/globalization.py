@@ -31,20 +31,24 @@ class WellDefinednessError(ValueError):
 
 
 class Quotient:
-    """A partition of the seed set with canonical class labels.
+    """The partition of the seed set that a list of related index pairs generates.
 
-    Classes are numbered in order of their first seed, seeds being ordered by
-    (arrow position, point position); the representative of a class is that
-    first seed.
+    ``edges`` are kept as given.  Classes are numbered in order of their first
+    seed, seeds being ordered by (arrow position, point position); the
+    representative of a class is that first seed.
     """
 
-    def __init__(self, seeds: list[Seed], roots: list[int]):
+    def __init__(self, seeds: list[Seed], edges: list[tuple[int, int]]):
         self.seeds = tuple(seeds)
+        self.edges = tuple(edges)
+        uf = _UnionFind(len(self.seeds))
+        for i, j in self.edges:
+            uf.union(i, j)
         label: dict[int, int] = {}
         members: list[list[Seed]] = []
         class_of: dict[Seed, int] = {}
         for i, seed in enumerate(self.seeds):
-            root = roots[i]
+            root = uf.find(i)
             if root not in label:
                 label[root] = len(members)
                 members.append([])
@@ -134,11 +138,7 @@ def seed_edges(seeds: Sequence[Seed], action: PartialAction) -> list[tuple[int, 
 
 def close_equivalence(seeds: list[Seed], action: PartialAction) -> Quotient:
     """Union-find closure of the one-step relation over the enumerated seed edges."""
-    uf = _UnionFind(len(seeds))
-    for i, j in seed_edges(seeds, action):
-        uf.union(i, j)
-    roots = [uf.find(i) for i in range(len(seeds))]
-    return Quotient(seeds, roots)
+    return Quotient(seeds, seed_edges(seeds, action))
 
 
 class Globalization:
@@ -176,10 +176,9 @@ def build_globalization(action: PartialAction) -> Globalization:
     class_of = quotient.class_of
 
     # for each arrow p, the arrows s with s p defined, paired with the product
-    into: dict[str, list[str]] = {}
-    for s in isg.arrows:
-        into.setdefault(isg.dom(s), []).append(s)
-    products = {p: [(s, isg.mul(s, p)) for s in into.get(isg.cod(p), ())] for p in isg.arrows}
+    products: dict[str, list[tuple[str, str]]] = {p: [] for p in isg.arrows}
+    for s, p, sp in isg.products:
+        products[p].append((s, sp))
 
     # s sends the class of (p, x) to that of (s p, x), defined exactly when (s p, x) is a seed
     idem = isg.idempotent_set()

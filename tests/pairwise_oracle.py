@@ -8,7 +8,6 @@ edges, the same partition and the same class maps.
 """
 
 from isgact import PartialAction, Quotient, Seed, build_seed_set
-from isgact.globalization import _UnionFind
 
 
 def seeds_related(action: PartialAction, p: Seed, q: Seed) -> bool:
@@ -41,10 +40,7 @@ def pairwise_edges(seeds, action: PartialAction) -> list[tuple[int, int]]:
 
 def pairwise_closure(seeds, action: PartialAction) -> Quotient:
     """Union-find closure of the one-step relation over all seed pairs."""
-    uf = _UnionFind(len(seeds))
-    for i, j in pairwise_edges(seeds, action):
-        uf.union(i, j)
-    return Quotient(seeds, [uf.find(i) for i in range(len(seeds))])
+    return Quotient(seeds, pairwise_edges(seeds, action))
 
 
 def seed_domain(action: PartialAction, s: str, seeds=None) -> list[Seed]:

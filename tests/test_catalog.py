@@ -1,3 +1,5 @@
+import pytest
+
 from isgact import (
     build_globalization,
     is_global,
@@ -9,6 +11,7 @@ from isgact import (
 from isgact.catalog import (
     CatalogEntry,
     catalog,
+    cyclic_group,
     grow_catalog,
     random_partial_action,
     three_point_action,
@@ -31,6 +34,16 @@ def test_catalog_contents():
     assert len(z2.structure.idempotent_set()) == 1
     assert len(ENTRIES["symmetric-inverse-2"].structure.arrows) == 7
     assert len(ENTRIES["pair-groupoid-2"].structure.arrows) == 4
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cyclic_group_adds_exponents(n):
+    z = cyclic_group(n)
+    names = ["e" if k == 0 else "g" * k for k in range(n)]
+    assert z.arrows == tuple(names)
+    for i in range(n):
+        for j in range(n):
+            assert z.mul(names[i], names[j]) == names[(i + j) % n]
 
 
 def test_every_catalog_action_validates_and_matches_its_tag():

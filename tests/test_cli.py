@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from isgact import core, format_action, parse_action, parse_structure, restrict
+from isgact import actions, cli, core, format_action, globalization, parse_action, parse_structure, restrict
 from isgact.catalog import three_point_action
 from isgact.cli import run_cli
 
@@ -14,6 +14,22 @@ def run(capsys, *argv):
     code = run_cli(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_calls(monkeypatch, name, *owners):
+    """Route every given module's or class's binding of ``name`` through one shared call log."""
+    calls = []
+    for owner in owners:
+        original = getattr(owner, name, None)
+        if original is None:
+            continue
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def test_validate_structure_and_actions(capsys, fixtures_dir):
@@ -129,6 +145,23 @@ def test_check_with_props(capsys, fixtures_dir):
 def test_check_fails_on_the_bad_fixture(capsys, fixtures_dir):
     code, out, _ = run(capsys, "check", str(fixtures_dir / "four_point_bad_range.pact"))
     assert code == 1
+
+
+def test_check_props_reports_an_order_domain_violation_under_e3_only(capsys, tmp_path, fixtures_dir):
+    # a*a lies below b, b*, b*b and bb*, so a*a's extra point 3 breaks E3 against all four
+    (tmp_path / "eight_arrow.isgd").write_text((fixtures_dir / "eight_arrow.isgd").read_text())
+    text = (fixtures_dir / "four_point.pact").read_text()
+    text = text.replace("[domain a*a] = 1\n", "[domain a*a] = 1 3\n").replace("[map a*a] = 1->1\n", "[map a*a] = 1->1 3->3\n")
+    path = tmp_path / "bad_e3.pact"
+    path.write_text(text)
+    code, out, _ = run(capsys, "check", str(path), "--props")
+    assert code == 1
+    e3 = [line for line in out.splitlines() if line.startswith("  [E3]")]
+    assert [line.split("witness=")[1] for line in e3] == [
+        "('a*a', 'b', '3')", "('a*a', 'b*', '3')", "('a*a', 'b*b', '3')", "('a*a', 'bb*', '3')",
+    ]
+    assert "derived propositions: FAIL (14 violation(s))" in out
+    assert "[order-domain]" not in out
 
 
 def test_catalog_listing_and_emission(capsys, hybrid):
@@ -276,3 +309,37 @@ def test_restrict_reads_each_input_file_once(capsys, monkeypatch, fixtures_dir):
     code, _, _ = run(capsys, "restrict", str(fixtures_dir / "three_point_global.pact"), "--subset", "1,2")
     assert code == 0
     assert sorted(p.name for p in reads) == ["eight_arrow.isgd", "three_point_global.pact"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "eight_arrow.isgd", "four_point.pact"],
+        ["globalize", "three_point_restricted.pact"],
+        ["check", "four_point.pact", "--props"],
+    ],
+    ids=["validate", "globalize", "check"],
+)
+def test_each_command_lists_the_composable_pairs_once(capsys, monkeypatch, fixtures_dir, argv):
+    calls = count_calls(monkeypatch, "composable_pairs", core.SemigroupoidTable)
+    argv = [str(fixtures_dir / a) if a.endswith((".isgd", ".pact")) else a for a in argv]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_check_props_decides_each_natural_order_pair_once(capsys, monkeypatch, fixtures_dir):
+    calls = count_calls(monkeypatch, "natural_leq", core, actions)
+    code, _, _ = run(capsys, "check", str(fixtures_dir / "four_point.pact"), "--props")
+    assert code == 0
+    # every ordered pair of distinct arrows of the eight-arrow structure, once
+    assert len(calls) == 8 * 7
+    assert len(set((s, t) for _, s, t in calls)) == 8 * 7
+
+
+def test_globalize_dot_enumerates_the_seed_edges_once(capsys, monkeypatch, fixtures_dir):
+    calls = count_calls(monkeypatch, "seed_edges", globalization, cli)
+    code, out, _ = run(capsys, "globalize", str(fixtures_dir / "three_point_restricted.pact"), "--format", "dot")
+    assert code == 0
+    assert " -- " in out
+    assert len(calls) == 1

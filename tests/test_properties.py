@@ -96,6 +96,22 @@ def test_natural_order_laws(isg):
                     assert natural_leq(isg, isg.mul(s1, s2), isg.mul(t1, t2))
 
 
+@pytest.mark.parametrize(
+    "isg",
+    [ca.action.semigroupoid for entry in GROWN for ca in entry.actions],
+    ids=[f"{entry.name}/{ca.name}" for entry in GROWN for ca in entry.actions],
+)
+def test_derived_tables_match_the_brute_force_filters(isg):
+    # the structure each catalog action and each grown (globalized) action is built over
+    arrows = isg.arrows
+    assert isg.products == tuple(
+        (s, t, isg.mul(s, t)) for s in arrows for t in arrows if isg.composable(s, t)
+    )
+    assert isg.strict_order == tuple(
+        (s, t) for s in arrows for t in arrows if s != t and natural_leq(isg, s, t)
+    )
+
+
 # ---------------------------------------------------------------------------
 # actions: both axiom systems agree; derived facts hold
 
@@ -151,8 +167,11 @@ def test_seed_relation_is_reflexive_and_symmetric(action):
 
 def _assert_closure_matches_the_pairwise_oracle(action):
     seed_list = build_seed_set(action)
-    assert seed_edges(seed_list, action) == pairwise_edges(seed_list, action)
-    assert close_equivalence(seed_list, action).classes == pairwise_closure(seed_list, action).classes
+    edges = pairwise_edges(seed_list, action)
+    assert seed_edges(seed_list, action) == edges
+    quotient = close_equivalence(seed_list, action)
+    assert quotient.classes == pairwise_closure(seed_list, action).classes
+    assert list(quotient.edges) == edges
 
 
 @pytest.mark.parametrize("action", [ca.action for entry in GROWN for ca in entry.actions])
