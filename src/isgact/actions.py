@@ -105,33 +105,33 @@ def _composite_domain(action: PartialAction, s: str, t: str) -> set:
     return {x for x, y in action.theta[t].items() if y in allowed}
 
 
-def validate_p_axioms(action: PartialAction) -> ValidationReport:
-    """Check the definitional axiom system, with a witness per violation."""
+def _linear_violations(action: PartialAction) -> list[Violation]:
+    """theta-domain, theta-range, P1 and P2: the checks that read each arrow's map and domain once."""
     isg = action.semigroupoid
     idem = isg.idempotent_set()
     v: list[Violation] = []
+    # offending points are collected unsorted and only they are sorted, so clean arrows sort nothing
 
     # Each theta[s] must be a map dom_of[inv(s)] -> dom_of[s] to begin with.
     for s in isg.arrows:
         expected = action.dom_of[isg.inv(s)]
-        keys = set(action.theta[s])
+        moves = action.theta[s]
+        keys = moves.keys()
         for x in action.sorted_elements(keys - expected):
             v.append(Violation("theta-domain", f"theta[{s}] defined at {x} outside dom_of[{isg.inv(s)}]", (s, x)))
         for x in action.sorted_elements(expected - keys):
             v.append(Violation("theta-domain", f"theta[{s}] undefined at {x} of dom_of[{isg.inv(s)}]", (s, x)))
-        for x in action.sorted_elements(set(action.theta[s])):
-            y = action.theta[s][x]
-            if y not in action.dom_of[s]:
-                v.append(Violation("theta-range", f"theta[{s}] maps {x} to {y} outside dom_of[{s}]", (s, x, y)))
+        image = action.dom_of[s]
+        for x in action.sorted_elements([x for x, y in moves.items() if y not in image]):
+            v.append(Violation("theta-range", f"theta[{s}] maps {x} to {moves[x]} outside dom_of[{s}]", (s, x, moves[x])))
 
     # P1: identity maps on idempotent domains; idempotent domains cover the carrier.
     for e in isg.arrows:
         if e not in idem:
             continue
-        for x in action.sorted_elements(set(action.theta[e])):
-            y = action.theta[e][x]
-            if x != y:
-                v.append(Violation("P1", f"theta[{e}] moves {x} to {y}; identity required", (e, x, y)))
+        moves = action.theta[e]
+        for x in action.sorted_elements([x for x, y in moves.items() if x != y]):
+            v.append(Violation("P1", f"theta[{e}] moves {x} to {moves[x]}; identity required", (e, x, moves[x])))
     covered = set()
     for e in isg.arrows:
         if e in idem:
@@ -145,40 +145,79 @@ def validate_p_axioms(action: PartialAction) -> ValidationReport:
         e = isg.mul(s, isg.inv(s))
         for x in action.sorted_elements(action.dom_of[s] - action.dom_of[e]):
             v.append(Violation("P2", f"dom_of[{s}] element {x} missing from dom_of[{e}]", (s, x)))
+    return v
+
+
+def validate_p_axioms(action: PartialAction) -> ValidationReport:
+    """Check the definitional axiom system, with a witness per violation."""
+    isg = action.semigroupoid
+    dom_of, theta, inv = action.dom_of, action.theta, isg.inv
+    v = _linear_violations(action)
 
     # P3: the composite-domain equation plus pointwise agreement on it.
     for s, t, st in isg.products:
         lhs = _composite_domain(action, s, t)
-        rhs = action.dom_of[isg.inv(st)] & action.dom_of[isg.inv(t)]
-        for x in action.sorted_elements(lhs - rhs):
-            v.append(
-                Violation(
-                    "P3-domain",
-                    f"composite domain of ({s},{t}) has extra element {x} over dom_of[{isg.inv(st)}] n dom_of[{isg.inv(t)}]",
-                    (s, t, x),
-                )
-            )
-        for x in action.sorted_elements(rhs - lhs):
-            v.append(
-                Violation(
-                    "P3-domain",
-                    f"composite domain of ({s},{t}) misses element {x} of dom_of[{isg.inv(st)}] n dom_of[{isg.inv(t)}]",
-                    (s, t, x),
-                )
-            )
-        for x in action.sorted_elements(rhs):
-            mid = action.theta[t].get(x)
-            through = action.theta[s].get(mid) if mid is not None else None
-            direct = action.theta[st].get(x)
-            if through is None or direct is None or through != direct:
+        rhs = dom_of[inv(st)] & dom_of[inv(t)]
+        if lhs != rhs:
+            for x in action.sorted_elements(lhs - rhs):
                 v.append(
                     Violation(
-                        "P3-value",
-                        f"theta[{s}](theta[{t}]({x})) = {through} but theta[{st}]({x}) = {direct}",
+                        "P3-domain",
+                        f"composite domain of ({s},{t}) has extra element {x} over dom_of[{inv(st)}] n dom_of[{inv(t)}]",
                         (s, t, x),
                     )
                 )
+            for x in action.sorted_elements(rhs - lhs):
+                v.append(
+                    Violation(
+                        "P3-domain",
+                        f"composite domain of ({s},{t}) misses element {x} of dom_of[{inv(st)}] n dom_of[{inv(t)}]",
+                        (s, t, x),
+                    )
+                )
+        theta_s, theta_t, theta_st = theta[s], theta[t], theta[st]
+        bad = {}
+        for x in rhs:
+            mid = theta_t.get(x)
+            through = theta_s.get(mid) if mid is not None else None
+            direct = theta_st.get(x)
+            if through is None or direct is None or through != direct:
+                bad[x] = through, direct
+        for x in action.sorted_elements(bad):
+            through, direct = bad[x]
+            v.append(
+                Violation(
+                    "P3-value",
+                    f"theta[{s}](theta[{t}]({x})) = {through} but theta[{st}]({x}) = {direct}",
+                    (s, t, x),
+                )
+            )
     return ValidationReport(tuple(v))
+
+
+def is_valid_global(action: PartialAction) -> bool:
+    """validate_p_axioms(action).ok and is_global(action), decided along the generators.
+
+    Once the linear checks pass and the action is global, P3 for a pair
+    (s, t) is the partial-map equation theta[s t] = theta[s] o theta[t]
+    (its domain half because dom_of[inv(s t)] lies in dom_of[inv(t)] for a
+    valid global action).  If the equation holds on every right Cayley edge
+    (s, g), g a generator, it holds for every t = g1 ... gk by induction on
+    k: theta[s t' g] = theta[s t'] o theta[g] = theta[s] o theta[t'] o theta[g]
+    = theta[s] o theta[t' g].  So one comparison per edge replaces the scan
+    over all composable pairs; the full scan is left to build a report.
+    """
+    if _linear_violations(action) or not is_global(action):
+        return False
+    isg = action.semigroupoid
+    theta = action.theta
+    gens = set(isg.generators)
+    for s, g, sg in isg.products:
+        if g in gens:
+            theta_s = theta[s]
+            if theta[sg] != {x: theta_s[y] for x, y in theta[g].items() if y in theta_s}:
+                return False
+    return True
 
 
 def validate_e_axioms(action: PartialAction) -> ValidationReport:
@@ -212,13 +251,16 @@ def validate_e_axioms(action: PartialAction) -> ValidationReport:
 
     # E2: theta[st] extends theta[s] o theta[t] on the composite domain.
     for s, t, st in isg.products:
-        for x in action.sorted_elements(_composite_domain(action, s, t)):
-            mid = action.theta[t][x]
-            through = action.theta[s].get(mid)
-            direct = action.theta[st].get(x)
-            if direct is None:
+        theta_s, theta_t, theta_st = action.theta[s], action.theta[t], action.theta[st]
+        bad = []
+        for x in _composite_domain(action, s, t):
+            direct = theta_st.get(x)
+            if direct is None or direct != theta_s.get(theta_t[x]):
+                bad.append(x)
+        for x in action.sorted_elements(bad):
+            if theta_st.get(x) is None:
                 v.append(Violation("E2", f"theta[{st}] undefined at {x} of the composite domain of ({s},{t})", (s, t, x)))
-            elif through != direct:
+            else:
                 v.append(Violation("E2", f"theta[{s}] o theta[{t}] and theta[{st}] disagree at {x}", (s, t, x)))
 
     # E3: domains are monotone for the natural order.
@@ -295,9 +337,10 @@ def check_derived_propositions(action: PartialAction) -> ValidationReport:
             v.append(Violation("range-composition", f"image equation fails for ({s},{t}) at {y}", (s, t, y)))
 
     for s, t in isg.strict_order:
-        for x in action.sorted_elements(action.dom_of[isg.inv(s)]):
-            if action.theta[t].get(x) != action.theta[s].get(x):
-                v.append(Violation("order-extension", f"{s} <= {t} but theta[{t}] does not extend theta[{s}] at {x}", (s, t, x)))
+        theta_s, theta_t = action.theta[s], action.theta[t]
+        bad = [x for x in action.dom_of[isg.inv(s)] if theta_t.get(x) != theta_s.get(x)]
+        for x in action.sorted_elements(bad):
+            v.append(Violation("order-extension", f"{s} <= {t} but theta[{t}] does not extend theta[{s}] at {x}", (s, t, x)))
 
     for e, f, ef in isg.products:
         if e not in idem or f not in idem:

@@ -195,36 +195,54 @@ def semilattice_2() -> InverseSemigroupoid:
 # the catalog
 
 
-def _entry(name: str, structure: InverseSemigroupoid, *actions: tuple[str, PartialAction]) -> CatalogEntry:
+def _hybrid() -> tuple:
+    hybrid = two_object_hybrid()
+    return hybrid, ("four-point", four_point_action(hybrid)), ("three-point", three_point_action(hybrid))
+
+
+def _pair_groupoid() -> tuple:
+    pairs = pair_groupoid_2()
+    return pairs, ("translation", pair_groupoid_translation(pairs))
+
+
+def _natural(action_name: str, maps: dict[str, dict], carrier: tuple):
+    """A builder of the one-object entry of named partial bijections with their natural action."""
+
+    def build() -> tuple:
+        isg, action = partial_bijections(maps, carrier)
+        return isg, (action_name, action)
+
+    return build
+
+
+# entry name -> builder of (structure, (action name, action), ...), in listing order
+_BUILDERS = {
+    "two-object-hybrid": _hybrid,
+    "cyclic-2": _natural("regular", *_rotations(2)),
+    "cyclic-3": _natural("regular", *_rotations(3)),
+    "symmetric-inverse-2": _natural("natural", *_SYM2),
+    "pair-groupoid-2": _pair_groupoid,
+    "semilattice-2": _natural("identities", *_SEMILATTICE_2),
+}
+
+ENTRY_NAMES: tuple[str, ...] = tuple(_BUILDERS)
+
+
+def catalog_entry(name: str) -> CatalogEntry:
+    """Build the named entry alone, tagging each action global or partial.
+
+    The structure is validated on construction; the actions are known to
+    satisfy both axiom systems, which the test suite checks.  ``name`` must
+    be one of ``ENTRY_NAMES``.
+    """
+    structure, *actions = _BUILDERS[name]()
     tagged = tuple(CatalogAction(action_name, action, is_global(action)) for action_name, action in actions)
     return CatalogEntry(name, structure, tagged)
 
 
 def catalog() -> list[CatalogEntry]:
-    """Build the full catalog, tagging each action global or partial.
-
-    Every structure is validated on construction; the actions are known to
-    satisfy both axiom systems, which the test suite checks.
-    """
-    hybrid = two_object_hybrid()
-    pairs = pair_groupoid_2()
-    z2, z2_regular = partial_bijections(*_rotations(2))
-    z3, z3_regular = partial_bijections(*_rotations(3))
-    sym2, sym2_natural = partial_bijections(*_SYM2)
-    lattice, lattice_identities = partial_bijections(*_SEMILATTICE_2)
-    return [
-        _entry(
-            "two-object-hybrid",
-            hybrid,
-            ("four-point", four_point_action(hybrid)),
-            ("three-point", three_point_action(hybrid)),
-        ),
-        _entry("cyclic-2", z2, ("regular", z2_regular)),
-        _entry("cyclic-3", z3, ("regular", z3_regular)),
-        _entry("symmetric-inverse-2", sym2, ("natural", sym2_natural)),
-        _entry("pair-groupoid-2", pairs, ("translation", pair_groupoid_translation(pairs))),
-        _entry("semilattice-2", lattice, ("identities", lattice_identities)),
-    ]
+    """Build the full catalog, one ``catalog_entry`` per name in ``ENTRY_NAMES``."""
+    return [catalog_entry(name) for name in ENTRY_NAMES]
 
 
 def random_partial_action(entry: CatalogEntry, global_index: int, subset_seed: int) -> PartialAction:

@@ -17,7 +17,7 @@ from .actions import (
     validate_e_axioms,
     validate_p_axioms,
 )
-from .catalog import catalog, random_partial_action
+from .catalog import ENTRY_NAMES, catalog, catalog_entry, random_partial_action
 from .core import InverseSemigroupoid, StructuralError
 from .globalization import (
     Globalization,
@@ -87,25 +87,73 @@ def _globalization_table(glob: Globalization) -> str:
     return "\n".join(lines) + "\n"
 
 
+_encode = json.encoder.encode_basestring_ascii  # the string encoder json.dumps uses
+
+
+def _json_array(items: list[str], depth: int) -> str:
+    """Encoded items as an array at nesting depth ``depth``, laid out as json.dumps(indent=2) lays it out."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _json_pairs(pairs: list[tuple[str, str]], depth: int) -> str:
+    """An array of two-element arrays of encoded items, each inner array laid out as _json_array would."""
+    pad = "\n" + "  " * (depth + 2)
+    inner = "[" + pad + "%s," + pad + "%s\n" + "  " * (depth + 1) + "]"
+    return _json_array([inner % pair for pair in pairs], depth)
+
+
+def _json_object(fields: dict[str, str], depth: int) -> str:
+    """Encoded values under sorted keys, laid out as json.dumps(indent=2, sort_keys=True) does."""
+    inner = "\n" + "  " * (depth + 1)
+    body = ("," + inner).join(f"{_encode(k)}: {fields[k]}" for k in sorted(fields))
+    return "{" + inner + body + "\n" + "  " * depth + "}"
+
+
 def _globalization_json(glob: Globalization) -> str:
+    """The fixed schema written directly: the bytes of json.dumps(payload, indent=2, sort_keys=True).
+
+    json.dumps with an indent runs the pure-Python encoder, which costs more
+    than building the globalization; the layout here is the same one.
+    """
     isg = glob.action.semigroupoid
     q = glob.quotient
-    payload = {
-        "seeds": [[s, str(x)] for s, x in q.seeds],
-        "classes": [
-            {"id": c, "members": [[s, str(x)] for s, x in members]}
-            for c, members in enumerate(q.classes)
-        ],
-        "families": [
-            {"arrow": s, "classes": sorted(glob.global_action.dom_of[s])} for s in isg.arrows
-        ],
-        "maps": [
-            {"arrow": s, "pairs": [[c, glob.global_action.theta[s][c]] for c in sorted(glob.global_action.theta[s])]}
-            for s in isg.arrows
-        ],
-        "embedding": [[str(x), glob.canonical_embedding.mapping[x]] for x in glob.action.carrier],
+    dom_of, theta = glob.global_action.dom_of, glob.global_action.theta
+    embed = glob.canonical_embedding.mapping
+    arrow = {s: _encode(s) for s in isg.arrows}
+    point = {x: _encode(str(x)) for x in glob.action.carrier}
+
+    def seed_pairs(seeds, depth):
+        return _json_pairs([(arrow[s], point[x]) for s, x in seeds], depth)
+
+    fields = {
+        "seeds": seed_pairs(q.seeds, 1),
+        "classes": _json_array(
+            [_json_object({"id": str(c), "members": seed_pairs(members, 3)}, 2) for c, members in enumerate(q.classes)],
+            1,
+        ),
+        "families": _json_array(
+            [
+                _json_object({"arrow": arrow[s], "classes": _json_array([str(c) for c in sorted(dom_of[s])], 3)}, 2)
+                for s in isg.arrows
+            ],
+            1,
+        ),
+        "maps": _json_array(
+            [
+                _json_object(
+                    {"arrow": arrow[s], "pairs": _json_pairs([(str(c), str(theta[s][c])) for c in sorted(theta[s])], 3)},
+                    2,
+                )
+                for s in isg.arrows
+            ],
+            1,
+        ),
+        "embedding": _json_pairs([(point[x], str(embed[x])) for x in glob.action.carrier], 1),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json_object(fields, 0) + "\n"
 
 
 def _parse_point_map(text: str) -> dict[str, str]:
@@ -212,17 +260,16 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    entries = {entry.name: entry for entry in catalog()}
     if args.entry is None:
-        for entry in entries.values():
+        for entry in catalog():
             tags = ", ".join(
                 f"{ca.name}({'global' if ca.global_tag else 'partial'})" for ca in entry.actions
             )
             print(f"{entry.name}: {len(entry.structure.arrows)} arrows; actions: {tags}")
         return 0
-    if args.entry not in entries:
+    if args.entry not in ENTRY_NAMES:
         raise UsageError(f"unknown catalog entry {args.entry}")
-    entry = entries[args.entry]
+    entry = catalog_entry(args.entry)  # builds this entry alone
     if args.emit_structure:
         sys.stdout.write(format_structure(entry.structure))
         return 0

@@ -299,6 +299,33 @@ class InverseSemigroupoid:
         """Every pair (s, t) with s <= t in the natural order and s != t, s-major in declaration order."""
         return tuple((s, t) for s in self.arrows for t in self.arrows if s != t and natural_leq(self, s, t))
 
+    @cached_property
+    def generators(self) -> tuple[str, ...]:
+        """A generating set, greedy in declaration order.
+
+        An arrow joins when the composable products of the earlier generators
+        do not reach it.  The reached set is grown Froidure-Pin style: every
+        product of generators is a shorter product times one generator, so
+        closing under right multiplication by the generators reaches them all.
+        """
+        table = self.table
+        dom, cod, mul = table._dom, table._cod, table._mul
+        gens: list[int] = []
+        reached: set[int] = set()
+        for a in range(len(self.arrows)):
+            if a in reached:
+                continue
+            gens.append(a)
+            # the new generator alone, and every reached arrow times it
+            todo = [a] + [mul[u][a] for u in reached if dom[u] == cod[a]]
+            while todo:
+                u = todo.pop()
+                if u in reached:
+                    continue
+                reached.add(u)
+                todo.extend(mul[u][g] for g in gens if dom[u] == cod[g])
+        return tuple(self.arrows[g] for g in gens)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, InverseSemigroupoid):
             return NotImplemented

@@ -343,3 +343,19 @@ def test_globalize_dot_enumerates_the_seed_edges_once(capsys, monkeypatch, fixtu
     assert code == 0
     assert " -- " in out
     assert len(calls) == 1
+
+
+def test_globalize_runs_the_full_p_scan_once_for_the_input(capsys, monkeypatch, fixtures_dir):
+    # the output is checked along generator edges; the full scan only builds a failure report
+    calls = count_calls(monkeypatch, "validate_p_axioms", globalization, actions)
+    code, _, _ = run(capsys, "globalize", str(fixtures_dir / "three_point_restricted.pact"))
+    assert code == 0
+    assert [action.carrier for action, in calls] == [("1", "2")]
+
+
+@pytest.mark.parametrize("argv", [("--emit-structure",), ("--action", "0", "--seed", "3")], ids=["emit", "action"])
+def test_catalog_entry_builds_that_entry_alone(capsys, monkeypatch, argv):
+    calls = count_calls(monkeypatch, "__init__", core.InverseSemigroupoid)
+    code, _, _ = run(capsys, "catalog", "--entry", "cyclic-2", *argv)
+    assert code == 0
+    assert len(calls) == 1

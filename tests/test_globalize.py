@@ -12,6 +12,7 @@ from isgact import (
     close_equivalence,
     compose,
     fiber_classes,
+    globalization,
     identity_map,
     inclusion_map,
     infer_inverses,
@@ -20,6 +21,7 @@ from isgact import (
     mediating,
     restrict,
     validate_e_axioms,
+    validate_p_axioms,
     verify_universal,
 )
 from isgact.core import SemigroupoidTable
@@ -243,3 +245,25 @@ def test_lemma_audits_on_the_fixtures(four_point, three_point):
     for action in (four_point, three_point, restrict(three_point, {"1", "2"})):
         glob = build_globalization(action)
         audit_equivalence_lemmas(action, glob.quotient)
+
+
+@pytest.mark.parametrize("planted", ["moved", "dropped"])
+def test_a_wrong_class_map_entry_trips_the_output_check(monkeypatch, two_point, planted):
+    built = []
+
+    def with_a_wrong_entry(isg, carrier, dom_of, theta):
+        carrier = tuple(carrier)
+        moves = dict(theta["a"])
+        c = min(moves)
+        if planted == "moved":
+            moves[c] = next(d for d in carrier if d != moves[c])
+        else:
+            del moves[c]
+        built.append(PartialAction(isg, carrier, dom_of, {**theta, "a": moves}))
+        return built[-1]
+
+    monkeypatch.setattr(globalization, "PartialAction", with_a_wrong_entry)
+    with pytest.raises(RuntimeError) as failure:
+        build_globalization(two_point)
+    # the report is the full scan's, as if the output had been scanned in full
+    assert str(failure.value) == "constructed action fails the axioms:\n" + validate_p_axioms(built[0]).render()

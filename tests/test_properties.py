@@ -1,15 +1,20 @@
 """Property suites: algebra laws, axiom-system agreement, construction invariants."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from isgact import (
+    PartialAction,
     build_globalization,
     build_seed_set,
     check_derived_propositions,
     close_equivalence,
     format_action,
     format_structure,
+    is_global,
+    is_valid_global,
     natural_leq,
     parse_action,
     parse_structure,
@@ -17,7 +22,7 @@ from isgact import (
     validate_e_axioms,
     validate_p_axioms,
 )
-from isgact.catalog import catalog, four_point_action, grow_catalog, random_partial_action
+from isgact.catalog import catalog, four_point_action, grow_catalog, partial_bijections, random_partial_action
 
 from dual_route_oracles import natural_leq_diagnostic
 from pairwise_oracle import pairwise_closure, pairwise_edges, seed_domain, seeds_related
@@ -110,6 +115,73 @@ def test_derived_tables_match_the_brute_force_filters(isg):
     assert isg.strict_order == tuple(
         (s, t) for s in arrows for t in arrows if s != t and natural_leq(isg, s, t)
     )
+
+
+def _symmetric_inverse_3():
+    """I_3, all 34 partial injections of three points, as named partial bijections."""
+    points = ("1", "2", "3")
+    maps = {}
+    for k in range(4):
+        for xs in itertools.combinations(points, k):
+            for ys in itertools.permutations(points, k):
+                maps["".join(xs) + ">" + "".join(ys)] = dict(zip(xs, ys))
+    return partial_bijections(maps, points)[0]
+
+
+def _closure(isg, arrows):
+    """Every product of the given arrows, by brute force: multiply all reached pairs until nothing new."""
+    reached = set(arrows)
+    while True:
+        new = {isg.mul(s, t) for s in reached for t in reached if isg.composable(s, t)} - reached
+        if not new:
+            return reached
+        reached |= new
+
+
+@pytest.mark.parametrize(
+    "isg",
+    [ca.action.semigroupoid for entry in GROWN for ca in entry.actions] + [_symmetric_inverse_3()],
+    ids=[f"{entry.name}/{ca.name}" for entry in GROWN for ca in entry.actions] + ["symmetric-inverse-3"],
+)
+def test_generators_are_greedy_and_generate_every_arrow(isg):
+    gens = isg.generators
+    assert _closure(isg, gens) == set(isg.arrows)
+    for i, g in enumerate(gens):
+        assert g not in _closure(isg, gens[:i]), g
+    # an arrow left out is reached by the generators declared before it
+    for a in set(isg.arrows) - set(gens):
+        position = isg.arrows.index(a)
+        assert a in _closure(isg, [g for g in gens if isg.arrows.index(g) < position]), a
+
+
+def _single_entry_corruptions(action):
+    """Every action that differs from the given one in one theta entry (moved or deleted) or one domain point."""
+    isg = action.semigroupoid
+    for s in isg.arrows:
+        for x, y in action.theta[s].items():
+            for z in [p for p in action.carrier if p != y] + [None]:
+                theta = {**action.theta, s: {k: v for k, v in action.theta[s].items() if k != x}}
+                if z is not None:
+                    theta[s][x] = z
+                yield PartialAction(isg, action.carrier, action.dom_of, theta)
+        for x in action.carrier:
+            dom_of = {**action.dom_of, s: action.dom_of[s] ^ {x}}
+            yield PartialAction(isg, action.carrier, dom_of, action.theta)
+
+
+@pytest.mark.parametrize(
+    "action",
+    [ca.action for entry in GROWN for ca in entry.actions if ca.global_tag],
+    ids=[f"{entry.name}/{ca.name}" for entry in GROWN for ca in entry.actions if ca.global_tag],
+)
+def test_the_generator_edge_check_agrees_with_the_full_scan(action):
+    assert is_valid_global(action)
+    outcomes = []
+    for corrupted in _single_entry_corruptions(action):
+        full = validate_p_axioms(corrupted).ok and is_global(corrupted)
+        assert is_valid_global(corrupted) == full
+        outcomes.append(full)
+    assert outcomes and not all(outcomes)
 
 
 # ---------------------------------------------------------------------------
