@@ -6,6 +6,7 @@ Exit codes: 0 all checks passed, 1 a validation failed, 2 parse or IO error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -284,6 +285,7 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache  # one parse tree per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="isgact", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -326,8 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, UsageError, OSError) as exc:

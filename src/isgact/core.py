@@ -62,15 +62,6 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def merge_reports(*reports: ValidationReport) -> ValidationReport:
-    violations: list[Violation] = []
-    notes: list[str] = []
-    for r in reports:
-        violations.extend(r.violations)
-        notes.extend(r.notes)
-    return ValidationReport(tuple(violations), tuple(notes))
-
-
 class SemigroupoidTable:
     """Objects, arrows, endpoint maps, and a partial multiplication table.
 

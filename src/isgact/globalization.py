@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Sequence
 
-from .actions import PartialAction, is_global, is_valid_global, validate_p_axioms
+from .actions import PartialAction, is_valid_global, validate_p_axioms
 from .core import StructuralError, ValidationReport, Violation
 from .morphisms import ActionMap, GlobalizationTriple, is_action_map, is_embedding
 
@@ -232,7 +232,7 @@ def _target_map(glob: Globalization, target) -> ActionMap:
         j = target.embedding
     else:
         j = target
-        if not validate_p_axioms(j.target).ok or not is_global(j.target):
+        if not is_valid_global(j.target):
             raise StructuralError("mediating requires a valid global target action")
         if not is_action_map(j).ok:
             raise StructuralError("the map into the target is not an action map")
@@ -273,9 +273,12 @@ def verify_universal(glob: Globalization, target, sigma: ActionMap, exhaustive_b
     """Audit the universal property for one target.
 
     Checks that sigma is an action map and closes the triangle with the
-    canonical embedding; when the number of candidate maps from classes to the
-    target carrier stays within the bound, enumerates them all and confirms
-    sigma is the only action map closing the triangle.
+    canonical embedding i.  A map closing the triangle sends the class i(x)
+    to j(x), and i is injective (``build_globalization`` checked it), so only
+    the classes outside the image of i are free: the audit enumerates their
+    values and confirms sigma is the only action map among the results.  The
+    budget still counts all |Y|^|classes| maps into the target carrier Y,
+    and the audit is skipped with a note when that exceeds the bound.
     """
     j = _target_map(glob, target)
     v: list[Violation] = []
@@ -295,13 +298,12 @@ def verify_universal(glob: Globalization, target, sigma: ActionMap, exhaustive_b
     if total > exhaustive_bound:
         notes.append(f"uniqueness skipped (bound): {len(points)}^{len(classes)} = {total} candidates exceed {exhaustive_bound}")
     else:
+        fixed = {glob.canonical_embedding(x): j(x) for x in glob.action.carrier}
+        free = [c for c in classes if c not in fixed]
         matches = []
-        for values in itertools.product(points, repeat=len(classes)):
-            candidate = dict(zip(classes, values))
-            if any(candidate[glob.canonical_embedding(x)] != j(x) for x in glob.action.carrier):
-                continue
-            cand_map = ActionMap(glob.global_action, j.target, candidate)
-            if is_action_map(cand_map).ok:
+        for values in itertools.product(points, repeat=len(free)):
+            candidate = fixed | dict(zip(free, values))
+            if is_action_map(ActionMap(glob.global_action, j.target, candidate)).ok:
                 matches.append(candidate)
         if len(matches) != 1:
             v.append(Violation("uniqueness", f"{len(matches)} commuting action maps found, expected exactly one", ()))

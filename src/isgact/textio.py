@@ -74,6 +74,7 @@ def parse_structure(text: str) -> StructureDoc:
     to the validators.
     """
     sections: dict[str, list[tuple[int, str]]] = {}
+    header_line: dict[str, int] = {}
     current: str | None = None
     for lineno, body in _content_lines(text):
         m = _SECTION.match(body.strip())
@@ -84,6 +85,7 @@ def parse_structure(text: str) -> StructureDoc:
             if current in sections:
                 raise ParseError(lineno, 1, f"duplicate section [{current}]")
             sections[current] = []
+            header_line[current] = lineno
             continue
         if current is None:
             raise ParseError(lineno, 1, "content before any section header")
@@ -118,11 +120,6 @@ def parse_structure(text: str) -> StructureDoc:
 
     arrow_set = set(arrows)
     mul: dict[tuple[str, str], str] = {}
-    mul_header_line = 1
-    for lineno, body in _content_lines(text):
-        if body.strip() == "[mul]":
-            mul_header_line = lineno
-            break
     for lineno, body in sections["mul"]:
         toks = body.split()
         if len(toks) != 4 or toks[2] != "=":
@@ -140,7 +137,7 @@ def parse_structure(text: str) -> StructureDoc:
     if missing:
         shown = ", ".join(f"({s}, {t})" for s, t in missing[:6])
         more = "" if len(missing) <= 6 else f" and {len(missing) - 6} more"
-        raise ParseError(mul_header_line, 1, f"composable pairs without a product: {shown}{more}")
+        raise ParseError(header_line["mul"], 1, f"composable pairs without a product: {shown}{more}")
 
     inverse: dict[str, str] | None = None
     if "inverse" in sections:

@@ -6,6 +6,7 @@ pass lines.
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -203,7 +204,8 @@ def test_criterion_7_round_trip_and_deterministic_json(fixtures_dir):
 
         cmd = [sys.executable, "-m", "isgact", "globalize",
                str(fixtures_dir / "three_point_restricted.pact"), "--format", "json"]
-        first = subprocess.run(cmd, capture_output=True, check=True)
-        second = subprocess.run(cmd, capture_output=True, check=True)
+        env = dict(os.environ, PYTHONPATH=str(fixtures_dir.parent / "src"))  # the library in this checkout
+        first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+        second = subprocess.run(cmd, capture_output=True, check=True, env=env)
         assert first.stdout == second.stdout
         json.loads(first.stdout)  # well-formed

@@ -1,9 +1,10 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from isgact import actions, cli, core, format_action, globalization, parse_action, parse_structure, restrict
+from isgact import actions, cli, core, format_action, globalization, morphisms, parse_action, parse_structure, restrict
 from isgact.catalog import three_point_action
 from isgact.cli import run_cli
 
@@ -351,6 +352,44 @@ def test_globalize_runs_the_full_p_scan_once_for_the_input(capsys, monkeypatch, 
     code, _, _ = run(capsys, "globalize", str(fixtures_dir / "three_point_restricted.pact"))
     assert code == 0
     assert [action.carrier for action, in calls] == [("1", "2")]
+
+
+@pytest.mark.parametrize("strict", [(), ("--strict",)], ids=["plain", "strict"])
+def test_mediate_runs_the_full_p_scan_once_for_the_input(capsys, monkeypatch, fixtures_dir, strict):
+    # the global target is decided along generator edges; the full scan only builds a failure report
+    calls = count_calls(monkeypatch, "validate_p_axioms", globalization, morphisms, actions)
+    code, out, _ = run(
+        capsys,
+        "mediate",
+        str(fixtures_dir / "three_point_restricted.pact"),
+        "--target",
+        str(fixtures_dir / "three_point_global.pact"),
+        *strict,
+    )
+    assert code == 0 and out.startswith("sigma: ")
+    assert [action.carrier for action, in calls] == [("1", "2")]
+
+
+@pytest.mark.parametrize("wrap", [False, True], ids=["action-map", "triple"])
+def test_the_universal_property_chain_runs_the_full_p_scan_once_for_the_input(monkeypatch, hybrid, wrap):
+    calls = count_calls(monkeypatch, "validate_p_axioms", globalization, morphisms, actions)
+    base = three_point_action(hybrid)
+    action = restrict(base, {"1", "2"})
+    glob = globalization.build_globalization(action)
+    j = morphisms.inclusion_map(action, base)
+    target = morphisms.GlobalizationTriple(j) if wrap else j
+    sigma = globalization.mediating(glob, target)
+    assert globalization.verify_universal(glob, target, sigma).ok
+    assert [a.carrier for a, in calls] == [("1", "2")]
+
+
+def test_run_cli_builds_the_argument_parser_once(capsys, monkeypatch, fixtures_dir):
+    calls = count_calls(monkeypatch, "__init__", argparse.ArgumentParser)
+    for _ in range(2):
+        code, _, _ = run(capsys, "validate", str(fixtures_dir / "eight_arrow.isgd"))
+        assert code == 0
+    # the program parser and its six subcommand parsers, at most once
+    assert len(calls) <= 7
 
 
 @pytest.mark.parametrize("argv", [("--emit-structure",), ("--action", "0", "--seed", "3")], ids=["emit", "action"])

@@ -3,9 +3,11 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from isgact import (
+    ActionMap,
+    GlobalizationTriple,
     PartialAction,
     build_globalization,
     build_seed_set,
@@ -13,19 +15,23 @@ from isgact import (
     close_equivalence,
     format_action,
     format_structure,
+    inclusion_map,
     is_global,
     is_valid_global,
+    mediating,
     natural_leq,
     parse_action,
     parse_structure,
     seed_edges,
     validate_e_axioms,
     validate_p_axioms,
+    verify_universal,
 )
 from isgact.catalog import catalog, four_point_action, grow_catalog, partial_bijections, random_partial_action
 
 from dual_route_oracles import natural_leq_diagnostic
 from pairwise_oracle import pairwise_closure, pairwise_edges, seed_domain, seeds_related
+from universal_oracle import verify_universal_by_enumeration
 from worked_data import audit_equivalence_lemmas
 
 CATALOG = catalog()
@@ -308,3 +314,37 @@ def test_globalizing_twice_stabilizes_the_class_count(slot, seed):
     first = build_globalization(action)
     second = build_globalization(first.global_action)
     assert len(second.global_action.carrier) == len(first.global_action.carrier)
+
+
+@given(
+    slot=st.sampled_from(GROWN_SLOTS),
+    seed=seeds,
+    perturb=st.sampled_from([None, "embedded", "free"]),
+    rank=st.integers(min_value=0, max_value=10),
+    wrap=st.booleans(),
+    over=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_uniqueness_audit_matches_the_enumeration_oracle(slot, seed, perturb, rank, wrap, over):
+    entry, index = slot
+    base = entry.actions[index].action
+    action = random_partial_action(entry, index, seed)
+    glob = build_globalization(action)
+    j = inclusion_map(action, base)
+    target = GlobalizationTriple(j) if wrap else j
+    sigma = mediating(glob, target)
+    if perturb is not None:
+        # move one class, embedded or left free by the embedding, to another target point
+        embedded = set(glob.canonical_embedding.mapping.values())
+        pool = [c for c in glob.global_action.carrier if (c in embedded) == (perturb == "embedded")]
+        assume(pool)
+        c = pool[rank % len(pool)]
+        others = [z for z in base.carrier if z != sigma.mapping[c]]
+        sigma = ActionMap(glob.global_action, base, {**sigma.mapping, c: others[rank % len(others)]})
+    # the budget counts every map from the classes into the target carrier, on either side of it
+    total = len(base.carrier) ** len(glob.global_action.carrier)
+    bound = total - 1 if over else total
+    report = verify_universal(glob, target, sigma, exhaustive_bound=bound)
+    assert report == verify_universal_by_enumeration(glob, target, sigma, exhaustive_bound=bound)
+    assert bool(report.notes) == over
+    assert report.ok == (perturb is None)

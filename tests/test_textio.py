@@ -67,6 +67,17 @@ def test_missing_composable_pair_is_a_parse_error():
     assert "without a product" in str(err.value)
 
 
+@pytest.mark.parametrize("header", ["[mul]", "[ mul ]", "[mul ]", "[mul]  # products"])
+def test_missing_product_error_sits_on_the_mul_header_however_it_is_spaced(fixtures_dir, header):
+    lines = (fixtures_dir / "eight_arrow.isgd").read_text().splitlines()
+    assert lines[15] == "[mul]" and lines[16] == "a a* = aa*"
+    text = "\n".join(lines[:15] + [header] + lines[17:]) + "\n"
+    with pytest.raises(ParseError) as err:
+        parse_structure(text)
+    assert "(a, a*)" in str(err.value)
+    assert (err.value.line, err.value.col) == (16, 1)
+
+
 def test_assorted_structure_parse_errors():
     with pytest.raises(ParseError, match="unknown object"):
         parse_structure("[objects]\nu\n\n[arrows]\ne : u -> w\n\n[mul]\n")
