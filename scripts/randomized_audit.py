@@ -2,8 +2,10 @@
 """Sweep seeded restrictions of the catalog and audit the construction on each.
 
 For every draw: restrict a cataloged global action to a random subset,
-validate both axiom systems, globalize, and factor the inclusion back into
-the source action.  Counts never lie: any failure raises immediately.
+validate both axiom systems, globalize, factor the inclusion back into the
+source action, and audit the universal property with ``verify_universal``,
+which decides uniqueness unless its candidate budget is exceeded.  Counts
+never lie: any failure raises immediately.
 """
 
 import argparse
@@ -20,6 +22,7 @@ from isgact import (
     mediating,
     validate_e_axioms,
     validate_p_axioms,
+    verify_universal,
 )
 from isgact.catalog import catalog, random_partial_action
 
@@ -34,6 +37,7 @@ def main():
     slots = [(e, i) for e in entries for i, ca in enumerate(e.actions) if ca.global_tag]
     started = time.perf_counter()
     class_counts = []
+    skipped = 0
     for draw in range(args.draws):
         entry, index = slots[draw % len(slots)]
         base = entry.actions[index].action
@@ -43,13 +47,18 @@ def main():
         assert is_global(glob.global_action)
         assert is_embedding(glob.canonical_embedding).ok
         j = inclusion_map(action, base)
-        sigma = mediating(glob, GlobalizationTriple(j))
+        triple = GlobalizationTriple(j)
+        sigma = mediating(glob, triple)
         assert compose(sigma, glob.canonical_embedding) == j
         assert check_fiber_injectivity(sigma, glob).ok
+        report = verify_universal(glob, triple, sigma)
+        assert report.ok, report.render()
+        skipped += bool(report.notes)
         class_counts.append(len(glob.global_action.carrier))
     elapsed = time.perf_counter() - started
     print(f"{args.draws} draws over {len(slots)} global actions: all audits passed "
-          f"in {elapsed:.2f}s (class counts {min(class_counts)}..{max(class_counts)})")
+          f"in {elapsed:.2f}s (class counts {min(class_counts)}..{max(class_counts)}; "
+          f"uniqueness decided in {args.draws - skipped}, skipped over the bound in {skipped})")
 
 
 if __name__ == "__main__":

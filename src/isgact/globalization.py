@@ -269,14 +269,73 @@ def mediating(glob: Globalization, target) -> ActionMap:
     return ActionMap(glob.global_action, tgt, mapping)
 
 
+def _commuting_maps(source: PartialAction, target: PartialAction, assigned: dict) -> list[dict]:
+    """Every action map from source to target that extends the partial map ``assigned``.
+
+    A complete search.  Equivariance makes each move theta[s](c) = d with c
+    in dom_of[inv(s)] force the value of d: the target move of the value of c
+    by s.  Values spread from the assigned points along those moves, and a
+    branch where a forced move is undefined or disagrees with a value already
+    set is cut, since no action map extends it.  The search branches over the
+    target carrier only at the first point still unset, and propagates again
+    after each choice.  Every complete assignment it reaches is checked by
+    ``is_action_map``, which also decides the family condition, so the result
+    does not rest on the propagation.  Maps come in lexicographic order of
+    their values, points and values taken in carrier order.
+    """
+    isg = source.semigroupoid
+    forced: dict = {c: [] for c in source.carrier}
+    for s in isg.arrows:
+        theta_s, moves = source.theta[s], target.theta[s]
+        for c in source.dom_of[isg.inv(s)]:
+            d = theta_s.get(c)
+            if d is not None:
+                forced[c].append((d, moves))
+
+    def spread(values: dict, frontier: list) -> bool:
+        while frontier:
+            c = frontier.pop()
+            y = values[c]
+            for d, moves in forced[c]:
+                z = moves.get(y)
+                if z is None:
+                    return False
+                if d not in values:
+                    values[d] = z
+                    frontier.append(d)
+                elif values[d] != z:
+                    return False
+        return True
+
+    matches = []
+    start = dict(assigned)
+    pending = [start] if spread(start, list(start)) else []
+    while pending:
+        values = pending.pop()
+        for c in source.carrier:
+            if c not in values:
+                break
+        else:
+            if is_action_map(ActionMap(source, target, values)).ok:
+                matches.append(values)
+            continue
+        # pushed in reverse so that branches are taken in target carrier order
+        for y in reversed(target.carrier):
+            trial = {**values, c: y}
+            if spread(trial, [c]):
+                pending.append(trial)
+    return matches
+
+
 def verify_universal(glob: Globalization, target, sigma: ActionMap, exhaustive_bound: int = 1_000_000) -> ValidationReport:
     """Audit the universal property for one target.
 
     Checks that sigma is an action map and closes the triangle with the
-    canonical embedding i.  A map closing the triangle sends the class i(x)
-    to j(x), and i is injective (``build_globalization`` checked it), so only
-    the classes outside the image of i are free: the audit enumerates their
-    values and confirms sigma is the only action map among the results.  The
+    canonical embedding i, then searches for every action map that sends
+    each class i(x) to j(x) (``_commuting_maps``) and confirms sigma is the
+    only one.  Values spread from the embedded classes along the constructed
+    action; every class of a true globalization is reached that way, so the
+    search does not branch there and costs about classes times arrows.  The
     budget still counts all |Y|^|classes| maps into the target carrier Y,
     and the audit is skipped with a note when that exceeds the bound.
     """
@@ -299,12 +358,7 @@ def verify_universal(glob: Globalization, target, sigma: ActionMap, exhaustive_b
         notes.append(f"uniqueness skipped (bound): {len(points)}^{len(classes)} = {total} candidates exceed {exhaustive_bound}")
     else:
         fixed = {glob.canonical_embedding(x): j(x) for x in glob.action.carrier}
-        free = [c for c in classes if c not in fixed]
-        matches = []
-        for values in itertools.product(points, repeat=len(free)):
-            candidate = fixed | dict(zip(free, values))
-            if is_action_map(ActionMap(glob.global_action, j.target, candidate)).ok:
-                matches.append(candidate)
+        matches = _commuting_maps(glob.global_action, j.target, fixed)
         if len(matches) != 1:
             v.append(Violation("uniqueness", f"{len(matches)} commuting action maps found, expected exactly one", ()))
         elif matches[0] != sigma.mapping:

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from isgact import actions, cli, core, format_action, globalization, morphisms, parse_action, parse_structure, restrict
-from isgact.catalog import three_point_action
+from isgact.catalog import _rotations, partial_bijections, three_point_action
 from isgact.cli import run_cli
 
 from worked_data import CLASSES_B
@@ -381,6 +381,20 @@ def test_the_universal_property_chain_runs_the_full_p_scan_once_for_the_input(mo
     sigma = globalization.mediating(glob, target)
     assert globalization.verify_universal(glob, target, sigma).ok
     assert [a.carrier for a, in calls] == [("1", "2")]
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_the_uniqueness_audit_checks_one_candidate_on_a_true_globalization(monkeypatch, n):
+    # one-point restriction of Z_n's regular action: n classes, n^(n-1) maps agree with the embedding
+    _, base = partial_bijections(*_rotations(n))
+    action = restrict(base, {base.carrier[0]})
+    glob = globalization.build_globalization(action)
+    triple = morphisms.GlobalizationTriple(morphisms.inclusion_map(action, base))
+    sigma = globalization.mediating(glob, triple)
+    calls = count_calls(monkeypatch, "is_action_map", globalization)
+    assert globalization.verify_universal(glob, triple, sigma).ok
+    # sigma itself, then the one complete assignment propagation reaches
+    assert [f.source for f, in calls] == [glob.global_action] * 2
 
 
 def test_run_cli_builds_the_argument_parser_once(capsys, monkeypatch, fixtures_dir):

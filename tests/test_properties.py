@@ -28,10 +28,11 @@ from isgact import (
     verify_universal,
 )
 from isgact.catalog import catalog, four_point_action, grow_catalog, partial_bijections, random_partial_action
+from isgact.globalization import _commuting_maps
 
 from dual_route_oracles import natural_leq_diagnostic
 from pairwise_oracle import pairwise_closure, pairwise_edges, seed_domain, seeds_related
-from universal_oracle import verify_universal_by_enumeration
+from universal_oracle import action_maps_by_enumeration, verify_universal_by_enumeration
 from worked_data import audit_equivalence_lemmas
 
 CATALOG = catalog()
@@ -348,3 +349,34 @@ def test_uniqueness_audit_matches_the_enumeration_oracle(slot, seed, perturb, ra
     assert report == verify_universal_by_enumeration(glob, target, sigma, exhaustive_bound=bound)
     assert bool(report.notes) == over
     assert report.ok == (perturb is None)
+
+
+def _search_cases(entry):
+    """(source, target, assigned) over the entry's global actions, with at most 10^4 candidates.
+
+    ``assigned`` is empty or fixes the source's first point, so the search
+    has to branch.  Each single-entry corruption of an action, searched from
+    the empty map into the action itself up to 10^3 candidates, can break the
+    family condition or leave a domain point without a move, which only the
+    final ``is_action_map`` check sees.
+    """
+    actions = [ca.action for ca in entry.actions if ca.global_tag]
+    for source in actions:
+        for target in actions:
+            for assigned in [{}, *({source.carrier[0]: y} for y in target.carrier)]:
+                if len(target.carrier) ** (len(source.carrier) - len(assigned)) <= 10**4:
+                    yield source, target, assigned
+        if len(source.carrier) ** len(source.carrier) <= 10**3:
+            for broken in _single_entry_corruptions(source):
+                yield broken, source, {}
+
+
+def test_the_commuting_map_search_matches_brute_force():
+    found = {}
+    for entry in GROWN:
+        for source, target, assigned in _search_cases(entry):
+            maps = _commuting_maps(source, target, assigned)
+            assert maps == action_maps_by_enumeration(source, target, assigned), entry.name
+            found.setdefault(len(maps), entry.name)
+    # some searches branch into several maps, and some corrupted sources admit none
+    assert max(found) > 1 and 0 in found
