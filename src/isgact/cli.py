@@ -125,14 +125,20 @@ def _globalization_json(glob: Globalization) -> str:
     embed = glob.canonical_embedding.mapping
     arrow = {s: _encode(s) for s in isg.arrows}
     point = {x: _encode(str(x)) for x in glob.action.carrier}
-
-    def seed_pairs(seeds, depth):
-        return _json_pairs([(arrow[s], point[x]) for s, x in seeds], depth)
+    # one format per seed: a seed at depth 2 of "seeds", and at depth 4 inside a class's "members"
+    seed_item = "[\n      %s,\n      %s\n    ]"
+    member_item = "[\n          %s,\n          %s\n        ]"
+    class_head = '{\n      "id": %d,\n      "members": [\n        '
 
     fields = {
-        "seeds": seed_pairs(q.seeds, 1),
+        "seeds": _json_array([seed_item % (arrow[s], point[x]) for s, x in q.seeds], 1),
         "classes": _json_array(
-            [_json_object({"id": str(c), "members": seed_pairs(members, 3)}, 2) for c, members in enumerate(q.classes)],
+            [
+                class_head % c
+                + ",\n        ".join([member_item % (arrow[s], point[x]) for s, x in members])
+                + "\n      ]\n    }"
+                for c, members in enumerate(q.classes)
+            ],
             1,
         ),
         "families": _json_array(
@@ -195,7 +201,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_restrict(args) -> int:
-    action, _, ref = _load_action(Path(args.action), {})
+    action, _, ref = _load_action(Path(args.action))
     subset = [x for x in args.subset.replace(",", " ").split()]
     restricted = restrict(action, subset, trim=args.trim)
     sys.stdout.write(format_action(restricted, ref))

@@ -9,7 +9,7 @@ embedding, and every map into a global action factors through it uniquely.
 
 from __future__ import annotations
 
-import itertools
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .actions import PartialAction, is_valid_global, validate_p_axioms
@@ -35,54 +35,48 @@ class Quotient:
 
     ``edges`` are kept as given.  Classes are numbered in order of their first
     seed, seeds being ordered by (arrow position, point position); the
-    representative of a class is that first seed.
+    representative of a class is that first seed.  One union-find pass over
+    the integer edges (path halving) links every root below the smaller
+    index, so a seed's parent never comes after it, and one forward pass
+    labels every seed: a root opens the next class, any other seed takes
+    its parent's label.  The cost is about seeds plus edges; ``class_of`` is
+    built from the labels on first read.
     """
 
     def __init__(self, seeds: list[Seed], edges: list[tuple[int, int]]):
         self.seeds = tuple(seeds)
         self.edges = tuple(edges)
-        uf = _UnionFind(len(self.seeds))
+        parent = list(range(len(self.seeds)))
         for i, j in self.edges:
-            uf.union(i, j)
-        label: dict[int, int] = {}
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            if i < j:
+                parent[j] = i
+            elif j < i:
+                parent[i] = j
+        label: list[int] = []  # each seed's class id
         members: list[list[Seed]] = []
-        class_of: dict[Seed, int] = {}
         for i, seed in enumerate(self.seeds):
-            root = uf.find(i)
-            if root not in label:
-                label[root] = len(members)
-                members.append([])
-            c = label[root]
-            class_of[seed] = c
-            members[c].append(seed)
-        self.class_of = class_of
+            if parent[i] == i:
+                label.append(len(members))
+                members.append([seed])
+            else:
+                c = label[parent[i]]  # parent[i] < i, in the same class
+                label.append(c)
+                members[c].append(seed)
+        self._label = label
         self.classes = tuple(tuple(m) for m in members)
         self.representatives = tuple(m[0] for m in self.classes)
+
+    @cached_property
+    def class_of(self) -> dict[Seed, int]:
+        return dict(zip(self.seeds, self._label))
 
     @property
     def n_classes(self) -> int:
         return len(self.classes)
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            # keep the smaller index as root so labels stay canonical
-            if ri > rj:
-                ri, rj = rj, ri
-            self.parent[rj] = ri
 
 
 def build_seed_set(action: PartialAction) -> list[Seed]:
@@ -95,45 +89,81 @@ def build_seed_set(action: PartialAction) -> list[Seed]:
     return out
 
 
+def _seed_rows(seeds: Sequence[Seed], action: PartialAction) -> tuple[dict[str, list[int]], list[int]]:
+    """The integer seed index: per arrow, a row over carrier positions holding each seed's id or -1.
+
+    Every row carries one more -1 at the end, so ``row[-1]`` reads "no seed".
+    Also returns each seed's carrier position.
+    """
+    at = [action._cidx[x] for _, x in seeds]
+    rows = {s: [-1] * (len(action.carrier) + 1) for s in action.semigroupoid.arrows}
+    for i, (s, _) in enumerate(seeds):
+        rows[s][at[i]] = i
+    return rows, at
+
+
 def seed_edges(seeds: Sequence[Seed], action: PartialAction) -> list[tuple[int, int]]:
     """Every one-step related pair of seeds, as sorted index pairs (i, j) with i < j.
 
     (s, x) relates to (t, y) when either inv(t) composes with s, x lies in
     dom_of[inv(s) t] and theta[inv(t) s] carries x to y, or both arrows are
     idempotent and x equals y.  So for a seed (s, x) and an arrow t sharing
-    its codomain, the only candidate partner is (t, theta[inv(t) s](x)), found
-    by one index lookup; the idempotent seeds at one point are all related.
-    The cost is about seeds times arrows per codomain, not seeds squared.
+    its codomain, the only candidate partner is (t, theta[inv(t) s](x)).  As
+    dom_of[inv(s) t] is dom_of[inv(inv(t) s)], the window and the move are
+    both read off the one arrow inv(t) s, as a list over carrier positions
+    (-1 where undefined), and the partner's id off t's row of the integer
+    seed index.  Arrows whose seeds all come before those of s are skipped.
+    Seeds are visited in order and each appends its partners j > i; with
+    the seeds in canonical order these arrive sorted, so only an idempotent
+    seed, whose partners at its point may repeat, sorts its own few.  The
+    cost is about seeds times arrows per codomain, not seeds squared, and
+    the edge set is sorted only when the seeds are not in canonical order.
     """
     isg = action.semigroupoid
-    index = {seed: i for i, seed in enumerate(seeds)}
-    by_arrow: dict[str, list[tuple[int, object]]] = {}
-    for i, (s, x) in enumerate(seeds):
-        by_arrow.setdefault(s, []).append((i, x))
+    rows, at = _seed_rows(seeds, action)
+    cidx = action._cidx
+    blocks: dict[str, list[int]] = {}  # each arrow's seed ids, increasing
+    for i, (s, _) in enumerate(seeds):
+        blocks.setdefault(s, []).append(i)
     # arrows t with seeds, keyed by dom(inv t): inv(t) composes with s iff that is cod(s)
     partners: dict[str, list[str]] = {}
-    for t in by_arrow:
+    for t in blocks:
         partners.setdefault(isg.dom(isg.inv(t)), []).append(t)
 
-    edges: set[tuple[int, int]] = set()
-    for s, block in by_arrow.items():
-        for t in partners.get(isg.cod(s), ()):
-            window = action.dom_of[isg.mul(isg.inv(s), t)]
-            carry = action.theta[isg.mul(isg.inv(t), s)]
-            for i, x in block:
-                if x in window:
-                    # a Seed hashes and compares as the plain pair
-                    j = index.get((t, carry.get(x)))
-                    if j is not None and i < j:
-                        edges.add((i, j))
     idem = isg.idempotent_set()
-    idempotent_at: dict = {}
-    for i, (s, x) in enumerate(seeds):
+    idempotent_at: dict[int, list[int]] = {}  # ids of the idempotent seeds at each carrier position, increasing
+    for i, (s, _) in enumerate(seeds):
         if s in idem:
-            idempotent_at.setdefault(x, []).append(i)
-    for group in idempotent_at.values():
-        edges.update(itertools.combinations(group, 2))
-    return sorted(edges)
+            idempotent_at.setdefault(at[i], []).append(i)
+
+    hops: dict[str, list[int]] = {}  # per arrow u: position of theta[u](x) for x in dom_of[inv u], else -1
+    edges: list[tuple[int, int]] = []
+    for s, block in blocks.items():
+        lookups = []  # per partner arrow t: its seed row, and the move of inv(t) s
+        for t in partners[isg.cod(s)]:
+            if blocks[t][-1] < block[0]:
+                continue  # every partner would come first
+            u = isg.mul(isg.inv(t), s)
+            hop = hops.get(u)
+            if hop is None:
+                window, moves = action.dom_of[isg.inv(u)], action.theta[u]
+                hop = hops[u] = [cidx[moves[x]] if x in window and x in moves else -1 for x in action.carrier]
+            lookups.append((rows[t], hop))
+        if s in idem:
+            # the idempotent seeds at a point also relate, so partners may repeat
+            for i in block:
+                k = at[i]
+                js = {row[hop[k]] for row, hop in lookups}
+                js.update(idempotent_at[k])
+                edges += [(i, j) for j in sorted(js) if j > i]
+        else:
+            for i in block:
+                k = at[i]
+                edges += [(i, j) for row, hop in lookups if (j := row[hop[k]]) > i]
+    # with each arrow's ids contiguous, as in canonical order, seeds and partners were visited in order
+    if not all(b[-1] - b[0] + 1 == len(b) for b in blocks.values()):
+        edges.sort()
+    return edges
 
 
 def close_equivalence(seeds: list[Seed], action: PartialAction) -> Quotient:
@@ -157,10 +187,11 @@ class Globalization:
 def build_globalization(action: PartialAction) -> Globalization:
     """Run the whole construction and verify the promised properties.
 
-    One pass over the seeds reads the class maps off the seed index: arrow s
-    sends the class of (p, x) to the class of (s p, x), and is defined there
-    exactly when (s p, x) is itself a seed, since inv(s p) s p equals
-    inv(p) inv(s) s p.  Every seed of a class is evaluated, as a
+    One pass over the seeds reads the class maps off the integer seed index:
+    arrow s sends the class of (p, x) to the class of (s p, x), the label of
+    the id in the row of s p at x, and is defined there exactly when
+    (s p, x) is itself a seed, since inv(s p) s p equals inv(p) inv(s) s p.
+    Every seed of a class is evaluated against every left multiplier, as a
     well-definedness audit.  The family of s is the key set of the map of
     inv(s), and the idempotent seeds (e, x) give the class that x embeds into.
     The output is checked to be a valid global action, along the generators
@@ -175,34 +206,43 @@ def build_globalization(action: PartialAction) -> Globalization:
     isg = action.semigroupoid
     seeds = build_seed_set(action)
     quotient = close_equivalence(seeds, action)
-    class_of = quotient.class_of
+    label = quotient._label
+    rows, at = _seed_rows(seeds, action)
+    n_classes = quotient.n_classes
 
-    # for each arrow p, the arrows s with s p defined, paired with the product
-    products: dict[str, list[tuple[str, str]]] = {p: [] for p in isg.arrows}
+    # per arrow, the class of the seed at each carrier position, or -1: label[row[x]] with label[-1] = -1
+    label_at = label + [-1]
+    class_rows = {a: [label_at[j] for j in row] for a, row in rows.items()}
+    # per arrow s, a row over class ids: the class s sends it to, or -1 while unset
+    moves_of = {s: [-1] * n_classes for s in isg.arrows}
+    # for each arrow p, the arrows s with s p defined, with s's moves and the class row of s p
+    lefts: dict[str, list[tuple[str, list[int], list[int]]]] = {p: [] for p in isg.arrows}
     for s, p, sp in isg.products:
-        products[p].append((s, sp))
+        lefts[p].append((s, moves_of[s], class_rows[sp]))
 
     # s sends the class of (p, x) to that of (s p, x), defined exactly when (s p, x) is a seed
-    idem = isg.idempotent_set()
-    theta: dict[str, dict] = {s: {} for s in isg.arrows}
-    landing: dict = {}
-    for seed in seeds:
-        p, x = seed
-        src = class_of[seed]
-        if p in idem:
-            landing.setdefault(x, set()).add(src)
-        for s, sp in products[p]:
-            # a Seed hashes and compares as the plain pair
-            dst = class_of.get((sp, x))
-            if dst is None:
+    for i, (p, _) in enumerate(seeds):
+        k, src = at[i], label[i]
+        for s, moves, row in lefts[p]:
+            dst = row[k]
+            if dst < 0:
                 continue
-            prev = theta[s].setdefault(src, dst)
+            prev = moves[src]
             if prev != dst:
-                raise RuntimeError(
-                    f"class map for arrow {s} is not well defined: class {src} sent to both {prev} and {dst}"
-                )
+                if prev >= 0:
+                    raise RuntimeError(
+                        f"class map for arrow {s} is not well defined: class {src} sent to both {prev} and {dst}"
+                    )
+                moves[src] = dst
+    theta = {s: {c: d for c, d in enumerate(moves) if d >= 0} for s, moves in moves_of.items()}
     dom_of = {s: frozenset(theta[isg.inv(s)]) for s in isg.arrows}
 
+    # the idempotent seeds (e, x) give the class that x embeds into
+    idem = isg.idempotent_set()
+    landing: dict = {}
+    for i, (p, x) in enumerate(seeds):
+        if p in idem:
+            landing.setdefault(x, set()).add(label[i])
     embed: dict = {}
     for x in action.carrier:
         targets = landing.get(x)

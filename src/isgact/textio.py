@@ -206,6 +206,7 @@ def parse_action(text: str, isg: InverseSemigroupoid) -> PartialAction:
     """
     structure_ref(text)  # insist the header is present and well formed
     carrier: list[str] | None = None
+    points: set[str] = set()
     dom_of: dict[str, list[str]] = {}
     maps: dict[str, dict[str, str]] = {}
     arrow_set = set(isg.arrows)
@@ -223,7 +224,8 @@ def parse_action(text: str, isg: InverseSemigroupoid) -> PartialAction:
         if head == ["carrier"]:
             if carrier is not None:
                 raise ParseError(lineno, 1, "duplicate [carrier] section")
-            if len(set(payload)) != len(payload):
+            points = set(payload)
+            if len(points) != len(payload):
                 raise ParseError(lineno, 1, "duplicate carrier element")
             carrier = payload
             continue
@@ -239,7 +241,7 @@ def parse_action(text: str, isg: InverseSemigroupoid) -> PartialAction:
             raise ParseError(lineno, 1, f"duplicate [{kind} {arrow}] section")
         if kind == "domain":
             for x in payload:
-                if x not in carrier:
+                if x not in points:
                     raise ParseError(lineno, 1, f"domain element {x} is not in the carrier")
             dom_of[arrow] = payload
         else:
@@ -248,7 +250,7 @@ def parse_action(text: str, isg: InverseSemigroupoid) -> PartialAction:
                 if "->" not in tok:
                     raise ParseError(lineno, 1, f"map entry {tok} must read x->y")
                 x, _, y = tok.partition("->")
-                if x not in carrier or y not in carrier:
+                if x not in points or y not in points:
                     raise ParseError(lineno, 1, f"map entry {tok} leaves the carrier")
                 if x in entries:
                     raise ParseError(lineno, 1, f"duplicate map entry for {x}")
@@ -322,15 +324,23 @@ def _load_structure_once(path: Path, loaded: dict[str, InverseSemigroupoid]) -> 
     return loaded[key]
 
 
-def _load_action(path: Path, loaded: dict[str, InverseSemigroupoid]) -> tuple[PartialAction, InverseSemigroupoid, str]:
-    """The action file's action, its structure (through ``loaded``) and its structure reference."""
+def _load_action(
+    path: Path, loaded: dict[str, InverseSemigroupoid] | None = None
+) -> tuple[PartialAction, InverseSemigroupoid, str]:
+    """The action file's action, its structure and its structure reference.
+
+    The structure goes through ``loaded`` when one is given, so a command
+    that reads several files loads each structure once; otherwise it is
+    loaded directly.
+    """
     text = _read_text(path)
     ref = structure_ref(text)
-    isg = _load_structure_once(path.parent / ref, loaded)
+    where = path.parent / ref
+    isg = load_structure(where) if loaded is None else _load_structure_once(where, loaded)
     return parse_action(text, isg), isg, ref
 
 
 def load_action(path: str | Path) -> tuple[PartialAction, InverseSemigroupoid]:
     """Read an action file, loading its structure relative to the file's directory."""
-    action, isg, _ = _load_action(Path(path), {})
+    action, isg, _ = _load_action(Path(path))
     return action, isg

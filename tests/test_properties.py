@@ -1,6 +1,7 @@
 """Property suites: algebra laws, axiom-system agreement, construction invariants."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -31,6 +32,7 @@ from isgact.catalog import catalog, four_point_action, grow_catalog, partial_bij
 from isgact.globalization import _commuting_maps
 
 from dual_route_oracles import natural_leq_diagnostic
+from p_scan_oracle import validate_p_axioms_by_scan
 from pairwise_oracle import pairwise_closure, pairwise_edges, seed_domain, seeds_related
 from universal_oracle import action_maps_by_enumeration, verify_universal_by_enumeration
 from worked_data import audit_equivalence_lemmas
@@ -191,6 +193,32 @@ def test_the_generator_edge_check_agrees_with_the_full_scan(action):
     assert outcomes and not all(outcomes)
 
 
+@pytest.mark.parametrize(
+    "action",
+    [ca.action for entry in GROWN for ca in entry.actions],
+    ids=[f"{entry.name}/{ca.name}" for entry in GROWN for ca in entry.actions],
+)
+def test_the_p_scan_matches_the_set_based_oracle_on_single_entry_corruptions(action):
+    assert validate_p_axioms(action) == validate_p_axioms_by_scan(action)
+    tags = set()
+    for corrupted in _single_entry_corruptions(action):
+        report = validate_p_axioms(corrupted)
+        assert report == validate_p_axioms_by_scan(corrupted)
+        tags |= report.tags()
+    assert tags & {"P3-domain", "P3-value"}
+
+
+@given(slot=st.sampled_from(GROWN_SLOTS), seed=seeds, pick=st.integers(min_value=-1, max_value=10**6))
+@settings(max_examples=60, deadline=None)
+def test_the_p_scan_matches_the_set_based_oracle_on_seeded_restrictions(slot, seed, pick):
+    entry, index = slot
+    action = random_partial_action(entry, index, seed)
+    corruptions = list(_single_entry_corruptions(action)) if pick >= 0 else []
+    if corruptions:
+        action = corruptions[pick % len(corruptions)]  # one single-entry corruption of the restriction
+    assert validate_p_axioms(action) == validate_p_axioms_by_scan(action)
+
+
 # ---------------------------------------------------------------------------
 # actions: both axiom systems agree; derived facts hold
 
@@ -256,6 +284,16 @@ def _assert_closure_matches_the_pairwise_oracle(action):
 @pytest.mark.parametrize("action", [ca.action for entry in GROWN for ca in entry.actions])
 def test_closure_matches_the_pairwise_oracle_on_catalog_actions(action):
     _assert_closure_matches_the_pairwise_oracle(action)
+
+
+@pytest.mark.parametrize("action", [ca.action for entry in GROWN for ca in entry.actions])
+def test_closure_matches_the_pairwise_oracle_on_shuffled_seeds(action):
+    # seed_edges lists partners in order only for canonical seeds; any other order is sorted at the end
+    seed_list = build_seed_set(action)
+    random.Random(len(seed_list)).shuffle(seed_list)
+    edges = pairwise_edges(seed_list, action)
+    assert seed_edges(seed_list, action) == edges
+    assert close_equivalence(seed_list, action).classes == pairwise_closure(seed_list, action).classes
 
 
 def test_closure_matches_the_pairwise_oracle_off_the_axioms(hybrid):

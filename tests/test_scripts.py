@@ -16,8 +16,10 @@ ROOT = Path(__file__).resolve().parent.parent
         (["scripts/worked_examples.py"], "uniqueness audit: ok"),
         # every draw is audited; the catalog's restrictions stay far below the candidate budget
         (["scripts/randomized_audit.py", "--draws", "5"], "uniqueness decided in 5, skipped over the bound in 0"),
+        # Z_8 on 4 of its points: 8 arrows times 4 points of seeds, one class per group element
+        (["scripts/layer_times.py", "--n", "8"], "Z_8 half restriction: 8 arrows, 4 points, 32 seeds, 8 classes"),
     ],
-    ids=["worked_examples", "randomized_audit"],
+    ids=["worked_examples", "randomized_audit", "layer_times"],
 )
 def test_script_exits_cleanly(argv, expected):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -10,6 +10,7 @@ from isgact import (
     parse_action,
     parse_structure,
     structure_ref,
+    textio,
 )
 from isgact.catalog import catalog, four_point_action, three_point_action
 
@@ -113,6 +114,35 @@ def test_action_parse_errors(hybrid):
         parse_action(good.replace("[domain a] = 4", "[domain a] = 9"), hybrid)
     with pytest.raises(ParseError, match="duplicate"):
         parse_action(good.replace("[map a] = 1->4", "[map a] = 1->4 1->4"), hybrid)
+
+
+@pytest.mark.parametrize(
+    "line, text, message",
+    [
+        (8, "[domain b] = 1 5 4", "domain element 5 is not in the carrier"),
+        (8, "[domain b] = 1 4 12", "domain element 12 is not in the carrier"),
+        (9, "[map b] = 1->1 2->5", "map entry 2->5 leaves the carrier"),
+        (9, "[map b] = 1->1 0->4", "map entry 0->4 leaves the carrier"),
+    ],
+    ids=["domain", "domain-prefix-of-no-point", "map-value", "map-key"],
+)
+def test_points_outside_a_carrier_of_several_points_are_parse_errors_on_their_line(hybrid, line, text, message):
+    lines = format_action(four_point_action(hybrid), "eight_arrow.isgd").splitlines()
+    assert lines[2] == "[carrier] = 1 2 3 4"
+    lines[line - 1] = text
+    with pytest.raises(ParseError) as err:
+        parse_action("\n".join(lines) + "\n", hybrid)
+    assert str(err.value) == f"line {line}, col 1: {message}"
+    assert (err.value.line, err.value.col) == (line, 1)
+
+
+def test_load_action_loads_its_structure_without_the_per_command_cache(monkeypatch, fixtures_dir):
+    # the cache of one command keys structures by resolved path; a single load has nothing to share
+    calls = []
+    monkeypatch.setattr(textio, "_load_structure_once", lambda *args: calls.append(args))
+    action, isg = load_action(fixtures_dir / "four_point.pact")
+    assert calls == []
+    assert action.semigroupoid is isg and len(isg.arrows) == 8
 
 
 def test_structure_ref_extraction(fixtures_dir):
