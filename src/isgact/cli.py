@@ -76,12 +76,12 @@ def _globalization_table(glob: Globalization) -> str:
     for c, members in enumerate(q.classes):
         body = " ".join(f"({s},{x})" for s, x in members)
         lines.append(f"  class {c}: {body}")
+    out = glob.global_action
     for s in isg.arrows:
-        family = " ".join(str(c) for c in sorted(glob.global_action.dom_of[s]))
+        family = " ".join(str(c) for c, inside in zip(out.carrier, out.masks[s]) if inside)
         lines.append(f"family[{s}] = {family}")
     for s in isg.arrows:
-        moves = glob.global_action.theta[s]
-        body = ", ".join(f"{c} -> {moves[c]}" for c in sorted(moves))
+        body = ", ".join(f"{c} -> {out.carrier[d]}" for c, d in zip(out.carrier, out.rows[s]) if d >= 0)
         lines.append(f"map[{s}]: {body}")
     emb = glob.canonical_embedding.mapping
     lines.append("embedding: " + ", ".join(f"{x} -> {emb[x]}" for x in glob.action.carrier))
@@ -121,7 +121,9 @@ def _globalization_json(glob: Globalization) -> str:
     """
     isg = glob.action.semigroupoid
     q = glob.quotient
-    dom_of, theta = glob.global_action.dom_of, glob.global_action.theta
+    out = glob.global_action
+    name = [str(c) for c in out.carrier]
+    families = {s: [c for c, inside in zip(name, out.masks[s]) if inside] for s in isg.arrows}
     embed = glob.canonical_embedding.mapping
     arrow = {s: _encode(s) for s in isg.arrows}
     point = {x: _encode(str(x)) for x in glob.action.carrier}
@@ -143,7 +145,7 @@ def _globalization_json(glob: Globalization) -> str:
         ),
         "families": _json_array(
             [
-                _json_object({"arrow": arrow[s], "classes": _json_array([str(c) for c in sorted(dom_of[s])], 3)}, 2)
+                _json_object({"arrow": arrow[s], "classes": _json_array(families[s], 3)}, 2)
                 for s in isg.arrows
             ],
             1,
@@ -151,7 +153,7 @@ def _globalization_json(glob: Globalization) -> str:
         "maps": _json_array(
             [
                 _json_object(
-                    {"arrow": arrow[s], "pairs": _json_pairs([(str(c), str(theta[s][c])) for c in sorted(theta[s])], 3)},
+                    {"arrow": arrow[s], "pairs": _json_pairs([(c, name[d]) for c, d in zip(name, out.rows[s]) if d >= 0], 3)},
                     2,
                 )
                 for s in isg.arrows
@@ -169,6 +171,8 @@ def _parse_point_map(text: str) -> dict[str, str]:
         if "->" not in tok:
             raise UsageError(f"--embedding entry {tok} must read x->y")
         x, _, y = tok.partition("->")
+        if x in mapping:
+            raise UsageError(f"--embedding maps {x} more than once")
         mapping[x] = y
     return mapping
 

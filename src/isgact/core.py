@@ -345,12 +345,3 @@ def natural_leq(isg: InverseSemigroupoid, s: str, t: str) -> bool:
         return False
     return isg.mul(t, isg.mul(isg.inv(s), s)) == s
 
-
-def is_identity(table: SemigroupoidTable, e: str) -> bool:
-    """True when e s = s and t e = t for every composable partner."""
-    for s in table.arrows:
-        if table.composable(e, s) and table.mul(e, s) != s:
-            return False
-        if table.composable(s, e) and table.mul(s, e) != s:
-            return False
-    return True

@@ -84,22 +84,9 @@ def build_seed_set(action: PartialAction) -> list[Seed]:
     isg = action.semigroupoid
     out = []
     for s in isg.arrows:
-        base = action.dom_of[isg.mul(isg.inv(s), s)]
-        out.extend(Seed(s, x) for x in action.carrier if x in base)
+        base = action.masks[isg.mul(isg.inv(s), s)]
+        out.extend(Seed(s, x) for x, inside in zip(action.carrier, base) if inside)
     return out
-
-
-def _seed_rows(seeds: Sequence[Seed], action: PartialAction) -> tuple[dict[str, list[int]], list[int]]:
-    """The integer seed index: per arrow, a row over carrier positions holding each seed's id or -1.
-
-    Every row carries one more -1 at the end, so ``row[-1]`` reads "no seed".
-    Also returns each seed's carrier position.
-    """
-    at = [action._cidx[x] for _, x in seeds]
-    rows = {s: [-1] * (len(action.carrier) + 1) for s in action.semigroupoid.arrows}
-    for i, (s, _) in enumerate(seeds):
-        rows[s][at[i]] = i
-    return rows, at
 
 
 def seed_edges(seeds: Sequence[Seed], action: PartialAction) -> list[tuple[int, int]]:
@@ -110,20 +97,24 @@ def seed_edges(seeds: Sequence[Seed], action: PartialAction) -> list[tuple[int, 
     idempotent and x equals y.  So for a seed (s, x) and an arrow t sharing
     its codomain, the only candidate partner is (t, theta[inv(t) s](x)).  As
     dom_of[inv(s) t] is dom_of[inv(inv(t) s)], the window and the move are
-    both read off the one arrow inv(t) s, as a list over carrier positions
-    (-1 where undefined), and the partner's id off t's row of the integer
-    seed index.  Arrows whose seeds all come before those of s are skipped.
-    Seeds are visited in order and each appends its partners j > i; with
-    the seeds in canonical order these arrive sorted, so only an idempotent
-    seed, whose partners at its point may repeat, sorts its own few.  The
-    cost is about seeds times arrows per codomain, not seeds squared, and
-    the edge set is sorted only when the seeds are not in canonical order.
+    both read off the row of inv(t) s cut to that domain, and the partner's
+    id off the row of t in the integer seed index: per arrow, a list over
+    carrier positions holding each seed's id, or -1, with one more -1 at the
+    end so that ``row[-1]`` reads "no seed".  Arrows whose seeds all come
+    before those of s are skipped.  Seeds are visited in order and each
+    appends its partners j > i; with the seeds in canonical order these
+    arrive sorted, so only an idempotent seed, whose partners at its point
+    may repeat, sorts its own few.  The cost is about seeds times arrows per
+    codomain, not seeds squared, and the edge set is sorted only when the
+    seeds are not in canonical order.
     """
     isg = action.semigroupoid
-    rows, at = _seed_rows(seeds, action)
-    cidx = action._cidx
+    pos = action._pos
+    at = [pos[x] for _, x in seeds]  # each seed's carrier position
+    rows = {s: [-1] * (len(action.carrier) + 1) for s in isg.arrows}
     blocks: dict[str, list[int]] = {}  # each arrow's seed ids, increasing
     for i, (s, _) in enumerate(seeds):
+        rows[s][at[i]] = i
         blocks.setdefault(s, []).append(i)
     # arrows t with seeds, keyed by dom(inv t): inv(t) composes with s iff that is cod(s)
     partners: dict[str, list[str]] = {}
@@ -136,19 +127,16 @@ def seed_edges(seeds: Sequence[Seed], action: PartialAction) -> list[tuple[int, 
         if s in idem:
             idempotent_at.setdefault(at[i], []).append(i)
 
-    hops: dict[str, list[int]] = {}  # per arrow u: position of theta[u](x) for x in dom_of[inv u], else -1
+    # per arrow u, its row cut to the window dom_of[inv u]; the cut only bites off the axioms
+    hops = {u: [j if inside else -1 for j, inside in zip(action.rows[u], action.masks[isg.inv(u)])] for u in isg.arrows}
     edges: list[tuple[int, int]] = []
     for s, block in blocks.items():
-        lookups = []  # per partner arrow t: its seed row, and the move of inv(t) s
-        for t in partners[isg.cod(s)]:
-            if blocks[t][-1] < block[0]:
-                continue  # every partner would come first
-            u = isg.mul(isg.inv(t), s)
-            hop = hops.get(u)
-            if hop is None:
-                window, moves = action.dom_of[isg.inv(u)], action.theta[u]
-                hop = hops[u] = [cidx[moves[x]] if x in window and x in moves else -1 for x in action.carrier]
-            lookups.append((rows[t], hop))
+        # per partner arrow t: its seed row, and the cut row of inv(t) s
+        lookups = [
+            (rows[t], hops[isg.mul(isg.inv(t), s)])
+            for t in partners[isg.cod(s)]
+            if blocks[t][-1] >= block[0]  # else every partner would come first
+        ]
         if s in idem:
             # the idempotent seeds at a point also relate, so partners may repeat
             for i in block:
@@ -187,17 +175,19 @@ class Globalization:
 def build_globalization(action: PartialAction) -> Globalization:
     """Run the whole construction and verify the promised properties.
 
-    One pass over the seeds reads the class maps off the integer seed index:
-    arrow s sends the class of (p, x) to the class of (s p, x), the label of
-    the id in the row of s p at x, and is defined there exactly when
+    One pass over the seeds writes each seed's class into its arrow's class
+    row, at the seed's carrier position.  A second reads the class maps off
+    those rows: arrow s sends the class of (p, x) to the class of (s p, x),
+    read in the class row of s p at x, and is defined there exactly when
     (s p, x) is itself a seed, since inv(s p) s p equals inv(p) inv(s) s p.
     Every seed of a class is evaluated against every left multiplier, as a
-    well-definedness audit.  The family of s is the key set of the map of
-    inv(s), and the idempotent seeds (e, x) give the class that x embeds into.
-    The output is checked to be a valid global action, along the generators
-    (``is_valid_global``), with the full axiom scan run only to report a
-    failure, and the canonical map to be an embedding before anything is
-    returned.
+    well-definedness audit.  The class maps are the output's rows over class
+    ids, handed to it as they are; the family of s is where the map of
+    inv(s) is defined, and the idempotent seeds (e, x) give the class that x
+    embeds into.  The output is checked to be a valid global action, along
+    the generators (``is_valid_global``), with the full axiom scan run only
+    to report a failure, and the canonical map to be an embedding before
+    anything is returned.
     """
     pre = validate_p_axioms(action)
     if not pre.ok:
@@ -207,12 +197,18 @@ def build_globalization(action: PartialAction) -> Globalization:
     seeds = build_seed_set(action)
     quotient = close_equivalence(seeds, action)
     label = quotient._label
-    rows, at = _seed_rows(seeds, action)
     n_classes = quotient.n_classes
 
-    # per arrow, the class of the seed at each carrier position, or -1: label[row[x]] with label[-1] = -1
-    label_at = label + [-1]
-    class_rows = {a: [label_at[j] for j in row] for a, row in rows.items()}
+    # per arrow, the class of the seed at each carrier position, or -1; the
+    # idempotent seeds (e, x) give the class that x embeds into
+    pos, idem = action._pos, isg.idempotent_set()
+    at = [pos[x] for _, x in seeds]  # each seed's carrier position
+    class_rows = {a: [-1] * len(action.carrier) for a in isg.arrows}
+    landing: list[set[int]] = [set() for _ in action.carrier]
+    for (p, _), k, c in zip(seeds, at, label):
+        class_rows[p][k] = c
+        if p in idem:
+            landing[k].add(c)
     # per arrow s, a row over class ids: the class s sends it to, or -1 while unset
     moves_of = {s: [-1] * n_classes for s in isg.arrows}
     # for each arrow p, the arrows s with s p defined, with s's moves and the class row of s p
@@ -221,8 +217,7 @@ def build_globalization(action: PartialAction) -> Globalization:
         lefts[p].append((s, moves_of[s], class_rows[sp]))
 
     # s sends the class of (p, x) to that of (s p, x), defined exactly when (s p, x) is a seed
-    for i, (p, _) in enumerate(seeds):
-        k, src = at[i], label[i]
+    for (p, _), k, src in zip(seeds, at, label):
         for s, moves, row in lefts[p]:
             dst = row[k]
             if dst < 0:
@@ -230,29 +225,20 @@ def build_globalization(action: PartialAction) -> Globalization:
             prev = moves[src]
             if prev != dst:
                 if prev >= 0:
-                    raise RuntimeError(
-                        f"class map for arrow {s} is not well defined: class {src} sent to both {prev} and {dst}"
-                    )
+                    raise RuntimeError(f"class map for arrow {s} is not well defined: class {src} sent to both {prev} and {dst}")
                 moves[src] = dst
-    theta = {s: {c: d for c, d in enumerate(moves) if d >= 0} for s, moves in moves_of.items()}
-    dom_of = {s: frozenset(theta[isg.inv(s)]) for s in isg.arrows}
+    # the family of s is where the map of inv(s) is defined
+    families = {s: [d >= 0 for d in moves_of[isg.inv(s)]] for s in isg.arrows}
 
-    # the idempotent seeds (e, x) give the class that x embeds into
-    idem = isg.idempotent_set()
-    landing: dict = {}
-    for i, (p, x) in enumerate(seeds):
-        if p in idem:
-            landing.setdefault(x, set()).add(label[i])
     embed: dict = {}
-    for x in action.carrier:
-        targets = landing.get(x)
+    for x, targets in zip(action.carrier, landing):
         if not targets:
             raise StructuralError(f"carrier element {x} lies in no idempotent domain")
         if len(targets) > 1:
             raise RuntimeError(f"canonical embedding of {x} is not well defined: classes {sorted(targets)}")
         embed[x] = targets.pop()
 
-    global_action = PartialAction(isg, range(quotient.n_classes), dom_of, theta)
+    global_action = PartialAction._from_rows(isg, tuple(range(n_classes)), moves_of, families)
     if not is_valid_global(global_action):
         # the full scan names the violations; without any, the failure is globality
         report = validate_p_axioms(global_action)
@@ -285,83 +271,82 @@ def mediating(glob: Globalization, target) -> ActionMap:
     """The unique factoring map: a class named by (s, x) goes to the target move of j(x) by s.
 
     ``target`` is either a GlobalizationTriple or a plain ActionMap into a
-    global action.  Every representative of every class is evaluated; any
-    disagreement raises WellDefinednessError with the offending pair.
+    global action.  Every representative of every class is evaluated, on
+    the target's rows; any disagreement raises WellDefinednessError with the
+    offending pair.
     """
     j = _target_map(glob, target)
     tgt = j.target
+    pos, image, inv = glob.action._pos, j._image, tgt.semigroupoid.inv
     mapping: dict[int, object] = {}
     for c, members in enumerate(glob.quotient.classes):
-        values: dict = {}
-        for s, x in members:
-            z = tgt.apply(s, j(x))
-            if z is None:
-                raise WellDefinednessError(
-                    f"target action undefined on seed ({s}, {x}) of class {c}", (Seed(s, x),)
-                )
-            values.setdefault(z, Seed(s, x))
+        values: dict[int, Seed] = {}  # target position -> the first seed that gives it
+        for seed in members:
+            s, x = seed
+            y = image[pos[x]]  # j(x)
+            z = tgt.rows[s][y] if tgt.masks[inv(s)][y] else -1
+            if z < 0:
+                raise WellDefinednessError(f"target action undefined on seed ({s}, {x}) of class {c}", (seed,))
+            values.setdefault(z, seed)
         if len(values) > 1:
             (z1, p1), (z2, p2) = list(values.items())[:2]
-            raise WellDefinednessError(
-                f"class {c} maps to both {z1} (via {p1}) and {z2} (via {p2})", (p1, p2)
-            )
-        mapping[c] = next(iter(values))
+            raise WellDefinednessError(f"class {c} maps to both {tgt.carrier[z1]} (via {p1}) and {tgt.carrier[z2]} (via {p2})", (p1, p2))
+        mapping[c] = tgt.carrier[next(iter(values))]
     return ActionMap(glob.global_action, tgt, mapping)
 
 
 def _commuting_maps(source: PartialAction, target: PartialAction, assigned: dict) -> list[dict]:
     """Every action map from source to target that extends the partial map ``assigned``.
 
-    A complete search.  Equivariance makes each move theta[s](c) = d with c
-    in dom_of[inv(s)] force the value of d: the target move of the value of c
-    by s.  Values spread from the assigned points along those moves, and a
-    branch where a forced move is undefined or disagrees with a value already
-    set is cut, since no action map extends it.  The search branches over the
-    target carrier only at the first point still unset, and propagates again
-    after each choice.  Every complete assignment it reaches is checked by
-    ``is_action_map``, which also decides the family condition, so the result
-    does not rest on the propagation.  Maps come in lexicographic order of
-    their values, points and values taken in carrier order.
+    A complete search over carrier positions.  Equivariance makes each move
+    theta[s](c) = d with c in dom_of[inv(s)] force the value of d: the
+    target move of the value of c by s.  Values spread from the assigned
+    points along those moves, and a branch where a forced move is undefined
+    or disagrees with a value already set is cut, since no action map
+    extends it.  The search branches over the target carrier only at the
+    first point still unset, and propagates again after each choice.  Every
+    complete assignment it reaches is checked by ``is_action_map``, which
+    also decides the family condition, so the result does not rest on the
+    propagation.  Maps come in lexicographic order of their values, points
+    and values taken in carrier order.
     """
     isg = source.semigroupoid
-    forced: dict = {c: [] for c in source.carrier}
+    forced: list[list[tuple[int, list[int]]]] = [[] for _ in source.carrier]  # per point: (d, target row of s)
     for s in isg.arrows:
-        theta_s, moves = source.theta[s], target.theta[s]
-        for c in source.dom_of[isg.inv(s)]:
-            d = theta_s.get(c)
-            if d is not None:
+        moves = target.rows[s]
+        for c, (d, inside) in enumerate(zip(source.rows[s], source.masks[isg.inv(s)])):
+            if inside and d >= 0:
                 forced[c].append((d, moves))
 
-    def spread(values: dict, frontier: list) -> bool:
+    def spread(values: list[int], frontier: list[int]) -> bool:
         while frontier:
             c = frontier.pop()
             y = values[c]
             for d, moves in forced[c]:
-                z = moves.get(y)
-                if z is None:
+                z = moves[y]
+                if z < 0 or values[d] not in (-1, z):
                     return False
-                if d not in values:
+                if values[d] < 0:
                     values[d] = z
                     frontier.append(d)
-                elif values[d] != z:
-                    return False
         return True
 
     matches = []
-    start = dict(assigned)
-    pending = [start] if spread(start, list(start)) else []
+    # per source position, a target position or -1 while unset
+    start = [target._pos[assigned[x]] if x in assigned else -1 for x in source.carrier]
+    pending = [start] if spread(start, [c for c, y in enumerate(start) if y >= 0]) else []
     while pending:
         values = pending.pop()
-        for c in source.carrier:
-            if c not in values:
-                break
-        else:
-            if is_action_map(ActionMap(source, target, values)).ok:
-                matches.append(values)
+        if -1 not in values:
+            found = {x: target.carrier[y] for x, y in zip(source.carrier, values)}
+            if is_action_map(ActionMap(source, target, found)).ok:
+                matches.append(found)
             continue
+        c = values.index(-1)
         # pushed in reverse so that branches are taken in target carrier order
-        for y in reversed(target.carrier):
-            trial = {**values, c: y}
+        for y in reversed(range(len(target.carrier))):
+            trial = values.copy()
+            trial[c] = y
             if spread(trial, [c]):
                 pending.append(trial)
     return matches

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Mapping
 
-from .actions import PartialAction, is_valid_global, validate_p_axioms
+from .actions import PartialAction, _name, is_valid_global, validate_p_axioms
 from .core import StructuralError, ValidationReport, Violation
 
 
@@ -30,6 +31,12 @@ class ActionMap:
     def __call__(self, x):
         return self.mapping[x]
 
+    @cached_property
+    def _image(self) -> list[int]:
+        """The target position of the image of each source position."""
+        pos = self.target._pos
+        return [pos[self.mapping[x]] for x in self.source.carrier]
+
     def image(self) -> frozenset:
         return frozenset(self.mapping.values())
 
@@ -52,40 +59,35 @@ def inclusion_map(sub: PartialAction, sup: PartialAction) -> ActionMap:
 
 
 def is_action_map(f: ActionMap) -> ValidationReport:
-    """Check family preservation and equivariance, with witnesses; only offending points are sorted."""
+    """Check family preservation and equivariance on the rows, with witnesses in carrier order."""
     src, tgt = f.source, f.target
     isg = src.semigroupoid
-    m = f.mapping
+    m, name, value = f._image, src.carrier, f.mapping
     v: list[Violation] = []
     for s in isg.arrows:
-        family = tgt.dom_of[s]
-        for x in src.sorted_elements([x for x in src.dom_of[s] if m[x] not in family]):
-            v.append(Violation("family", f"map sends {x} of dom_of[{s}] to {m[x]} outside the target dom_of[{s}]", (s, x)))
+        family = tgt.masks[s]
+        for x, inside, y in zip(name, src.masks[s], m):
+            if inside and not family[y]:
+                v.append(Violation("family", f"map sends {x} of dom_of[{s}] to {value[x]} outside the target dom_of[{s}]", (s, x)))
     for s in isg.arrows:
-        theta_s, target_s = src.theta[s], tgt.theta[s]
-        bad = {}
-        for x in src.dom_of[isg.inv(s)]:
-            moved, expected = theta_s.get(x), target_s.get(m[x])
-            if moved is None or expected is None or m[moved] != expected:
-                bad[x] = moved, expected
-        for x in src.sorted_elements(bad):
-            moved, expected = bad[x]
-            if moved is None:
+        target_row = tgt.rows[s]
+        for x, inside, moved, y in zip(name, src.masks[isg.inv(s)], src.rows[s], m):
+            if inside and moved < 0:
                 v.append(Violation("equivariance", f"source theta[{s}] undefined at {x}", (s, x)))
-            else:
-                v.append(Violation("equivariance", f"map({x}) moves to {expected} under theta[{s}] but map(theta[{s}]({x})) = {m[moved]}", (s, x)))
+            elif inside and m[moved] != target_row[y]:
+                expected, image = _name(tgt, target_row[y]), value[name[moved]]
+                v.append(Violation("equivariance", f"map({x}) moves to {expected} under theta[{s}] but map(theta[{s}]({x})) = {image}", (s, x)))
     return ValidationReport(tuple(v))
 
 
 def _injectivity(f: ActionMap) -> list[Violation]:
-    seen: dict = {}
+    first: dict[int, object] = {}  # target position -> the first source point sent there
     v = []
-    for x in f.source.carrier:
-        y = f(x)
-        if y in seen:
-            v.append(Violation("injective", f"{seen[y]} and {x} share the value {y}", (seen[y], x, y)))
+    for x, y in zip(f.source.carrier, f._image):
+        if y in first:
+            v.append(Violation("injective", f"{first[y]} and {x} share the value {f.mapping[x]}", (first[y], x, f.mapping[x])))
         else:
-            seen[y] = x
+            first[y] = x
     return v
 
 
@@ -98,16 +100,14 @@ def is_embedding(f: ActionMap) -> ValidationReport:
     src, tgt = f.source, f.target
     isg = src.semigroupoid
     v = list(is_action_map(f).violations) + _injectivity(f)
-    image = f.image()
+    m = f._image
+    image = set(m)
     for s in isg.arrows:
-        reachable = set()
-        for z in image & tgt.dom_of[isg.inv(s)]:
-            w = tgt.theta[s].get(z)
-            if w is not None:
-                reachable.add(w)
-        pre = {x for x in src.carrier if f(x) in reachable}
-        for x in src.sorted_elements(pre ^ src.dom_of[s]):
-            v.append(Violation("embedding-domain", f"preimage equation for arrow {s} fails at {x}", (s, x)))
+        row, window = tgt.rows[s], tgt.masks[isg.inv(s)]
+        reachable = {row[z] for z in image if window[z]}
+        for x, inside, y in zip(src.carrier, src.masks[s], m):
+            if (y in reachable) != inside:
+                v.append(Violation("embedding-domain", f"preimage equation for arrow {s} fails at {x}", (s, x)))
     return ValidationReport(tuple(v))
 
 

@@ -202,13 +202,14 @@ def parse_action(text: str, isg: InverseSemigroupoid) -> PartialAction:
 
     Shape only: names must be declared and sections complete; whether the
     per-arrow maps really are bijections between the right domains is the
-    validators' business.
+    validators' business.  Names become carrier positions here, written
+    straight into the action's rows and masks.
     """
     structure_ref(text)  # insist the header is present and well formed
     carrier: list[str] | None = None
-    points: set[str] = set()
-    dom_of: dict[str, list[str]] = {}
-    maps: dict[str, dict[str, str]] = {}
+    points: dict[str, int] = {}  # each carrier element's position
+    masks: dict[str, list[bool]] = {}
+    rows: dict[str, list[int]] = {}
     arrow_set = set(isg.arrows)
 
     for lineno, body in _content_lines(text):
@@ -224,7 +225,7 @@ def parse_action(text: str, isg: InverseSemigroupoid) -> PartialAction:
         if head == ["carrier"]:
             if carrier is not None:
                 raise ParseError(lineno, 1, "duplicate [carrier] section")
-            points = set(payload)
+            points = {x: i for i, x in enumerate(payload)}
             if len(points) != len(payload):
                 raise ParseError(lineno, 1, "duplicate carrier element")
             carrier = payload
@@ -236,46 +237,44 @@ def parse_action(text: str, isg: InverseSemigroupoid) -> PartialAction:
             raise ParseError(lineno, 1, f"unknown arrow {arrow}")
         if carrier is None:
             raise ParseError(lineno, 1, "[carrier] must come before domain and map sections")
-        store = dom_of if kind == "domain" else maps
+        store = masks if kind == "domain" else rows
         if arrow in store:
             raise ParseError(lineno, 1, f"duplicate [{kind} {arrow}] section")
         if kind == "domain":
+            mask = masks[arrow] = [False] * len(carrier)
             for x in payload:
                 if x not in points:
                     raise ParseError(lineno, 1, f"domain element {x} is not in the carrier")
-            dom_of[arrow] = payload
+                mask[points[x]] = True
         else:
-            entries: dict[str, str] = {}
+            row = rows[arrow] = [-1] * len(carrier)
             for tok in payload:
                 if "->" not in tok:
                     raise ParseError(lineno, 1, f"map entry {tok} must read x->y")
                 x, _, y = tok.partition("->")
                 if x not in points or y not in points:
                     raise ParseError(lineno, 1, f"map entry {tok} leaves the carrier")
-                if x in entries:
+                if row[points[x]] >= 0:
                     raise ParseError(lineno, 1, f"duplicate map entry for {x}")
-                entries[x] = y
-            maps[arrow] = entries
+                row[points[x]] = points[y]
 
     if carrier is None:
         raise ParseError(1, 1, "missing [carrier] section")
     for a in isg.arrows:
-        if a not in dom_of:
+        if a not in masks:
             raise ParseError(1, 1, f"missing [domain {a}] section")
-        if a not in maps:
+        if a not in rows:
             raise ParseError(1, 1, f"missing [map {a}] section")
-    return PartialAction(isg, carrier, dom_of, maps)
+    return PartialAction._from_rows(isg, tuple(carrier), rows, masks)
 
 
 def format_action(action: PartialAction, ref: str) -> str:
     """Canonical text for an action over the structure referenced by ``ref``."""
-    lines = [f"structure = {ref}", ""]
-    lines.append("[carrier] = " + " ".join(str(x) for x in action.carrier))
+    name = action.carrier
+    lines = [f"structure = {ref}", "", "[carrier] = " + " ".join(str(x) for x in name)]
     for s in action.semigroupoid.arrows:
-        dom = action.sorted_elements(action.dom_of[s])
-        lines.append(f"[domain {s}] = " + " ".join(str(x) for x in dom))
-        pairs = action.sorted_elements(action.theta[s])
-        lines.append(f"[map {s}] = " + " ".join(f"{x}->{action.theta[s][x]}" for x in pairs))
+        lines.append(f"[domain {s}] = " + " ".join(str(x) for x, inside in zip(name, action.masks[s]) if inside))
+        lines.append(f"[map {s}] = " + " ".join(f"{x}->{name[j]}" for x, j in zip(name, action.rows[s]) if j >= 0))
     return "\n".join(lines) + "\n"
 
 

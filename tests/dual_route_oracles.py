@@ -3,13 +3,78 @@
 Each one restates a property the library decides one way (the embedding
 check, the global test, the natural order) through an equivalent definition.
 The tests require both routes to agree; the library keeps only one.
+
+``is_action_map``, ``_injectivity`` and ``is_embedding_by_names`` are the
+name-keyed versions of the library's map checks from before it read integer
+rows, kept here, as ``_composite_domain`` is in ``p_scan_oracle``, so that
+no oracle shares code with the check it is compared with.
 """
 
 from dataclasses import dataclass
 
 from isgact import ActionMap, InverseSemigroupoid, PartialAction, ValidationReport, Violation, is_global
-from isgact.actions import _composite_domain
-from isgact.morphisms import _injectivity, is_action_map
+
+from p_scan_oracle import _composite_domain
+
+
+def is_action_map(f: ActionMap) -> ValidationReport:
+    """Check family preservation and equivariance, with witnesses; only offending points are sorted."""
+    src, tgt = f.source, f.target
+    isg = src.semigroupoid
+    m = f.mapping
+    v: list[Violation] = []
+    for s in isg.arrows:
+        family = tgt.dom_of[s]
+        for x in src.sorted_elements([x for x in src.dom_of[s] if m[x] not in family]):
+            v.append(Violation("family", f"map sends {x} of dom_of[{s}] to {m[x]} outside the target dom_of[{s}]", (s, x)))
+    for s in isg.arrows:
+        theta_s, target_s = src.theta[s], tgt.theta[s]
+        bad = {}
+        for x in src.dom_of[isg.inv(s)]:
+            moved, expected = theta_s.get(x), target_s.get(m[x])
+            if moved is None or expected is None or m[moved] != expected:
+                bad[x] = moved, expected
+        for x in src.sorted_elements(bad):
+            moved, expected = bad[x]
+            if moved is None:
+                v.append(Violation("equivariance", f"source theta[{s}] undefined at {x}", (s, x)))
+            else:
+                v.append(Violation("equivariance", f"map({x}) moves to {expected} under theta[{s}] but map(theta[{s}]({x})) = {m[moved]}", (s, x)))
+    return ValidationReport(tuple(v))
+
+
+def _injectivity(f: ActionMap) -> list[Violation]:
+    seen: dict = {}
+    v = []
+    for x in f.source.carrier:
+        y = f(x)
+        if y in seen:
+            v.append(Violation("injective", f"{seen[y]} and {x} share the value {y}", (seen[y], x, y)))
+        else:
+            seen[y] = x
+    return v
+
+
+def is_embedding_by_names(f: ActionMap) -> ValidationReport:
+    """Injective action map whose preimage equation recovers every source domain.
+
+    For each arrow s the source domain must equal the preimage of the set of
+    target points reached by theta[s] from the image of the map.
+    """
+    src, tgt = f.source, f.target
+    isg = src.semigroupoid
+    v = list(is_action_map(f).violations) + _injectivity(f)
+    image = f.image()
+    for s in isg.arrows:
+        reachable = set()
+        for z in image & tgt.dom_of[isg.inv(s)]:
+            w = tgt.theta[s].get(z)
+            if w is not None:
+                reachable.add(w)
+        pre = {x for x in src.carrier if f(x) in reachable}
+        for x in src.sorted_elements(pre ^ src.dom_of[s]):
+            v.append(Violation("embedding-domain", f"preimage equation for arrow {s} fails at {x}", (s, x)))
+    return ValidationReport(tuple(v))
 
 
 def embedding_by_points(f: ActionMap) -> ValidationReport:

@@ -242,6 +242,19 @@ def test_mediate_with_an_embedding_of_unknown_points(capsys, fixtures_dir):
     assert err == "error: --embedding maps points outside the carrier: 9\n"
 
 
+def test_mediate_with_an_embedding_that_maps_a_point_twice(capsys, fixtures_dir):
+    code, out, err = run(
+        capsys,
+        "mediate",
+        str(fixtures_dir / "three_point_restricted.pact"),
+        "--target", str(fixtures_dir / "three_point_global.pact"),
+        "--embedding", "1->3,1->1,2->2",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --embedding maps 1 more than once\n"
+
+
 @pytest.mark.parametrize(
     "name, command",
     [
@@ -344,6 +357,19 @@ def test_globalize_dot_enumerates_the_seed_edges_once(capsys, monkeypatch, fixtu
     assert code == 0
     assert " -- " in out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "dot"])
+def test_globalize_and_mediate_read_no_name_view(capsys, monkeypatch, fixtures_dir, fmt):
+    # the scans, the construction and the renderers read rows; theta and dom_of are for the API
+    reads = []
+    for view in ("theta", "dom_of"):
+        original = getattr(actions.PartialAction, view)
+        monkeypatch.setattr(actions.PartialAction, view, property(lambda a, _f=original.fget: reads.append(a) or _f(a)))
+    restricted, target = fixtures_dir / "three_point_restricted.pact", fixtures_dir / "three_point_global.pact"
+    assert run(capsys, "globalize", str(restricted), "--format", fmt)[0] == 0
+    assert run(capsys, "mediate", str(restricted), "--target", str(target), "--strict")[0] == 0
+    assert reads == []
 
 
 def test_globalize_runs_the_full_p_scan_once_for_the_input(capsys, monkeypatch, fixtures_dir):

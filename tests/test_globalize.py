@@ -251,18 +251,19 @@ def test_lemma_audits_on_the_fixtures(four_point, three_point):
 def test_a_wrong_class_map_entry_trips_the_output_check(monkeypatch, two_point, planted):
     built = []
 
-    def with_a_wrong_entry(isg, carrier, dom_of, theta):
-        carrier = tuple(carrier)
-        moves = dict(theta["a"])
-        c = min(moves)
+    from_rows = PartialAction._from_rows.__func__
+
+    def with_a_wrong_entry(cls, isg, carrier, rows, masks):
+        moves = list(rows["a"])  # over class ids, which are the output's carrier positions
+        c = next(c for c, d in enumerate(moves) if d >= 0)
         if planted == "moved":
-            moves[c] = next(d for d in carrier if d != moves[c])
+            moves[c] = next(d for d in range(len(carrier)) if d != moves[c])
         else:
-            del moves[c]
-        built.append(PartialAction(isg, carrier, dom_of, {**theta, "a": moves}))
+            moves[c] = -1
+        built.append(from_rows(cls, isg, carrier, {**rows, "a": moves}, masks))
         return built[-1]
 
-    monkeypatch.setattr(globalization, "PartialAction", with_a_wrong_entry)
+    monkeypatch.setattr(PartialAction, "_from_rows", classmethod(with_a_wrong_entry))
     with pytest.raises(RuntimeError) as failure:
         build_globalization(two_point)
     # the report is the full scan's, as if the output had been scanned in full

@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 from isgact import (
     ActionMap,
     GlobalizationTriple,
-    PartialAction,
     build_globalization,
     build_seed_set,
     check_derived_propositions,
@@ -17,6 +16,8 @@ from isgact import (
     format_action,
     format_structure,
     inclusion_map,
+    is_action_map,
+    is_embedding,
     is_global,
     is_valid_global,
     mediating,
@@ -31,7 +32,9 @@ from isgact import (
 from isgact.catalog import catalog, four_point_action, grow_catalog, partial_bijections, random_partial_action
 from isgact.globalization import _commuting_maps
 
-from dual_route_oracles import natural_leq_diagnostic
+from corruptions import labeled_corruptions
+from dual_route_oracles import is_action_map as is_action_map_by_names
+from dual_route_oracles import is_embedding_by_names, natural_leq_diagnostic
 from p_scan_oracle import validate_p_axioms_by_scan
 from pairwise_oracle import pairwise_closure, pairwise_edges, seed_domain, seeds_related
 from universal_oracle import action_maps_by_enumeration, verify_universal_by_enumeration
@@ -165,17 +168,7 @@ def test_generators_are_greedy_and_generate_every_arrow(isg):
 
 def _single_entry_corruptions(action):
     """Every action that differs from the given one in one theta entry (moved or deleted) or one domain point."""
-    isg = action.semigroupoid
-    for s in isg.arrows:
-        for x, y in action.theta[s].items():
-            for z in [p for p in action.carrier if p != y] + [None]:
-                theta = {**action.theta, s: {k: v for k, v in action.theta[s].items() if k != x}}
-                if z is not None:
-                    theta[s][x] = z
-                yield PartialAction(isg, action.carrier, action.dom_of, theta)
-        for x in action.carrier:
-            dom_of = {**action.dom_of, s: action.dom_of[s] ^ {x}}
-            yield PartialAction(isg, action.carrier, dom_of, action.theta)
+    return (corrupted for _, corrupted in labeled_corruptions(action))
 
 
 @pytest.mark.parametrize(
@@ -206,6 +199,20 @@ def test_the_p_scan_matches_the_set_based_oracle_on_single_entry_corruptions(act
         assert report == validate_p_axioms_by_scan(corrupted)
         tags |= report.tags()
     assert tags & {"P3-domain", "P3-value"}
+
+
+@given(slot=st.sampled_from(GROWN_SLOTS), pick=st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=200, deadline=None)
+def test_the_map_checks_match_their_name_keyed_oracles_on_single_entry_corruptions(slot, pick):
+    # the identity map out of a corrupted copy into the action, and back into the copy
+    entry, index = slot
+    action = entry.actions[index].action
+    corruptions = list(_single_entry_corruptions(action))
+    broken = corruptions[pick % len(corruptions)]
+    identity = {x: x for x in action.carrier}
+    for f in (ActionMap(broken, action, identity), ActionMap(action, broken, identity)):
+        assert is_action_map(f) == is_action_map_by_names(f)
+        assert is_embedding(f) == is_embedding_by_names(f)
 
 
 @given(slot=st.sampled_from(GROWN_SLOTS), seed=seeds, pick=st.integers(min_value=-1, max_value=10**6))
