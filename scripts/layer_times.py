@@ -8,8 +8,8 @@ from text.  Stages, each timed alone:
 
     parse          parse_action on the .pact text (after the structure is loaded)
     input P scan   validate_p_axioms on the input
-    seed set       build_seed_set
-    closure        close_equivalence (seed_edges and the union-find)
+    index          the integer seed index (_seed_index)
+    closure        the one-step relation and its union-find (_closure)
     class maps     the rest of build_globalization: the class maps and the embedding
     output checks  is_valid_global and is_embedding on the output
     JSON           the ``globalize --format json`` text
@@ -37,12 +37,12 @@ from isgact.cli import _globalization_json  # noqa: E402
 # the names build_globalization looks up in its module, and the stage each one is
 PROBED = (
     ("validate_p_axioms", "input P scan"),
-    ("build_seed_set", "seed set"),
-    ("close_equivalence", "closure"),
+    ("_seed_index", "index"),
+    ("_closure", "closure"),
     ("is_valid_global", "output checks"),
     ("is_embedding", "output checks"),
 )
-STAGES = ("parse", "input P scan", "seed set", "closure", "class maps", "output checks", "JSON")
+STAGES = ("parse", "input P scan", "index", "closure", "class maps", "output checks", "JSON")
 
 
 def _timed(fn, stage, spent):

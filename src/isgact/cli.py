@@ -9,6 +9,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import compress
 from pathlib import Path
 
 from .actions import (
@@ -91,19 +92,24 @@ def _globalization_table(glob: Globalization) -> str:
 _encode = json.encoder.encode_basestring_ascii  # the string encoder json.dumps uses
 
 
-def _json_array(items: list[str], depth: int) -> str:
-    """Encoded items as an array at nesting depth ``depth``, laid out as json.dumps(indent=2) lays it out."""
+def _json_items(items: list[str], depth: int) -> list[str]:
+    """The pieces of encoded items as an array at nesting depth ``depth``, laid out as json.dumps(indent=2) lays it out."""
     if not items:
-        return "[]"
+        return ["[]"]
     inner = "\n" + "  " * (depth + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+    parts = ["," + inner] * (2 * len(items) + 1)
+    parts[0], parts[1::2], parts[-1] = "[" + inner, items, "\n" + "  " * depth + "]"
+    return parts
 
 
-def _json_pairs(pairs: list[tuple[str, str]], depth: int) -> str:
-    """An array of two-element arrays of encoded items, each inner array laid out as _json_array would."""
-    pad = "\n" + "  " * (depth + 2)
-    inner = "[" + pad + "%s," + pad + "%s\n" + "  " * (depth + 1) + "]"
-    return _json_array([inner % pair for pair in pairs], depth)
+def _json_pairs(firsts: list[str], seconds: list[str], depth: int) -> str:
+    """An array of two-element arrays of encoded items, [firsts[k], seconds[k]], each laid out as _json_items lays out an array."""
+    if not firsts:
+        return "[]"
+    inner, pad = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+    parts = [None, "," + pad, None, inner + "]," + inner + "[" + pad] * len(firsts)
+    parts[0::4], parts[2::4], parts[-1] = firsts, seconds, inner + "]\n" + "  " * depth + "]"
+    return "[" + inner + "[" + pad + "".join(parts)
 
 
 def _json_object(fields: dict[str, str], depth: int) -> str:
@@ -117,52 +123,38 @@ def _globalization_json(glob: Globalization) -> str:
     """The fixed schema written directly: the bytes of json.dumps(payload, indent=2, sort_keys=True).
 
     json.dumps with an indent runs the pure-Python encoder, which costs more
-    than building the globalization; the layout here is the same one.
+    than building the globalization; the layout here is the same one, read
+    off the seed index and class labels and joined once from its pieces.
     """
     isg = glob.action.semigroupoid
     q = glob.quotient
     out = glob.global_action
     name = [str(c) for c in out.carrier]
-    families = {s: [c for c, inside in zip(name, out.masks[s]) if inside] for s in isg.arrows}
-    embed = glob.canonical_embedding.mapping
-    arrow = {s: _encode(s) for s in isg.arrows}
-    point = {x: _encode(str(x)) for x in glob.action.carrier}
-    # one format per seed: a seed at depth 2 of "seeds", and at depth 4 inside a class's "members"
-    seed_item = "[\n      %s,\n      %s\n    ]"
-    member_item = "[\n          %s,\n          %s\n        ]"
+    point = [_encode(str(x)) for x in glob.action.carrier]
+    # a seed is an array at depth 2 of "seeds", and at depth 4 inside a class's "members"
+    seeds = []
+    members: list[list[str]] = [[] for _ in name]
+    for s, (ids, pts) in q._blocks.items():
+        if pts:
+            head = "[\n      " + _encode(s) + ",\n      "
+            seeds.append(head + ("\n    ],\n    " + head).join(map(point.__getitem__, pts)) + "\n    ]")
+            head = "[\n          " + _encode(s) + ",\n          "
+            for c, k in zip(q._label[ids.start:ids.stop], pts):
+                members[c].append(head + point[k])
     class_head = '{\n      "id": %d,\n      "members": [\n        '
+    classes = [class_head % c + "\n        ],\n        ".join(m) + "\n        ]\n      ]\n    }" for c, m in enumerate(members)]
 
-    fields = {
-        "seeds": _json_array([seed_item % (arrow[s], point[x]) for s, x in q.seeds], 1),
-        "classes": _json_array(
-            [
-                class_head % c
-                + ",\n        ".join([member_item % (arrow[s], point[x]) for s, x in members])
-                + "\n      ]\n    }"
-                for c, members in enumerate(q.classes)
-            ],
-            1,
-        ),
-        "families": _json_array(
-            [
-                _json_object({"arrow": arrow[s], "classes": _json_array(families[s], 3)}, 2)
-                for s in isg.arrows
-            ],
-            1,
-        ),
-        "maps": _json_array(
-            [
-                _json_object(
-                    {"arrow": arrow[s], "pairs": _json_pairs([(c, name[d]) for c, d in zip(name, out.rows[s]) if d >= 0], 3)},
-                    2,
-                )
-                for s in isg.arrows
-            ],
-            1,
-        ),
-        "embedding": _json_pairs([(point[x], str(embed[x])) for x in glob.action.carrier], 1),
-    }
-    return _json_object(fields, 0) + "\n"
+    families, maps = [], []
+    for s in isg.arrows:
+        arrow, row = _encode(s), out.rows[s]
+        families.append(_json_object({"arrow": arrow, "classes": "".join(_json_items(list(compress(name, out.masks[s])), 3))}, 2))
+        defined = [d >= 0 for d in row]
+        pairs = _json_pairs(list(compress(name, defined)), list(map(name.__getitem__, compress(row, defined))), 3)
+        maps.append(_json_object({"arrow": arrow, "pairs": pairs}, 2))
+    embedding = _json_pairs(point, list(map(name.__getitem__, glob.canonical_embedding._image)), 1)
+    parts = ['{\n  "classes": ', *_json_items(classes, 1), ',\n  "embedding": ', embedding, ',\n  "families": ']
+    parts += [*_json_items(families, 1), ',\n  "maps": ', *_json_items(maps, 1), ',\n  "seeds": ', *_json_items(seeds, 1), "\n}\n"]
+    return "".join(parts)
 
 
 def _parse_point_map(text: str) -> dict[str, str]:

@@ -10,7 +10,9 @@ embedding, and every map into a global action factors through it uniquely.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from itertools import chain, combinations, compress
+from operator import lt
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 from .actions import PartialAction, is_valid_global, validate_p_axioms
 from .core import StructuralError, ValidationReport, Violation
@@ -31,132 +33,172 @@ class WellDefinednessError(ValueError):
 
 
 class Quotient:
-    """The partition of the seed set that a list of related index pairs generates.
+    """The partition of a seed set that a list of related index pairs generates.
 
-    ``edges`` are kept as given.  Classes are numbered in order of their first
-    seed, seeds being ordered by (arrow position, point position); the
-    representative of a class is that first seed.  One union-find pass over
-    the integer edges (path halving) links every root below the smaller
-    index, so a seed's parent never comes after it, and one forward pass
-    labels every seed: a root opens the next class, any other seed takes
-    its parent's label.  The cost is about seeds plus edges; ``class_of`` is
-    built from the labels on first read.
+    Classes are numbered in order of their first seed, their representative.
+    ``_closure`` builds a quotient from an integer seed index instead, where
+    ``seeds`` and ``edges`` are views; ``classes``, ``representatives`` and
+    ``class_of`` are views always.  Each is built on first read, for the API,
+    the renderers and error messages; the construction and its other readers
+    use the index and each seed's class label.
     """
 
     def __init__(self, seeds: list[Seed], edges: list[tuple[int, int]]):
         self.seeds = tuple(seeds)
         self.edges = tuple(edges)
-        parent = list(range(len(self.seeds)))
-        for i, j in self.edges:
-            while parent[i] != i:
-                parent[i] = i = parent[parent[i]]
-            while parent[j] != j:
-                parent[j] = j = parent[parent[j]]
-            if i < j:
-                parent[j] = i
-            elif j < i:
-                parent[i] = j
-        label: list[int] = []  # each seed's class id
-        members: list[list[Seed]] = []
-        for i, seed in enumerate(self.seeds):
-            if parent[i] == i:
-                label.append(len(members))
-                members.append([seed])
-            else:
-                c = label[parent[i]]  # parent[i] < i, in the same class
-                label.append(c)
-                members[c].append(seed)
-        self._label = label
-        self.classes = tuple(tuple(m) for m in members)
-        self.representatives = tuple(m[0] for m in self.classes)
+        self._label, self.n_classes = _classes(len(self.seeds), self.edges)
+
+    @cached_property
+    def seeds(self) -> tuple[Seed, ...]:
+        return tuple(_named(self._blocks, self._action.carrier))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(seed_edges(self.seeds, self._action))
+
+    @cached_property
+    def classes(self) -> tuple[tuple[Seed, ...], ...]:
+        members: list[list[Seed]] = [[] for _ in range(self.n_classes)]
+        for seed, c in zip(self.seeds, self._label):
+            members[c].append(seed)
+        return tuple(map(tuple, members))
+
+    @cached_property
+    def representatives(self) -> tuple[Seed, ...]:
+        return tuple(m[0] for m in self.classes)
 
     @cached_property
     def class_of(self) -> dict[Seed, int]:
         return dict(zip(self.seeds, self._label))
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.classes)
+
+def _classes(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """The class label of each of n seed ids, classes numbered by first seed, and the class count.
+
+    One union-find pass over the pairs (path halving) links every root below the smaller id, so a
+    seed's parent never comes after it, and one forward pass labels every seed in about seeds + pairs.
+    """
+    parent = list(range(n))
+    for i, j in pairs:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i < j:
+            parent[j] = i
+        elif j < i:
+            parent[i] = j
+    label: list[int] = []
+    count = 0
+    for i, p in enumerate(parent):
+        label.append(count if p == i else label[p])  # p < i, in the same class, unless i is a root
+        count += p == i
+    return label, count
+
+
+def _seed_index(action: PartialAction) -> dict[str, tuple[range, list[int]]]:
+    """Per arrow in declaration order, the ids of its seeds, in canonical order, and their positions in dom_of[inv(s) s]."""
+    isg = action.semigroupoid
+    columns = range(len(action.carrier))
+    blocks, start = {}, 0
+    for s in isg.arrows:
+        pts = list(compress(columns, action.masks[isg.mul(isg.inv(s), s)]))
+        blocks[s] = (range(start, start + len(pts)), pts)
+        start += len(pts)
+    return blocks
+
+
+def _translated(seeds: Sequence[Seed], action: PartialAction) -> dict:
+    """The seed index of a list in any order: per arrow, its seeds' ids, increasing, and positions."""
+    pos, blocks = action._pos, {}
+    for i, (s, x) in enumerate(seeds):
+        ids, pts = blocks.setdefault(s, ([], []))
+        ids.append(i)
+        pts.append(pos[x])
+    return blocks
+
+
+def _named(blocks: dict, carrier: tuple) -> list[Seed]:
+    return [Seed(s, carrier[k]) for s, (_, pts) in blocks.items() for k in pts]
+
+
+def _scatter(n: int, keys: Iterable[int], values: Iterable[int]) -> list[int]:
+    """A list of n entries holding each value at its key, and -1 elsewhere."""
+    row = [-1] * n
+    for k, v in zip(keys, values):
+        row[k] = v
+    return row
 
 
 def build_seed_set(action: PartialAction) -> list[Seed]:
     """All pairs (s, x) with x in dom_of[inv(s) s], in canonical order."""
+    return _named(_seed_index(action), action.carrier)
+
+
+def _related_pairs(blocks: dict, action: PartialAction) -> Iterator[tuple[int, int]]:
+    """Every one-step related pair (i, j) of a seed index with i < j, seen from seed i; pairs may repeat.
+
+    (s, x) relates to (t, y) when either inv(t) composes with s, x lies in
+    dom_of[inv(s) t] and theta[inv(t) s] carries x to y, or both arrows are
+    idempotent and x equals y.  So the only candidate partner of (s, x) in
+    the block of t is (t, theta[inv(t) s](x)), read off the row of inv(t) s
+    cut to dom_of[inv(s) t] = dom_of[inv(inv(t) s)], then off t's id row:
+    each seed's id at its carrier position, or -1, and one more -1 at the
+    end so that ``row[-1]`` reads "no seed".  The pairs (s, t) come from the
+    products inv(t) s, skipping t when all its ids come before those of s,
+    and one list comprehension per arrow s reads its whole block.  The cost
+    is about seeds times arrows per codomain, not seeds squared.
+    """
     isg = action.semigroupoid
-    out = []
-    for s in isg.arrows:
-        base = action.masks[isg.mul(isg.inv(s), s)]
-        out.extend(Seed(s, x) for x, inside in zip(action.carrier, base) if inside)
-    return out
+    n, inv, idem = len(action.carrier), isg.inverse_map(), isg.idempotent_set()
+    rows: dict[str, list[int]] = {}  # each arrow's id row
+    idempotent_at: list[list[int]] = [[] for _ in range(n)]  # ids of the idempotent seeds at each carrier position
+    for t, (ids, pts) in blocks.items():
+        if ids:
+            rows[t] = _scatter(n + 1, pts, ids)
+            if t in idem:
+                for k, i in zip(pts, ids):
+                    idempotent_at[k].append(i)
+
+    hops: dict[str, list[int]] = {}  # per arrow u, its row cut to dom_of[inv u]; the cut only bites off the axioms
+    lookups: dict[str, list] = {s: [] for s in rows}  # per arrow s: (id row of t, hop of inv(t) s) per partner t
+    for a, s, u in isg.products:  # a = inv(t) composes with s
+        t = inv[a]
+        if s in rows and t in rows and blocks[t][0][-1] >= blocks[s][0][0]:  # else every partner would come first
+            if u not in hops:
+                hops[u] = [j if inside else -1 for j, inside in zip(action.rows[u], action.masks[inv[u]])]
+            lookups[s].append((rows[t], hops[u]))
+    found: list[Iterable[tuple[int, int]]] = []
+    for s, partners in lookups.items():
+        ids, pts = blocks[s]
+        ids = list(ids) * len(partners)
+        js = [row[hop[k]] for row, hop in partners for k in pts]
+        found.append(compress(zip(ids, js), map(lt, ids, js)))
+    found.extend(combinations(sorted(g), 2) for g in idempotent_at if len(g) > 1)
+    return chain.from_iterable(found)
 
 
 def seed_edges(seeds: Sequence[Seed], action: PartialAction) -> list[tuple[int, int]]:
     """Every one-step related pair of seeds, as sorted index pairs (i, j) with i < j.
 
-    (s, x) relates to (t, y) when either inv(t) composes with s, x lies in
-    dom_of[inv(s) t] and theta[inv(t) s] carries x to y, or both arrows are
-    idempotent and x equals y.  So for a seed (s, x) and an arrow t sharing
-    its codomain, the only candidate partner is (t, theta[inv(t) s](x)).  As
-    dom_of[inv(s) t] is dom_of[inv(inv(t) s)], the window and the move are
-    both read off the row of inv(t) s cut to that domain, and the partner's
-    id off the row of t in the integer seed index: per arrow, a list over
-    carrier positions holding each seed's id, or -1, with one more -1 at the
-    end so that ``row[-1]`` reads "no seed".  Arrows whose seeds all come
-    before those of s are skipped.  Seeds are visited in order and each
-    appends its partners j > i; with the seeds in canonical order these
-    arrive sorted, so only an idempotent seed, whose partners at its point
-    may repeat, sorts its own few.  The cost is about seeds times arrows per
-    codomain, not seeds squared, and the edge set is sorted only when the
-    seeds are not in canonical order.
+    The seeds, in any order, are indexed and the closure's pairs (``_related_pairs``) listed once each.
     """
-    isg = action.semigroupoid
-    pos = action._pos
-    at = [pos[x] for _, x in seeds]  # each seed's carrier position
-    rows = {s: [-1] * (len(action.carrier) + 1) for s in isg.arrows}
-    blocks: dict[str, list[int]] = {}  # each arrow's seed ids, increasing
-    for i, (s, _) in enumerate(seeds):
-        rows[s][at[i]] = i
-        blocks.setdefault(s, []).append(i)
-    # arrows t with seeds, keyed by dom(inv t): inv(t) composes with s iff that is cod(s)
-    partners: dict[str, list[str]] = {}
-    for t in blocks:
-        partners.setdefault(isg.dom(isg.inv(t)), []).append(t)
+    return sorted(set(_related_pairs(_translated(seeds, action), action)))
 
-    idem = isg.idempotent_set()
-    idempotent_at: dict[int, list[int]] = {}  # ids of the idempotent seeds at each carrier position, increasing
-    for i, (s, _) in enumerate(seeds):
-        if s in idem:
-            idempotent_at.setdefault(at[i], []).append(i)
 
-    # per arrow u, its row cut to the window dom_of[inv u]; the cut only bites off the axioms
-    hops = {u: [j if inside else -1 for j, inside in zip(action.rows[u], action.masks[isg.inv(u)])] for u in isg.arrows}
-    edges: list[tuple[int, int]] = []
-    for s, block in blocks.items():
-        # per partner arrow t: its seed row, and the cut row of inv(t) s
-        lookups = [
-            (rows[t], hops[isg.mul(isg.inv(t), s)])
-            for t in partners[isg.cod(s)]
-            if blocks[t][-1] >= block[0]  # else every partner would come first
-        ]
-        if s in idem:
-            # the idempotent seeds at a point also relate, so partners may repeat
-            for i in block:
-                k = at[i]
-                js = {row[hop[k]] for row, hop in lookups}
-                js.update(idempotent_at[k])
-                edges += [(i, j) for j in sorted(js) if j > i]
-        else:
-            for i in block:
-                k = at[i]
-                edges += [(i, j) for row, hop in lookups if (j := row[hop[k]]) > i]
-    # with each arrow's ids contiguous, as in canonical order, seeds and partners were visited in order
-    if not all(b[-1] - b[0] + 1 == len(b) for b in blocks.values()):
-        edges.sort()
-    return edges
+def _closure(action: PartialAction, blocks: dict, seeds: Sequence[Seed] | None = None) -> Quotient:
+    """The quotient by the closure of the one-step relation over a seed index; ``seeds`` is the list it indexes, if given."""
+    q = Quotient.__new__(Quotient)
+    q._action, q._blocks = action, blocks
+    if seeds is not None:
+        q.seeds = tuple(seeds)
+    q._label, q.n_classes = _classes(sum(len(ids) for ids, _ in blocks.values()), _related_pairs(blocks, action))
+    return q
 
 
 def close_equivalence(seeds: list[Seed], action: PartialAction) -> Quotient:
-    """Union-find closure of the one-step relation over the enumerated seed edges."""
-    return Quotient(seeds, seed_edges(seeds, action))
+    """Union-find closure of the one-step relation, over the index of the seed list; its edges are listed on first read."""
+    return _closure(action, _translated(seeds, action), seeds)
 
 
 class Globalization:
@@ -169,74 +211,67 @@ class Globalization:
         self.canonical_embedding = canonical_embedding
 
     def __repr__(self) -> str:
-        return f"Globalization({len(self.quotient.seeds)} seeds, {self.quotient.n_classes} classes)"
+        return f"Globalization({len(self.quotient._label)} seeds, {self.quotient.n_classes} classes)"
 
 
 def build_globalization(action: PartialAction) -> Globalization:
     """Run the whole construction and verify the promised properties.
 
-    One pass over the seeds writes each seed's class into its arrow's class
-    row, at the seed's carrier position.  A second reads the class maps off
-    those rows: arrow s sends the class of (p, x) to the class of (s p, x),
-    read in the class row of s p at x, and is defined there exactly when
-    (s p, x) is itself a seed, since inv(s p) s p equals inv(p) inv(s) s p.
-    Every seed of a class is evaluated against every left multiplier, as a
+    The closure runs on the integer seed index (``_seed_index``), and the
+    later passes read the index and the class labels block by block.  Arrow
+    s sends the class of (p, x) to the class of (s p, x), read in the class
+    row of s p (its seeds' classes by carrier position) at x, and is defined
+    there exactly when (s p, x) is a seed, since inv(s p) s p equals inv(p)
+    inv(s) s p.  Every seed is evaluated against every left multiplier, as a
     well-definedness audit.  The class maps are the output's rows over class
-    ids, handed to it as they are; the family of s is where the map of
-    inv(s) is defined, and the idempotent seeds (e, x) give the class that x
-    embeds into.  The output is checked to be a valid global action, along
-    the generators (``is_valid_global``), with the full axiom scan run only
-    to report a failure, and the canonical map to be an embedding before
-    anything is returned.
+    ids; the family of s is where the map of inv(s) is defined, and the
+    idempotent seeds (e, x) give the class that x embeds into.  The output
+    is checked to be a valid global action along the generators
+    (``is_valid_global``), with the full axiom scan run only to report a
+    failure, and the canonical map to be an embedding.
     """
     pre = validate_p_axioms(action)
     if not pre.ok:
         raise StructuralError("input fails the partial-action axioms:\n" + pre.render())
 
-    isg = action.semigroupoid
-    seeds = build_seed_set(action)
-    quotient = close_equivalence(seeds, action)
-    label = quotient._label
+    isg, n = action.semigroupoid, len(action.carrier)
+    blocks = _seed_index(action)
+    quotient = _closure(action, blocks)
     n_classes = quotient.n_classes
+    # per arrow, its seeds' classes, and its class row: the class of its seed at each carrier position, or -1
+    labels = {p: quotient._label[ids.start:ids.stop] for p, (ids, _) in blocks.items()}
+    class_rows = {p: _scatter(n, pts, labels[p]) for p, (_, pts) in blocks.items()}
 
-    # per arrow, the class of the seed at each carrier position, or -1; the
-    # idempotent seeds (e, x) give the class that x embeds into
-    pos, idem = action._pos, isg.idempotent_set()
-    at = [pos[x] for _, x in seeds]  # each seed's carrier position
-    class_rows = {a: [-1] * len(action.carrier) for a in isg.arrows}
-    landing: list[set[int]] = [set() for _ in action.carrier]
-    for (p, _), k, c in zip(seeds, at, label):
-        class_rows[p][k] = c
-        if p in idem:
-            landing[k].add(c)
-    # per arrow s, a row over class ids: the class s sends it to, or -1 while unset
+    # per arrow s, a row over class ids: the class s sends it to, or -1
     moves_of = {s: [-1] * n_classes for s in isg.arrows}
-    # for each arrow p, the arrows s with s p defined, with s's moves and the class row of s p
+    # for each arrow p, per arrow s with s p defined: the moves of s and the class row of s p
     lefts: dict[str, list[tuple[str, list[int], list[int]]]] = {p: [] for p in isg.arrows}
     for s, p, sp in isg.products:
         lefts[p].append((s, moves_of[s], class_rows[sp]))
-
     # s sends the class of (p, x) to that of (s p, x), defined exactly when (s p, x) is a seed
-    for (p, _), k, src in zip(seeds, at, label):
-        for s, moves, row in lefts[p]:
-            dst = row[k]
-            if dst < 0:
-                continue
-            prev = moves[src]
-            if prev != dst:
-                if prev >= 0:
-                    raise RuntimeError(f"class map for arrow {s} is not well defined: class {src} sent to both {prev} and {dst}")
-                moves[src] = dst
+    for p, (_, pts) in blocks.items():
+        left = lefts[p]
+        for k, src in zip(pts, labels[p]):
+            for s, moves, row in left:
+                dst = row[k]
+                if dst >= 0 and moves[src] != dst:
+                    if moves[src] >= 0:
+                        raise RuntimeError(f"class map for arrow {s} is not well defined: class {src} sent to both {moves[src]} and {dst}")
+                    moves[src] = dst
     # the family of s is where the map of inv(s) is defined
     families = {s: [d >= 0 for d in moves_of[isg.inv(s)]] for s in isg.arrows}
 
-    embed: dict = {}
-    for x, targets in zip(action.carrier, landing):
-        if not targets:
-            raise StructuralError(f"carrier element {x} lies in no idempotent domain")
-        if len(targets) > 1:
-            raise RuntimeError(f"canonical embedding of {x} is not well defined: classes {sorted(targets)}")
-        embed[x] = targets.pop()
+    idem = isg.idempotent_set()
+    landing = set(chain.from_iterable(zip(blocks[e][1], labels[e]) for e in isg.arrows if e in idem))
+    home = dict(landing)  # carrier position -> class
+    if len(landing) != n or len(home) != n:
+        for k, x in enumerate(action.carrier):
+            targets = sorted(c for i, c in landing if i == k)
+            if not targets:
+                raise StructuralError(f"carrier element {x} lies in no idempotent domain")
+            if len(targets) > 1:
+                raise RuntimeError(f"canonical embedding of {x} is not well defined: classes {targets}")
+    embed = {x: home[k] for k, x in enumerate(action.carrier)}
 
     global_action = PartialAction._from_rows(isg, tuple(range(n_classes)), moves_of, families)
     if not is_valid_global(global_action):
@@ -271,14 +306,27 @@ def mediating(glob: Globalization, target) -> ActionMap:
     """The unique factoring map: a class named by (s, x) goes to the target move of j(x) by s.
 
     ``target`` is either a GlobalizationTriple or a plain ActionMap into a
-    global action.  Every representative of every class is evaluated, on
-    the target's rows; any disagreement raises WellDefinednessError with the
-    offending pair.
+    global action.  Every seed of every class is evaluated, block by block
+    on the target's rows; any disagreement raises WellDefinednessError with
+    the offending pair.
     """
     j = _target_map(glob, target)
-    tgt = j.target
-    pos, image, inv = glob.action._pos, j._image, tgt.semigroupoid.inv
-    mapping: dict[int, object] = {}
+    tgt, q = j.target, glob.quotient
+    image, inv = j._image, tgt.semigroupoid.inv
+    value = [-1] * q.n_classes  # each class's target position, -1 while unset
+    for s, (ids, pts) in q._blocks.items():
+        row, mask = tgt.rows[s], tgt.masks[inv(s)]
+        for c, y in zip(q._label[ids.start:ids.stop], map(image.__getitem__, pts)):
+            z = row[y] if mask[y] else -1
+            if z < 0 or value[c] not in (-1, z):
+                _raise_ill_defined(glob, j)
+            value[c] = z
+    return ActionMap(glob.global_action, tgt, dict(enumerate(map(tgt.carrier.__getitem__, value))))
+
+
+def _raise_ill_defined(glob: Globalization, j: ActionMap) -> NoReturn:
+    """Raise WellDefinednessError for the first class, in class order, whose seeds j does not carry to one value."""
+    tgt, pos, image, inv = j.target, glob.action._pos, j._image, j.target.semigroupoid.inv
     for c, members in enumerate(glob.quotient.classes):
         values: dict[int, Seed] = {}  # target position -> the first seed that gives it
         for seed in members:
@@ -291,8 +339,7 @@ def mediating(glob: Globalization, target) -> ActionMap:
         if len(values) > 1:
             (z1, p1), (z2, p2) = list(values.items())[:2]
             raise WellDefinednessError(f"class {c} maps to both {tgt.carrier[z1]} (via {p1}) and {tgt.carrier[z2]} (via {p2})", (p1, p2))
-        mapping[c] = tgt.carrier[next(iter(values))]
-    return ActionMap(glob.global_action, tgt, mapping)
+    raise AssertionError("every class of the quotient is well defined")
 
 
 def _commuting_maps(source: PartialAction, target: PartialAction, assigned: dict) -> list[dict]:
@@ -396,9 +443,8 @@ def fiber_classes(glob: Globalization, u: str) -> frozenset[int]:
     isg = glob.action.semigroupoid
     if u not in isg.objects:
         raise StructuralError(f"unknown object: {u!r}")
-    return frozenset(
-        c for c, members in enumerate(glob.quotient.classes) if any(isg.cod(s) == u for s, _ in members)
-    )
+    q = glob.quotient
+    return frozenset(chain.from_iterable(q._label[ids.start:ids.stop] for s, (ids, _) in q._blocks.items() if isg.cod(s) == u))
 
 
 def check_fiber_injectivity(sigma: ActionMap, glob: Globalization) -> ValidationReport:

@@ -359,6 +359,14 @@ def test_globalize_dot_enumerates_the_seed_edges_once(capsys, monkeypatch, fixtu
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_globalize_table_and_json_enumerate_the_seed_edges_at_most_once(capsys, monkeypatch, fixtures_dir, fmt):
+    # the closure runs on the seed index; only the DOT edge list asks seed_edges
+    calls = count_calls(monkeypatch, "seed_edges", globalization, cli)
+    assert run(capsys, "globalize", str(fixtures_dir / "three_point_restricted.pact"), "--format", fmt)[0] == 0
+    assert len(calls) <= 1
+
+
 @pytest.mark.parametrize("fmt", ["table", "json", "dot"])
 def test_globalize_and_mediate_read_no_name_view(capsys, monkeypatch, fixtures_dir, fmt):
     # the scans, the construction and the renderers read rows; theta and dom_of are for the API
@@ -370,6 +378,22 @@ def test_globalize_and_mediate_read_no_name_view(capsys, monkeypatch, fixtures_d
     assert run(capsys, "globalize", str(restricted), "--format", fmt)[0] == 0
     assert run(capsys, "mediate", str(restricted), "--target", str(target), "--strict")[0] == 0
     assert reads == []
+
+
+def test_globalize_json_and_mediate_build_no_seed_view(capsys, monkeypatch, fixtures_dir):
+    # the construction, the JSON writer and mediating read the seed index and the class labels
+    reads = []
+    for view in ("seeds", "classes", "representatives", "class_of", "edges"):
+        original = getattr(globalization.Quotient, view)
+        monkeypatch.setattr(globalization.Quotient, view, property(lambda q, _f=original.func: reads.append(q) or _f(q)))
+    restricted, target = fixtures_dir / "three_point_restricted.pact", fixtures_dir / "three_point_global.pact"
+    assert run(capsys, "globalize", str(restricted), "--format", "json")[0] == 0
+    for strict in ((), ("--strict",)):
+        assert run(capsys, "mediate", str(restricted), "--target", str(target), *strict)[0] == 0
+    assert reads == []
+    # the table lists each class's seeds, so it does build the views
+    assert run(capsys, "globalize", str(restricted), "--format", "table")[0] == 0
+    assert reads
 
 
 def test_globalize_runs_the_full_p_scan_once_for_the_input(capsys, monkeypatch, fixtures_dir):

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from isgact import (
     ActionMap,
     GlobalizationTriple,
+    PartialAction,
     build_globalization,
     build_seed_set,
     check_derived_propositions,
@@ -20,6 +21,7 @@ from isgact import (
     is_embedding,
     is_global,
     is_valid_global,
+    load_action,
     mediating,
     natural_leq,
     parse_action,
@@ -314,6 +316,39 @@ def test_closure_matches_the_pairwise_oracle_off_the_axioms(hybrid):
 def test_closure_matches_the_pairwise_oracle_on_seeded_restrictions(slot, seed):
     entry, index = slot
     _assert_closure_matches_the_pairwise_oracle(random_partial_action(entry, index, seed))
+
+
+def _assert_the_construction_closes_as_the_general_closure(action):
+    # build_globalization closes its own integer seed index; the API closes a Seed list
+    built = build_globalization(action).quotient
+    seed_list = build_seed_set(action)
+    for general in (close_equivalence(seed_list, action), pairwise_closure(seed_list, action)):
+        assert built.n_classes == general.n_classes
+        assert built.seeds == general.seeds
+        assert built.classes == general.classes
+        assert built.representatives == general.representatives
+        assert built.class_of == general.class_of
+        assert built.edges == general.edges
+
+
+@given(slot=st.sampled_from(GROWN_SLOTS), seed=seeds)
+@settings(max_examples=60, deadline=None)
+def test_the_construction_closes_as_the_general_closure_on_seeded_restrictions(slot, seed):
+    entry, index = slot
+    _assert_the_construction_closes_as_the_general_closure(random_partial_action(entry, index, seed))
+
+
+def test_the_construction_closes_as_the_general_closure_on_the_four_point_fixture(fixtures_dir):
+    # the idempotent seeds at a point glue classes across the two codomain fibers
+    action, _ = load_action(fixtures_dir / "four_point.pact")
+    _assert_the_construction_closes_as_the_general_closure(action)
+
+
+def test_the_construction_closes_as_the_general_closure_on_an_empty_carrier():
+    isg = CATALOG[0].structure
+    _assert_the_construction_closes_as_the_general_closure(
+        PartialAction(isg, (), {s: () for s in isg.arrows}, {s: {} for s in isg.arrows})
+    )
 
 
 def _assert_class_maps_match_the_seed_domain_oracle(action):
