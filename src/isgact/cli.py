@@ -160,9 +160,9 @@ def _globalization_json(glob: Globalization) -> str:
 def _parse_point_map(text: str) -> dict[str, str]:
     mapping: dict[str, str] = {}
     for tok in text.replace(",", " ").split():
-        if "->" not in tok:
-            raise UsageError(f"--embedding entry {tok} must read x->y")
         x, _, y = tok.partition("->")
+        if not x or not y or "->" in y:
+            raise UsageError(f"--embedding entry {tok} must read x->y")
         if x in mapping:
             raise UsageError(f"--embedding maps {x} more than once")
         mapping[x] = y
@@ -220,7 +220,7 @@ def _cmd_mediate(args) -> int:
     loaded: dict = {}  # the two files usually share their structure file
     action, _, _ = _load_action(Path(args.action), loaded)
     target_action, _, _ = _load_action(Path(args.target), loaded)
-    if args.embedding:
+    if args.embedding is not None:
         raw = _parse_point_map(args.embedding)
         points = {str(x) for x in action.carrier}
         unknown = [x for x in raw if x not in points]
@@ -229,6 +229,10 @@ def _cmd_mediate(args) -> int:
         unmapped = [x for x in action.carrier if str(x) not in raw]
         if unmapped:
             raise UsageError("--embedding gives no image for: " + ", ".join(str(x) for x in unmapped))
+        images = {str(y) for y in target_action.carrier}
+        outside = [y for y in dict.fromkeys(raw.values()) if y not in images]
+        if outside:
+            raise UsageError("--embedding maps to points outside the target carrier: " + ", ".join(outside))
         mapping = {x: raw[str(x)] for x in action.carrier}
     else:
         mapping = {x: x for x in action.carrier}

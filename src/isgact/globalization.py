@@ -33,28 +33,29 @@ class WellDefinednessError(ValueError):
 
 
 class Quotient:
-    """The partition of a seed set that a list of related index pairs generates.
+    """The partition of a seed index (per arrow: seed ids, carrier positions) by the closed one-step relation.
 
-    Classes are numbered in order of their first seed, their representative.
-    ``_closure`` builds a quotient from an integer seed index instead, where
-    ``seeds`` and ``edges`` are views; ``classes``, ``representatives`` and
-    ``class_of`` are views always.  Each is built on first read, for the API,
-    the renderers and error messages; the construction and its other readers
-    use the index and each seed's class label.
+    The constructor enumerates the relation and closes it once; classes are
+    numbered by their first seed, their representative.  The other members
+    are views built on first read, for the API, renderers and error messages.
     """
 
-    def __init__(self, seeds: list[Seed], edges: list[tuple[int, int]]):
-        self.seeds = tuple(seeds)
-        self.edges = tuple(edges)
-        self._label, self.n_classes = _classes(len(self.seeds), self.edges)
+    def __init__(self, action: PartialAction, blocks: dict):
+        self._action, self._blocks = action, blocks
+        self._label, self.n_classes = _classes(sum(len(ids) for ids, _ in blocks.values()), _related_pairs(blocks, action))
 
     @cached_property
     def seeds(self) -> tuple[Seed, ...]:
-        return tuple(_named(self._blocks, self._action.carrier))
+        carrier, seeds = self._action.carrier, [None] * len(self._label)
+        for s, (ids, pts) in self._blocks.items():
+            for i, k in zip(ids, pts):
+                seeds[i] = Seed(s, carrier[k])
+        return tuple(seeds)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(seed_edges(self.seeds, self._action))
+        """Every one-step related pair of seed ids (i, j), i < j, once each, sorted."""
+        return tuple(sorted(set(_related_pairs(self._blocks, self._action))))
 
     @cached_property
     def classes(self) -> tuple[tuple[Seed, ...], ...]:
@@ -118,10 +119,6 @@ def _translated(seeds: Sequence[Seed], action: PartialAction) -> dict:
     return blocks
 
 
-def _named(blocks: dict, carrier: tuple) -> list[Seed]:
-    return [Seed(s, carrier[k]) for s, (_, pts) in blocks.items() for k in pts]
-
-
 def _scatter(n: int, keys: Iterable[int], values: Iterable[int]) -> list[int]:
     """A list of n entries holding each value at its key, and -1 elsewhere."""
     row = [-1] * n
@@ -132,7 +129,8 @@ def _scatter(n: int, keys: Iterable[int], values: Iterable[int]) -> list[int]:
 
 def build_seed_set(action: PartialAction) -> list[Seed]:
     """All pairs (s, x) with x in dom_of[inv(s) s], in canonical order."""
-    return _named(_seed_index(action), action.carrier)
+    carrier = action.carrier
+    return [Seed(s, carrier[k]) for s, (_, pts) in _seed_index(action).items() for k in pts]
 
 
 def _related_pairs(blocks: dict, action: PartialAction) -> Iterator[tuple[int, int]]:
@@ -178,27 +176,9 @@ def _related_pairs(blocks: dict, action: PartialAction) -> Iterator[tuple[int, i
     return chain.from_iterable(found)
 
 
-def seed_edges(seeds: Sequence[Seed], action: PartialAction) -> list[tuple[int, int]]:
-    """Every one-step related pair of seeds, as sorted index pairs (i, j) with i < j.
-
-    The seeds, in any order, are indexed and the closure's pairs (``_related_pairs``) listed once each.
-    """
-    return sorted(set(_related_pairs(_translated(seeds, action), action)))
-
-
-def _closure(action: PartialAction, blocks: dict, seeds: Sequence[Seed] | None = None) -> Quotient:
-    """The quotient by the closure of the one-step relation over a seed index; ``seeds`` is the list it indexes, if given."""
-    q = Quotient.__new__(Quotient)
-    q._action, q._blocks = action, blocks
-    if seeds is not None:
-        q.seeds = tuple(seeds)
-    q._label, q.n_classes = _classes(sum(len(ids) for ids, _ in blocks.values()), _related_pairs(blocks, action))
-    return q
-
-
 def close_equivalence(seeds: list[Seed], action: PartialAction) -> Quotient:
-    """Union-find closure of the one-step relation, over the index of the seed list; its edges are listed on first read."""
-    return _closure(action, _translated(seeds, action), seeds)
+    """The quotient of a seed list, in any order, by the closure of the one-step relation; seed ids are list positions."""
+    return Quotient(action, _translated(seeds, action))
 
 
 class Globalization:
@@ -236,7 +216,7 @@ def build_globalization(action: PartialAction) -> Globalization:
 
     isg, n = action.semigroupoid, len(action.carrier)
     blocks = _seed_index(action)
-    quotient = _closure(action, blocks)
+    quotient = Quotient(action, blocks)
     n_classes = quotient.n_classes
     # per arrow, its seeds' classes, and its class row: the class of its seed at each carrier position, or -1
     labels = {p: quotient._label[ids.start:ids.stop] for p, (ids, _) in blocks.items()}

@@ -97,9 +97,10 @@ def parse_structure(text: str) -> StructureDoc:
 
     objects: list[str] = []
     for lineno, body in sections["objects"]:
-        objects.extend(body.split())
-    if len(set(objects)) != len(objects):
-        raise ParseError(1, 1, "duplicate object name in [objects]")
+        for ti, o in enumerate(body.split()):
+            if o in objects:
+                raise ParseError(lineno, _token_col(body, ti), f"duplicate object {o}")
+            objects.append(o)
 
     arrows: list[str] = []
     dom: dict[str, str] = {}
@@ -227,7 +228,8 @@ def parse_action(text: str, isg: InverseSemigroupoid) -> PartialAction:
                 raise ParseError(lineno, 1, "duplicate [carrier] section")
             points = {x: i for i, x in enumerate(payload)}
             if len(points) != len(payload):
-                raise ParseError(lineno, 1, "duplicate carrier element")
+                repeated = next(x for i, x in enumerate(payload) if points[x] != i)
+                raise ParseError(lineno, 1, f"duplicate carrier element {repeated}")
             carrier = payload
             continue
         if len(head) != 2 or head[0] not in ("domain", "map"):
@@ -305,7 +307,8 @@ def load_structure(path: str | Path) -> InverseSemigroupoid:
                 tuple(
                     Violation(
                         "declared-inverse",
-                        f"declared inverse of {s} is {doc.inverse.get(s)} but the unique pseudo-inverse is {inferred.get(s)}",
+                        (f"declared inverse of {s} is {doc.inverse[s]}" if s in doc.inverse else f"no inverse is declared for {s}")
+                        + f" but the unique pseudo-inverse is {inferred[s]}",
                         (s,),
                     )
                     for s in off

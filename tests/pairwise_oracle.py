@@ -2,12 +2,16 @@
 every pair of seeds, and the seed domain of each class map by its window formula.
 
 These are direct readings of the definitions, quadratic in the number of
-seeds or arrows.  The library enumerates neighbours and reads the class maps
-off the seed index instead; the tests require both routes to give the same
-edges, the same partition and the same class maps.
+seeds or arrows.  The library enumerates neighbours, closes them by
+union-find and reads the class maps off the seed index instead; the tests
+require both routes to give the same edges, the same partition and the same
+class maps.  The closure here is a graph search of its own, so it shares no
+code with the one it checks.
 """
 
-from isgact import PartialAction, Quotient, Seed, build_seed_set
+from typing import NamedTuple
+
+from isgact import PartialAction, Seed, build_seed_set
 
 
 def seeds_related(action: PartialAction, p: Seed, q: Seed) -> bool:
@@ -38,9 +42,46 @@ def pairwise_edges(seeds, action: PartialAction) -> list[tuple[int, int]]:
     ]
 
 
-def pairwise_closure(seeds, action: PartialAction) -> Quotient:
-    """Union-find closure of the one-step relation over all seed pairs."""
-    return Quotient(seeds, pairwise_edges(seeds, action))
+class PairwiseQuotient(NamedTuple):
+    """The members of a library ``Quotient`` that the tests compare."""
+
+    seeds: tuple
+    edges: tuple
+    n_classes: int
+    classes: tuple
+    representatives: tuple
+    class_of: dict
+
+
+def pairwise_closure(seeds, action: PartialAction) -> PairwiseQuotient:
+    """The closure of the one-step relation over all seed pairs, by a depth-first search per class.
+
+    Classes are numbered in order of their first seed, and list their seeds in order.
+    """
+    seeds = tuple(seeds)
+    edges = tuple(pairwise_edges(seeds, action))
+    neighbours = [[] for _ in seeds]
+    for i, j in edges:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    label = [None] * len(seeds)
+    classes = []
+    for first in range(len(seeds)):
+        if label[first] is not None:
+            continue
+        c, members, stack = len(classes), [], [first]
+        label[first] = c
+        while stack:
+            i = stack.pop()
+            members.append(i)
+            for j in neighbours[i]:
+                if label[j] is None:
+                    label[j] = c
+                    stack.append(j)
+        classes.append(tuple(seeds[i] for i in sorted(members)))
+    return PairwiseQuotient(
+        seeds, edges, len(classes), tuple(classes), tuple(m[0] for m in classes), dict(zip(seeds, label))
+    )
 
 
 def seed_domain(action: PartialAction, s: str, seeds=None) -> list[Seed]:

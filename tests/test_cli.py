@@ -242,6 +242,29 @@ def test_mediate_with_an_embedding_of_unknown_points(capsys, fixtures_dir):
     assert err == "error: --embedding maps points outside the carrier: 9\n"
 
 
+@pytest.mark.parametrize(
+    "embedding, message",
+    [
+        ("1->9,2->2", "--embedding maps to points outside the target carrier: 9"),
+        ("1->,2->2", "--embedding entry 1-> must read x->y"),
+        ("1->1->2,2->2", "--embedding entry 1->1->2 must read x->y"),
+        ("", "--embedding gives no image for: 1, 2"),
+    ],
+    ids=["image-outside-the-target", "empty-image", "two-arrows", "empty"],
+)
+def test_mediate_with_a_malformed_embedding_or_images_outside_the_target(capsys, fixtures_dir, embedding, message):
+    code, out, err = run(
+        capsys,
+        "mediate",
+        str(fixtures_dir / "three_point_restricted.pact"),
+        "--target", str(fixtures_dir / "three_point_global.pact"),
+        "--embedding", embedding,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_mediate_with_an_embedding_that_maps_a_point_twice(capsys, fixtures_dir):
     code, out, err = run(
         capsys,
@@ -275,6 +298,45 @@ def test_a_file_that_is_not_utf8_is_one_error_line(capsys, tmp_path, fixtures_di
     assert code == 2
     assert out == ""
     assert err == f"error: line 2, col 1: {bad} is not UTF-8 text (byte 0xff)\n"
+
+
+@pytest.mark.parametrize(
+    "name, line, text, error",
+    [
+        ("eight_arrow.isgd", 4, "v  u", "line 4, col 4: duplicate object u"),
+        ("eight_arrow.isgd", 59, "a = a* a", "line 59, col 1: inverse line must read: s = t"),
+        ("eight_arrow.isgd", 59, "a = zz", "line 59, col 5: unknown arrow zz"),
+        ("eight_arrow.isgd", 60, "a = a", "line 60, col 1: duplicate inverse for a"),
+        ("three_point_restricted.pact", 4, "[carrier] = 1 2 1", "line 4, col 1: duplicate carrier element 1"),
+        ("three_point_restricted.pact", 5, "[range a] = 2", "line 5, col 1: unknown section [range a]"),
+        ("three_point_restricted.pact", 4, "", "line 5, col 1: [carrier] must come before domain and map sections"),
+    ],
+    ids=["duplicate-object", "inverse-shape", "inverse-unknown-arrow", "duplicate-inverse",
+         "duplicate-carrier-element", "unknown-action-section", "carrier-after-domain"],
+)
+def test_a_parse_error_is_one_positioned_error_line(capsys, tmp_path, fixtures_dir, name, line, text, error):
+    for fixture in ("eight_arrow.isgd", "three_point_restricted.pact"):
+        lines = (fixtures_dir / fixture).read_text().splitlines()
+        if fixture == name:
+            lines[line - 1] = text
+        (tmp_path / fixture).write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "validate", str(tmp_path / name))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {error}\n"
+
+
+def test_a_partial_inverse_section_names_each_arrow_without_a_declared_inverse(capsys, tmp_path, fixtures_dir):
+    text = (fixtures_dir / "eight_arrow.isgd").read_text()
+    path = tmp_path / "partial.isgd"
+    path.write_text(text[: text.index("[inverse]")] + "[inverse]\na = a*\n")
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    inverse = {"a*": "a", "a*a": "a*a", "aa*": "aa*", "b": "b*", "b*": "b", "b*b": "b*b", "bb*": "bb*"}
+    assert out.splitlines() == [f"{path}: FAIL (7 violation(s))"] + [
+        f"  [declared-inverse] no inverse is declared for {s} but the unique pseudo-inverse is {t}  witness=('{s}',)"
+        for s, t in inverse.items()
+    ]
 
 
 @pytest.mark.parametrize(
@@ -351,20 +413,20 @@ def test_check_props_decides_each_natural_order_pair_once(capsys, monkeypatch, f
     assert len(set((s, t) for _, s, t in calls)) == 8 * 7
 
 
-def test_globalize_dot_enumerates_the_seed_edges_once(capsys, monkeypatch, fixtures_dir):
-    calls = count_calls(monkeypatch, "seed_edges", globalization, cli)
+def test_globalize_dot_enumerates_the_relation_for_the_closure_and_the_edge_list(capsys, monkeypatch, fixtures_dir):
+    calls = count_calls(monkeypatch, "_related_pairs", globalization)
     code, out, _ = run(capsys, "globalize", str(fixtures_dir / "three_point_restricted.pact"), "--format", "dot")
     assert code == 0
     assert " -- " in out
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
-def test_globalize_table_and_json_enumerate_the_seed_edges_at_most_once(capsys, monkeypatch, fixtures_dir, fmt):
-    # the closure runs on the seed index; only the DOT edge list asks seed_edges
-    calls = count_calls(monkeypatch, "seed_edges", globalization, cli)
+def test_globalize_table_and_json_enumerate_the_relation_once(capsys, monkeypatch, fixtures_dir, fmt):
+    # the closure enumerates the relation; only the DOT edge list asks for it again
+    calls = count_calls(monkeypatch, "_related_pairs", globalization)
     assert run(capsys, "globalize", str(fixtures_dir / "three_point_restricted.pact"), "--format", fmt)[0] == 0
-    assert len(calls) <= 1
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("fmt", ["table", "json", "dot"])
