@@ -14,9 +14,11 @@ from text.  Stages, each timed alone:
     output checks  is_valid_global and is_embedding on the output
     JSON           the ``globalize --format json`` text
 
-Loading the structure (its axiom scan grows with the cube of the arrow
-count) is printed first and is not a stage.  With ``--repeat`` each stage
-reports its fastest run.  Standard library only:
+Loading the structure is printed first, in three parts that are not
+stages: the parse into the integer table, the semigroupoid axiom scan (it
+grows with the cube of the arrow count) and the pseudo-inverse search.
+With ``--repeat`` each stage reports its fastest run.  Standard library
+only:
 
     PYTHONPATH=src python3 scripts/layer_times.py --n 200
 """
@@ -31,7 +33,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import generate as gen  # noqa: E402
 
-from isgact import globalization, infer_inverses, parse_action, parse_structure  # noqa: E402
+from isgact import core, globalization, infer_inverses, parse_action, parse_structure  # noqa: E402
 from isgact.cli import _globalization_json  # noqa: E402
 
 # the names build_globalization looks up in its module, and the stage each one is
@@ -92,9 +94,20 @@ def main():
     structure, regular = gen.cyclic(args.n, random.Random(0))
     half = gen.restrict(regular, [str(i) for i in range(args.n // 2)])
 
+    load: dict = {}
     start = time.perf_counter()
-    isg = infer_inverses(parse_structure(structure.text()).table)
-    print(f"structure load (parse, axiom scan, inverses): {time.perf_counter() - start:.3f} s")
+    table = parse_structure(structure.text()).table
+    load["parse"] = time.perf_counter() - start
+    scan = core.validate_semigroupoid
+    core.validate_semigroupoid = _timed(scan, "axiom scan", load)
+    try:
+        start = time.perf_counter()
+        isg = infer_inverses(table)
+        load["inverse search"] = time.perf_counter() - start - load["axiom scan"]
+    finally:
+        core.validate_semigroupoid = scan
+    for part, seconds in load.items():
+        print(f"structure {part:<15} {seconds:8.3f} s")
 
     best: dict = {}
     for _ in range(max(1, args.repeat)):

@@ -2,7 +2,12 @@
 
 Objects and arrows are interned to dense integer indices at construction and
 the multiplication table is stored as a dense |S| x |S| array with an explicit
-"undefined" sentinel, so every axiom check is a plain exhaustive scan.
+"undefined" sentinel.  The quadratic passes (totality, definedness and
+endpoints, the pseudo-inverse search, idempotents, products and the natural
+order) read those integers and visit each arrow's composable or parallel
+partners only; names appear when a violation or a name accessor is built.
+Associativity is still checked by the exhaustive scan over composable
+triples.
 """
 
 from __future__ import annotations
@@ -63,12 +68,16 @@ class ValidationReport:
 
 
 class SemigroupoidTable:
-    """Objects, arrows, endpoint maps, and a partial multiplication table.
+    """Objects, arrows, endpoint maps, and a partial multiplication table, stored as integers.
 
-    ``mul`` may be an arbitrary partial map on arrow pairs; whether it is
-    defined on exactly the composable pairs (and is associative, etc.) is the
-    business of :func:`validate_semigroupoid`, not of the constructor.  Only
-    references to undeclared names are rejected here.
+    ``_dom[a]`` and ``_cod[a]`` are object indices and ``_mul[s][t]`` the
+    index of the product s t, or ``UNDEF``; names index ``objects`` and
+    ``arrows``.  ``mul`` may be an arbitrary partial map on arrow pairs;
+    whether it is defined on exactly the composable pairs (and is
+    associative, etc.) is the business of :func:`validate_semigroupoid`, not
+    of the constructor.  Only references to undeclared names are rejected
+    here.  ``_from_ints`` takes integer rows that are in range by
+    construction and checks nothing.
     """
 
     def __init__(
@@ -79,37 +88,57 @@ class SemigroupoidTable:
         cod: Mapping[str, str],
         mul: Mapping[tuple[str, str], str],
     ):
-        self.objects = tuple(objects)
-        self.arrows = tuple(arrows)
-        if len(set(self.objects)) != len(self.objects):
+        objects, arrows = tuple(objects), tuple(arrows)
+        oidx = {o: i for i, o in enumerate(objects)}
+        aidx = {a: i for i, a in enumerate(arrows)}
+        if len(oidx) != len(objects):
             raise StructuralError("duplicate object names")
-        if len(set(self.arrows)) != len(self.arrows):
+        if len(aidx) != len(arrows):
             raise StructuralError("duplicate arrow names")
-        self._oidx = {o: i for i, o in enumerate(self.objects)}
-        self._aidx = {a: i for i, a in enumerate(self.arrows)}
 
-        self._dom = [UNDEF] * len(self.arrows)
-        self._cod = [UNDEF] * len(self.arrows)
-        for mapping, store, which in ((dom, self._dom, "dom"), (cod, self._cod, "cod")):
-            for a in self.arrows:
+        ends = []
+        for mapping, which in ((dom, "dom"), (cod, "cod")):
+            for a in arrows:
                 if a not in mapping:
                     raise StructuralError(f"{which} undefined for arrow {a!r}")
-                o = mapping[a]
-                if o not in self._oidx:
-                    raise StructuralError(f"{which}({a!r}) = {o!r} is not a declared object")
-                store[self._aidx[a]] = self._oidx[o]
+                if mapping[a] not in oidx:
+                    raise StructuralError(f"{which}({a!r}) = {mapping[a]!r} is not a declared object")
+            ends.append([oidx[mapping[a]] for a in arrows])
         for m, which in ((dom, "dom"), (cod, "cod")):
             for a in m:
-                if a not in self._aidx:
+                if a not in aidx:
                     raise StructuralError(f"{which} given for undeclared arrow {a!r}")
 
-        n = len(self.arrows)
-        self._mul = [[UNDEF] * n for _ in range(n)]
+        rows = [[UNDEF] * len(arrows) for _ in arrows]
         for (s, t), u in mul.items():
             for name in (s, t, u):
-                if name not in self._aidx:
+                if name not in aidx:
                     raise StructuralError(f"mul entry {s!r}*{t!r}={u!r} uses undeclared arrow {name!r}")
-            self._mul[self._aidx[s]][self._aidx[t]] = self._aidx[u]
+            rows[aidx[s]][aidx[t]] = aidx[u]
+        self._adopt(objects, arrows, *ends, rows)
+
+    @classmethod
+    def _from_ints(cls, objects: tuple, arrows: tuple, dom: list[int], cod: list[int], mul: list[list[int]]) -> SemigroupoidTable:
+        table = cls.__new__(cls)
+        table._adopt(objects, arrows, dom, cod, mul)
+        return table
+
+    def _adopt(self, objects: tuple, arrows: tuple, dom: list[int], cod: list[int], mul: list[list[int]]) -> None:
+        """Take the integer lists as the table's own, and index them.
+
+        The indexes are built here, not by ``cached_property``: its first
+        read materializes the instance ``__dict__``, after which CPython
+        3.11 reads every attribute more slowly, and the associativity scan
+        reads them once per composable triple (I_3's scan took 1.7 times
+        as long).
+        """
+        self.objects, self.arrows, self._dom, self._cod, self._mul = objects, arrows, dom, cod, mul
+        self._oidx = {o: i for i, o in enumerate(objects)}
+        self._aidx = {a: i for i, a in enumerate(arrows)}
+        # per object, the arrows with that codomain in declaration order: the right partners of the arrows leaving it
+        self._into = [[] for _ in objects]
+        for a, c in enumerate(cod):
+            self._into[c].append(a)
 
     def dom(self, s: str) -> str:
         return self.objects[self._dom[self._aidx[s]]]
@@ -124,16 +153,25 @@ class SemigroupoidTable:
         u = self._mul[self._aidx[s]][self._aidx[t]]
         return None if u == UNDEF else self.arrows[u]
 
+    def _composable(self) -> list[tuple[int, int]]:
+        """Every composable pair (s, t) of arrow indices, s-major in declaration order."""
+        into = self._into
+        return [(s, t) for s, d in enumerate(self._dom) for t in into[d]]
+
+    def _parallel(self) -> list[tuple[int, int]]:
+        """Every pair (s, t) of distinct arrow indices with the same endpoints, s-major in declaration order."""
+        hom: dict[tuple[int, int], list[int]] = {}
+        for a, ends in enumerate(zip(self._dom, self._cod)):
+            hom.setdefault(ends, []).append(a)
+        return [(s, t) for s, ends in enumerate(zip(self._dom, self._cod)) for t in hom[ends] if t != s]
+
     def composable_pairs(self) -> list[tuple[str, str]]:
-        return [(s, t) for s in self.arrows for t in self.arrows if self.composable(s, t)]
+        a = self.arrows
+        return [(a[s], a[t]) for s, t in self._composable()]
 
     def defined_pairs(self) -> list[tuple[str, str]]:
-        return [
-            (s, t)
-            for s in self.arrows
-            for t in self.arrows
-            if self._mul[self._aidx[s]][self._aidx[t]] != UNDEF
-        ]
+        a = self.arrows
+        return [(a[s], a[t]) for s, row in enumerate(self._mul) for t, u in enumerate(row) if u != UNDEF]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SemigroupoidTable):
@@ -155,24 +193,37 @@ def validate_semigroupoid(raw: SemigroupoidTable) -> ValidationReport:
 
     Reports, with concrete witnesses: products missing on composable pairs,
     products present on non-composable pairs, endpoint incoherence of defined
-    products, and associativity failures over all composable triples.
+    products, and associativity failures over all composable triples.  A
+    row whose defined products are exactly its composable pairs, each with
+    the right endpoints, has none of the first three; only the other rows
+    are scanned pair by pair, in order.
     """
     violations = []
-    for s in raw.arrows:
-        for t in raw.arrows:
-            p = raw.mul(s, t)
-            if raw.composable(s, t):
-                if p is None:
+    arrows, dom, cod, into = raw.arrows, raw._dom, raw._cod, raw._into
+    for s, row in enumerate(raw._mul):
+        partners = into[dom[s]]
+        if len(row) - row.count(UNDEF) == len(partners) and all(
+            row[t] != UNDEF and dom[row[t]] == dom[t] and cod[row[t]] == cod[s] for t in partners
+        ):
+            continue
+        name = arrows[s]
+        for t, p in enumerate(row):
+            if dom[s] == cod[t]:
+                if p == UNDEF:
                     violations.append(
-                        Violation("totality", f"product {s} {t} undefined on a composable pair", (s, t))
+                        Violation("totality", f"product {name} {arrows[t]} undefined on a composable pair", (name, arrows[t]))
                     )
-                elif raw.dom(p) != raw.dom(t) or raw.cod(p) != raw.cod(s):
+                elif dom[p] != dom[t] or cod[p] != cod[s]:
                     violations.append(
-                        Violation("endpoints", f"product {s} {t} = {p} has wrong endpoints", (s, t, p))
+                        Violation(
+                            "endpoints",
+                            f"product {name} {arrows[t]} = {arrows[p]} has wrong endpoints",
+                            (name, arrows[t], arrows[p]),
+                        )
                     )
-            elif p is not None:
+            elif p != UNDEF:
                 violations.append(
-                    Violation("definedness", f"product {s} {t} defined on a non-composable pair", (s, t))
+                    Violation("definedness", f"product {name} {arrows[t]} defined on a non-composable pair", (name, arrows[t]))
                 )
 
     for p in raw.arrows:
@@ -201,15 +252,15 @@ def validate_semigroupoid(raw: SemigroupoidTable) -> ValidationReport:
 
 def pseudo_inverses(table: SemigroupoidTable, s: str) -> list[str]:
     """All arrows t with s t s = s and t s t = t, in declaration order."""
+    dom, cod, mul = table._dom, table._cod, table._mul
+    i = table._aidx[s]
     out = []
-    for t in table.arrows:
-        if not (table.composable(s, t) and table.composable(t, s)):
+    for t in table._into[dom[i]]:  # s t is composable; t s must be too
+        if dom[t] != cod[i]:
             continue
-        st, ts = table.mul(s, t), table.mul(t, s)
-        if st is None or ts is None:
-            continue
-        if table.mul(st, s) == s and table.mul(ts, t) == t:
-            out.append(t)
+        st, ts = mul[i][t], mul[t][i]
+        if st != UNDEF and ts != UNDEF and mul[st][i] == i and mul[ts][t] == t:
+            out.append(table.arrows[t])
     return out
 
 
@@ -246,7 +297,7 @@ class InverseSemigroupoid:
             raise StructuralError("table is not an inverse semigroupoid:\n" + report.render(), report)
         self.table = table
         self._inv = inv
-        self._idem = frozenset(e for e in table.arrows if table.mul(e, e) == e)
+        self._idem = frozenset(a for e, (a, row) in enumerate(zip(table.arrows, table._mul)) if row[e] == e)
 
     @property
     def arrows(self) -> tuple[str, ...]:
@@ -283,12 +334,17 @@ class InverseSemigroupoid:
     @cached_property
     def products(self) -> tuple[tuple[str, str, str], ...]:
         """Every composable pair with its product, (s, t, s t), s-major in declaration order."""
-        return tuple((s, t, self.table.mul(s, t)) for s, t in self.table.composable_pairs())
+        a, mul = self.arrows, self.table._mul
+        return tuple((a[s], a[t], a[mul[s][t]]) for s, t in self.table._composable())
 
     @cached_property
     def strict_order(self) -> tuple[tuple[str, str], ...]:
         """Every pair (s, t) with s <= t in the natural order and s != t, s-major in declaration order."""
-        return tuple((s, t) for s in self.arrows for t in self.arrows if s != t and natural_leq(self, s, t))
+        table = self.table
+        a, mul = table.arrows, table._mul
+        inv = [table._aidx[self._inv[s]] for s in a]
+        # s <= t exactly when t (s* s) = s, so only arrows with the same endpoints are compared
+        return tuple((a[s], a[t]) for s, t in table._parallel() if mul[t][mul[inv[s]][s]] == s)
 
     @cached_property
     def generators(self) -> tuple[str, ...]:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .actions import PartialAction
 from .core import (
+    UNDEF,
     InverseSemigroupoid,
     SemigroupoidTable,
     ValidationReport,
@@ -45,11 +46,17 @@ class StructureDoc:
     inverse: dict[str, str] | None
 
 
-def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
+def _section_lines(lines: list[str], span: range):
+    """(line number, body before any comment) for each line of a span of line indices that has content."""
+    for i in span:
+        body = lines[i].split("#", 1)[0]
         if body.strip():
-            yield lineno, body
+            yield i + 1, body
+
+
+def _content_lines(text: str):
+    lines = text.splitlines()
+    return _section_lines(lines, range(len(lines)))
 
 
 def _token_col(body: str, token_index: int) -> int:
@@ -66,96 +73,109 @@ _SECTION = re.compile(r"^\[([^\]]*)\]\s*$")
 
 
 def parse_structure(text: str) -> StructureDoc:
-    """Parse an .isgd file.
+    """Parse an .isgd file straight into the integer table.
 
+    A first pass finds the section headers, so each section is a span of
+    line indices; the sections are then read in a fixed order (objects,
+    arrows, mul, inverse), names turning into indices as they are read.
     The multiplication section must define exactly the composable pairs:
     a line on a non-composable pair and a missing composable pair are both
     positioned parse errors.  Everything semantic beyond that shape is left
     to the validators.
     """
-    sections: dict[str, list[tuple[int, str]]] = {}
-    header_line: dict[str, int] = {}
+    lines = text.splitlines()
+    spans: dict[str, range] = {}  # each section's content lines, as line indices
     current: str | None = None
-    for lineno, body in _content_lines(text):
-        m = _SECTION.match(body.strip())
-        if m:
-            current = m.group(1).strip()
-            if current not in ("objects", "arrows", "mul", "inverse"):
-                raise ParseError(lineno, 1, f"unknown section [{current}]")
-            if current in sections:
-                raise ParseError(lineno, 1, f"duplicate section [{current}]")
-            sections[current] = []
-            header_line[current] = lineno
+    for i, raw in enumerate(lines):
+        body = raw.split("#", 1)[0].strip()
+        if not body:
             continue
-        if current is None:
-            raise ParseError(lineno, 1, "content before any section header")
-        sections[current].append((lineno, body))
+        m = _SECTION.match(body) if body[0] == "[" else None
+        if m:
+            name = m.group(1).strip()
+            if name not in ("objects", "arrows", "mul", "inverse"):
+                raise ParseError(i + 1, 1, f"unknown section [{name}]")
+            if name in spans:
+                raise ParseError(i + 1, 1, f"duplicate section [{name}]")
+            if current is not None:
+                spans[current] = range(spans[current].start, i)
+            spans[name] = range(i + 1, len(lines))
+            current = name
+        elif current is None:
+            raise ParseError(i + 1, 1, "content before any section header")
 
     for required in ("objects", "arrows", "mul"):
-        if required not in sections:
+        if required not in spans:
             raise ParseError(1, 1, f"missing section [{required}]")
 
-    objects: list[str] = []
-    for lineno, body in sections["objects"]:
+    oidx: dict[str, int] = {}
+    for lineno, body in _section_lines(lines, spans["objects"]):
         for ti, o in enumerate(body.split()):
-            if o in objects:
+            if o in oidx:
                 raise ParseError(lineno, _token_col(body, ti), f"duplicate object {o}")
-            objects.append(o)
+            oidx[o] = len(oidx)
 
-    arrows: list[str] = []
-    dom: dict[str, str] = {}
-    cod: dict[str, str] = {}
-    for lineno, body in sections["arrows"]:
+    aidx: dict[str, int] = {}
+    dom: list[int] = []
+    cod: list[int] = []
+    for lineno, body in _section_lines(lines, spans["arrows"]):
         toks = body.split()
         if len(toks) != 5 or toks[1] != ":" or toks[3] != "->":
             raise ParseError(lineno, 1, "arrow line must read: name : dom -> cod")
         name, d, c = toks[0], toks[2], toks[4]
-        if name in dom:
+        if name in aidx:
             raise ParseError(lineno, 1, f"duplicate arrow {name}")
         for ti, o in ((2, d), (4, c)):
-            if o not in objects:
+            if o not in oidx:
                 raise ParseError(lineno, _token_col(body, ti), f"unknown object {o}")
-        arrows.append(name)
-        dom[name] = d
-        cod[name] = c
+        aidx[name] = len(aidx)
+        dom.append(oidx[d])
+        cod.append(oidx[c])
 
-    arrow_set = set(arrows)
-    mul: dict[tuple[str, str], str] = {}
-    for lineno, body in sections["mul"]:
+    arrows = tuple(aidx)
+    mul = [[UNDEF] * len(arrows) for _ in arrows]
+    index = aidx.get
+    written = 0
+    for lineno, body in _section_lines(lines, spans["mul"]):
         toks = body.split()
         if len(toks) != 4 or toks[2] != "=":
             raise ParseError(lineno, 1, "mul line must read: s t = u")
-        s, t, u = toks[0], toks[1], toks[3]
-        for ti, name in ((0, s), (1, t), (3, u)):
-            if name not in arrow_set:
-                raise ParseError(lineno, _token_col(body, ti), f"unknown arrow {name}")
+        s, t, u = index(toks[0]), index(toks[1]), index(toks[3])
+        if s is None or t is None or u is None:
+            ti = next(ti for ti in (0, 1, 3) if toks[ti] not in aidx)
+            raise ParseError(lineno, _token_col(body, ti), f"unknown arrow {toks[ti]}")
         if dom[s] != cod[t]:
-            raise ParseError(lineno, 1, f"pair ({s}, {t}) is not composable")
-        if (s, t) in mul:
-            raise ParseError(lineno, 1, f"duplicate product for ({s}, {t})")
-        mul[(s, t)] = u
-    missing = [(s, t) for s in arrows for t in arrows if dom[s] == cod[t] and (s, t) not in mul]
-    if missing:
+            raise ParseError(lineno, 1, f"pair ({toks[0]}, {toks[1]}) is not composable")
+        row = mul[s]
+        if row[t] != UNDEF:
+            raise ParseError(lineno, 1, f"duplicate product for ({toks[0]}, {toks[1]})")
+        row[t] = u
+        written += 1
+    table = SemigroupoidTable._from_ints(tuple(oidx), arrows, dom, cod, mul)
+    # every product sits on a distinct composable pair, so a shortfall in the count is a missing product
+    if written != sum(len(table._into[d]) for d in dom):
+        missing = [(arrows[s], arrows[t]) for s, t in table._composable() if mul[s][t] == UNDEF]
         shown = ", ".join(f"({s}, {t})" for s, t in missing[:6])
         more = "" if len(missing) <= 6 else f" and {len(missing) - 6} more"
-        raise ParseError(header_line["mul"], 1, f"composable pairs without a product: {shown}{more}")
+        # a span starts one line after its header, so its start index is the header's line number
+        raise ParseError(spans["mul"].start, 1, f"composable pairs without a product: {shown}{more}")
 
     inverse: dict[str, str] | None = None
-    if "inverse" in sections:
+    if "inverse" in spans:
         inverse = {}
-        for lineno, body in sections["inverse"]:
+        for lineno, body in _section_lines(lines, spans["inverse"]):
             toks = body.split()
             if len(toks) != 3 or toks[1] != "=":
                 raise ParseError(lineno, 1, "inverse line must read: s = t")
             s, t = toks[0], toks[2]
             for ti, name in ((0, s), (2, t)):
-                if name not in arrow_set:
+                if name not in aidx:
                     raise ParseError(lineno, _token_col(body, ti), f"unknown arrow {name}")
             if s in inverse:
                 raise ParseError(lineno, 1, f"duplicate inverse for {s}")
             inverse[s] = t
 
-    return StructureDoc(SemigroupoidTable(objects, arrows, dom, cod, mul), inverse)
+    return StructureDoc(table, inverse)
 
 
 def format_structure(structure: SemigroupoidTable | InverseSemigroupoid) -> str:
@@ -166,14 +186,16 @@ def format_structure(structure: SemigroupoidTable | InverseSemigroupoid) -> str:
     else:
         table = structure
         inverse = None
+    objects, arrows = table.objects, table.arrows
     lines = ["[objects]"]
-    lines.extend(table.objects)
+    lines.extend(objects)
     lines.append("")
     lines.append("[arrows]")
-    lines.extend(f"{a} : {table.dom(a)} -> {table.cod(a)}" for a in table.arrows)
+    lines.extend(f"{a} : {objects[d]} -> {objects[c]}" for a, d, c in zip(arrows, table._dom, table._cod))
     lines.append("")
     lines.append("[mul]")
-    lines.extend(f"{s} {t} = {table.mul(s, t)}" for s, t in table.defined_pairs())
+    for s, row in zip(arrows, table._mul):
+        lines.extend(f"{s} {arrows[t]} = {arrows[u]}" for t, u in enumerate(row) if u != UNDEF)
     if inverse is not None:
         lines.append("")
         lines.append("[inverse]")
@@ -281,10 +303,13 @@ def format_action(action: PartialAction, ref: str) -> str:
 
 
 def _read_text(path: Path) -> str:
-    """The file's contents; a byte that is not UTF-8 is a positioned parse error naming the file."""
+    """The file's contents without a leading byte-order mark; a byte that is not UTF-8 is a positioned parse error naming the file.
+
+    The error's line and column count the file's bytes, the mark included.
+    """
     data = path.read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         col = exc.start - data.rfind(b"\n", 0, exc.start)

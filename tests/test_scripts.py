@@ -18,8 +18,10 @@ ROOT = Path(__file__).resolve().parent.parent
         (["scripts/randomized_audit.py", "--draws", "5"], "uniqueness decided in 5, skipped over the bound in 0"),
         # Z_8 on 4 of its points: 8 arrows times 4 points of seeds, one class per group element
         (["scripts/layer_times.py", "--n", "8"], "Z_8 half restriction: 8 arrows, 4 points, 32 seeds, 8 classes"),
+        # the structure load is split into its three parts
+        (["scripts/layer_times.py", "--n", "8"], "structure inverse search"),
     ],
-    ids=["worked_examples", "randomized_audit", "layer_times"],
+    ids=["worked_examples", "randomized_audit", "layer_times", "layer_times_load"],
 )
 def test_script_exits_cleanly(argv, expected):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from isgact import (
@@ -172,3 +174,21 @@ def test_loading_a_structure_without_inverses_reports_it(tmp_path):
     with pytest.raises(ValidationFailure) as err:
         load_structure(target)
     assert "no-inverse" in err.value.report.tags()
+
+
+def test_parsing_a_generated_table_peaks_under_ten_times_its_text():
+    # Z_60: 3,600 product lines.  The parse writes integers as it reads and keeps
+    # no name-keyed product dict, so its heap peak stays a small multiple of the text.
+    names = [f"g{k}" for k in range(60)]
+    lines = ["[objects]", "o", "", "[arrows]", *(f"{a} : o -> o" for a in names), "", "[mul]"]
+    lines.extend(f"{names[i]} {names[j]} = {names[(i + j) % 60]}" for i in range(60) for j in range(60))
+    lines += ["", "[inverse]", *(f"{names[k]} = {names[-k % 60]}" for k in range(60))]
+    text = "\n".join(lines) + "\n"
+    tracemalloc.start()
+    try:
+        doc = parse_structure(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(doc.table.arrows) == 60
+    assert peak < 10 * len(text), (peak, len(text))
