@@ -2,12 +2,12 @@
 
 Objects and arrows are interned to dense integer indices at construction and
 the multiplication table is stored as a dense |S| x |S| array with an explicit
-"undefined" sentinel.  The quadratic passes (totality, definedness and
-endpoints, the pseudo-inverse search, idempotents, products and the natural
-order) read those integers and visit each arrow's composable or parallel
-partners only; names appear when a violation or a name accessor is built.
-Associativity is still checked by the exhaustive scan over composable
-triples.
+"undefined" sentinel.  The quadratic passes read those integers: the
+totality, definedness and endpoint scan visits every pair, while the
+pseudo-inverse search, idempotents, products and the natural order visit
+each arrow's composable or parallel partners only; names appear when a
+violation or a name accessor is built.  Associativity is still checked by
+the exhaustive scan over composable triples.
 """
 
 from __future__ import annotations
@@ -193,19 +193,11 @@ def validate_semigroupoid(raw: SemigroupoidTable) -> ValidationReport:
 
     Reports, with concrete witnesses: products missing on composable pairs,
     products present on non-composable pairs, endpoint incoherence of defined
-    products, and associativity failures over all composable triples.  A
-    row whose defined products are exactly its composable pairs, each with
-    the right endpoints, has none of the first three; only the other rows
-    are scanned pair by pair, in order.
+    products, and associativity failures over all composable triples.
     """
     violations = []
-    arrows, dom, cod, into = raw.arrows, raw._dom, raw._cod, raw._into
+    arrows, dom, cod = raw.arrows, raw._dom, raw._cod
     for s, row in enumerate(raw._mul):
-        partners = into[dom[s]]
-        if len(row) - row.count(UNDEF) == len(partners) and all(
-            row[t] != UNDEF and dom[row[t]] == dom[t] and cod[row[t]] == cod[s] for t in partners
-        ):
-            continue
         name = arrows[s]
         for t, p in enumerate(row):
             if dom[s] == cod[t]:

@@ -10,7 +10,7 @@ embedding, and every map into a global action factors through it uniquely.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, combinations, compress, pairwise
+from itertools import chain, combinations, compress
 from operator import lt
 from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
@@ -55,7 +55,7 @@ class Quotient:
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Every one-step related pair of seed ids (i, j), i < j, once each, sorted."""
-        return tuple(sorted(set(_related_pairs(self._blocks, self._action, every=True))))
+        return tuple(sorted(set(_related_pairs(self._blocks, self._action))))
 
     @cached_property
     def classes(self) -> tuple[tuple[Seed, ...], ...]:
@@ -133,13 +133,8 @@ def build_seed_set(action: PartialAction) -> list[Seed]:
     return [Seed(s, carrier[k]) for s, (_, pts) in _seed_index(action).items() for k in pts]
 
 
-def _related_pairs(blocks: dict, action: PartialAction, every: bool = False) -> Iterator[tuple[int, int]]:
-    """One-step related pairs (i, j) of a seed index with i < j, seen from seed i; pairs may repeat.
-
-    With ``every``, every related pair comes out.  Without it, the
-    idempotent seeds at one point, which are all related to each other,
-    come out as a chain of consecutive ids only: the same classes, with
-    k - 1 pairs where all of them are k (k - 1) / 2.
+def _related_pairs(blocks: dict, action: PartialAction) -> Iterator[tuple[int, int]]:
+    """Every one-step related pair (i, j) of a seed index with i < j, seen from seed i; pairs may repeat.
 
     (s, x) relates to (t, y) when either inv(t) composes with s, x lies in
     dom_of[inv(s) t] and theta[inv(t) s] carries x to y, or both arrows are
@@ -177,8 +172,7 @@ def _related_pairs(blocks: dict, action: PartialAction, every: bool = False) -> 
         ids = list(ids) * len(partners)
         js = [row[hop[k]] for row, hop in partners for k in pts]
         found.append(compress(zip(ids, js), map(lt, ids, js)))
-    groups = [sorted(g) for g in idempotent_at if len(g) > 1]
-    found.extend(combinations(g, 2) if every else pairwise(g) for g in groups)
+    found.extend(combinations(sorted(g), 2) for g in idempotent_at if len(g) > 1)
     return chain.from_iterable(found)
 
 
