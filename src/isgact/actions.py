@@ -2,9 +2,10 @@
 
 Both axiom systems are validated by direct scan: the definitional one
 (identity on idempotent domains, containment in the idempotent hull,
-composition compatibility) and the equivalent bijection-based one.  Scans
-read rows over carrier positions in carrier order, so witnesses come out
-sorted, and names appear only in the violations they report.
+composition compatibility) and the equivalent bijection-based one.  Actions
+store arrows and points by position, and the scans read those rows in
+carrier order, with arrows through the structure's integer tables, so
+witnesses come out sorted and names appear only in the violations they report.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ class CoverageError(ValueError):
 class PartialAction:
     """Per-arrow carrier subsets plus per-arrow maps between them, stored once over carrier positions.
 
-    ``rows[s]`` holds, at each carrier position, the position theta[s] sends
-    it to, or -1 where theta[s] is undefined; ``masks[s]`` marks the
-    positions of dom_of[s].  theta[s] is intended to be a bijection from
+    ``rows[s]``, s an arrow's position, holds at each carrier position the
+    position theta[s] sends it to, or -1 where theta[s] is undefined; ``masks[s]``
+    marks the positions of dom_of[s].  theta[s] is intended to be a bijection from
     dom_of[inv(s)] onto dom_of[s].  ``theta`` and ``dom_of`` are read-only
     name views of that store, built on first read, so the store is not to be
     changed after construction.
@@ -60,16 +61,15 @@ class PartialAction:
             if extra:
                 raise StructuralError(f"{which} given for undeclared arrows: {sorted(extra)}")
 
-        masks = {}
+        masks = []
         for s in semigroupoid.arrows:
             sub = frozenset(dom_of[s])
             if not sub <= pos.keys():
                 raise StructuralError(f"dom_of[{s}] leaves the carrier: {sorted(sub - pos.keys(), key=str)}")
-            masks[s] = [x in sub for x in carrier]
+            masks.append([x in sub for x in carrier])
 
-        rows = {}
-        for s in semigroupoid.arrows:
-            row = rows[s] = [-1] * len(carrier)
+        rows = [[-1] * len(carrier) for _ in semigroupoid.arrows]
+        for s, row in zip(semigroupoid.arrows, rows):
             for x, y in dict(theta[s]).items():
                 if x not in pos or y not in pos:
                     raise StructuralError(f"theta[{s}] maps {x!r} to {y!r} outside the carrier")
@@ -77,7 +77,7 @@ class PartialAction:
         self.semigroupoid, self.carrier, self.rows, self.masks, self._pos = semigroupoid, carrier, rows, masks, pos
 
     @classmethod
-    def _from_rows(cls, semigroupoid: InverseSemigroupoid, carrier: tuple, rows: dict, masks: dict) -> PartialAction:
+    def _from_rows(cls, semigroupoid: InverseSemigroupoid, carrier: tuple, rows: list, masks: list) -> PartialAction:
         action = cls.__new__(cls)
         action.semigroupoid, action.carrier, action.rows, action.masks = semigroupoid, carrier, rows, masks
         return action
@@ -92,14 +92,14 @@ class PartialAction:
         """theta[s] as a dict from each point where it is defined to its image."""
         if self._theta is None:
             c = self.carrier
-            self._theta = {s: {c[i]: c[j] for i, j in enumerate(self.rows[s]) if j >= 0} for s in self.semigroupoid.arrows}
+            self._theta = {s: {c[i]: c[j] for i, j in enumerate(row) if j >= 0} for s, row in zip(self.semigroupoid.arrows, self.rows)}
         return self._theta
 
     @property
     def dom_of(self) -> dict[str, frozenset]:
         """dom_of[s] as a frozenset of points."""
         if self._dom_of is None:
-            self._dom_of = {s: frozenset(x for x, inside in zip(self.carrier, self.masks[s]) if inside) for s in self.semigroupoid.arrows}
+            self._dom_of = {s: frozenset(compress(self.carrier, mask)) for s, mask in zip(self.semigroupoid.arrows, self.masks)}
         return self._dom_of
 
     def sorted_elements(self, xs: Iterable) -> list:
@@ -107,10 +107,10 @@ class PartialAction:
 
     def apply(self, s: str, x):
         """theta[s](x) when x lies in dom_of[inv(s)], else None."""
-        i = self._pos.get(x)
-        if i is None or not self.masks[self.semigroupoid.inv(s)][i]:
+        a, i = self.semigroupoid.table._aidx[s], self._pos.get(x)
+        if i is None or not self.masks[self.semigroupoid._inv[a]][i]:
             return None
-        return _name(self, self.rows[s][i])
+        return _name(self, self.rows[a][i])
 
     def __contains__(self, x) -> bool:
         return x in self._pos
@@ -142,54 +142,52 @@ def _union(masks: Iterable[list[bool]], n: int) -> list[bool]:
 def _linear_violations(action: PartialAction) -> list[Violation]:
     """theta-domain, theta-range, P1 and P2: the checks that read each arrow's row and mask once."""
     isg = action.semigroupoid
-    idem = isg.idempotent_set()
+    arrows, inv, idem, mul = isg.arrows, isg._inv, isg._idem, isg.table._mul
     rows, masks, name = action.rows, action.masks, action.carrier
     v: list[Violation] = []
 
     # Each theta[s] must be a map dom_of[inv(s)] -> dom_of[s]; only an arrow that fails loops to report.
-    for s in isg.arrows:
-        si = isg.inv(s)
-        row, window, image = rows[s], masks[si], masks[s]
+    for a, row, image, si in zip(arrows, rows, masks, inv):
+        window = masks[si]
         defined = [j >= 0 for j in row]
         if defined != window:
-            v += [Violation("theta-domain", f"theta[{s}] defined at {x} outside dom_of[{si}]", (s, x)) for x, d, w in zip(name, defined, window) if d > w]
-            v += [Violation("theta-domain", f"theta[{s}] undefined at {x} of dom_of[{si}]", (s, x)) for x, d, w in zip(name, defined, window) if w > d]
+            v += [Violation("theta-domain", f"theta[{a}] defined at {x} outside dom_of[{arrows[si]}]", (a, x)) for x, d, w in zip(name, defined, window) if d > w]
+            v += [Violation("theta-domain", f"theta[{a}] undefined at {x} of dom_of[{arrows[si]}]", (a, x)) for x, d, w in zip(name, defined, window) if w > d]
         if not all(map(image.__getitem__, compress(row, defined))):
             for x, j in zip(name, row):
                 if j >= 0 and not image[j]:
-                    v.append(Violation("theta-range", f"theta[{s}] maps {x} to {name[j]} outside dom_of[{s}]", (s, x, name[j])))
+                    v.append(Violation("theta-range", f"theta[{a}] maps {x} to {name[j]} outside dom_of[{a}]", (a, x, name[j])))
 
     # P1: identity maps on idempotent domains; idempotent domains cover the carrier.
-    for e in isg.arrows:
-        if e in idem:
-            for i, j in enumerate(rows[e]):
-                if j >= 0 and j != i:
-                    v.append(Violation("P1", f"theta[{e}] moves {name[i]} to {name[j]}; identity required", (e, name[i], name[j])))
-    covered = _union((masks[e] for e in isg.arrows if e in idem), len(name))
+    for e, row in compress(zip(arrows, rows), idem):
+        for i, j in enumerate(row):
+            if j >= 0 and j != i:
+                v.append(Violation("P1", f"theta[{e}] moves {name[i]} to {name[j]}; identity required", (e, name[i], name[j])))
+    covered = _union(compress(masks, idem), len(name))
     for x, inside in zip(name, covered):
         if not inside:
             v.append(Violation("P1", f"carrier element {x} lies in no idempotent domain", (x,)))
 
     # P2: dom_of[s] contained in dom_of[s inv(s)].
-    for s in isg.arrows:
-        e = isg.mul(s, isg.inv(s))
-        if not all(map(le, masks[s], masks[e])):
-            v += [Violation("P2", f"dom_of[{s}] element {x} missing from dom_of[{e}]", (s, x)) for x, a, b in zip(name, masks[s], masks[e]) if a > b]
+    for a, mask, e in zip(arrows, masks, map(list.__getitem__, mul, inv)):  # e = s inv(s)
+        if not all(map(le, mask, masks[e])):
+            v += [Violation("P2", f"dom_of[{a}] element {x} missing from dom_of[{arrows[e]}]", (a, x)) for x, inside, within in zip(name, mask, masks[e]) if inside > within]
     return v
 
 
-def _p3_violations(action: PartialAction, s: str, t: str, st: str) -> list[Violation]:
-    """P3 for one composable pair: the composite-domain equation plus pointwise agreement on it.
+def _p3_violations(action: PartialAction, s: int, t: int, st: int) -> list[Violation]:
+    """P3 for one composable pair of arrow positions: the composite-domain equation plus pointwise agreement on it.
 
     The composite domain holds the points that theta[t] sends into
     dom_of[t] n dom_of[inv(s)], where theta[s](theta[t](x)) makes sense.
     """
-    rows, masks, inv, name = action.rows, action.masks, action.semigroupoid.inv, action.carrier
-    row_s, row_t, row_st = rows[s], rows[t], rows[st]
-    image_t, window_s = masks[t], masks[inv(s)]
+    isg, rows, masks, name = action.semigroupoid, action.rows, action.masks, action.carrier
+    row_s, row_t, row_st, inv = rows[s], rows[t], rows[st], isg._inv
+    image_t, window_s = masks[t], masks[inv[s]]
     lhs = [j >= 0 and image_t[j] and window_s[j] for j in row_t]
-    rhs = [a and b for a, b in zip(masks[inv(st)], masks[inv(t)])]
-    pair, meet = f"composite domain of ({s},{t})", f"dom_of[{inv(st)}] n dom_of[{inv(t)}]"
+    rhs = [a and b for a, b in zip(masks[inv[st]], masks[inv[t]])]
+    s, t, st, si_st, si_t = isg._names((s, t, st, inv[st], inv[t]))
+    pair, meet = f"composite domain of ({s},{t})", f"dom_of[{si_st}] n dom_of[{si_t}]"
     v = [Violation("P3-domain", f"{pair} has extra element {x} over {meet}", (s, t, x)) for x, a, b in zip(name, lhs, rhs) if a > b]
     v += [Violation("P3-domain", f"{pair} misses element {x} of {meet}", (s, t, x)) for x, a, b in zip(name, lhs, rhs) if b > a]
     for i, inside in enumerate(rhs):
@@ -213,17 +211,14 @@ def validate_p_axioms(action: PartialAction) -> ValidationReport:
     runs the full check to build its report.
     """
     isg = action.semigroupoid
-    rows, masks = action.rows, action.masks
+    rows, masks, inv = action.rows, action.masks, isg._inv
     v = _linear_violations(action)
-    keys, values, shaped = {}, {}, set()  # per arrow, the positions where its row is defined and the row there
-    for s in isg.arrows:
-        row, image = rows[s], masks[s]
-        keys[s] = [i for i, j in enumerate(row) if j >= 0]
-        values[s] = [row[i] for i in keys[s]]
-        if [j >= 0 for j in row] == masks[isg.inv(s)] and all(map(image.__getitem__, values[s])):
-            shaped.add(s)
-    for s, t, st in isg.products:
-        if s in shaped and t in shaped and st in shaped:
+    # per arrow, the positions where its row is defined, the row there, and whether it is shaped
+    keys = [[i for i, j in enumerate(row) if j >= 0] for row in rows]
+    values = [list(map(row.__getitem__, at)) for row, at in zip(rows, keys)]
+    shaped = [[j >= 0 for j in row] == masks[i] and all(map(image.__getitem__, vals)) for row, i, image, vals in zip(rows, inv, masks, values)]
+    for s, t, st in isg._products:
+        if shaped[s] and shaped[t] and shaped[st]:
             if list(map(rows[s].__getitem__, values[t])) == list(map(rows[st].__getitem__, keys[t])):
                 continue
         v.extend(_p3_violations(action, s, t, st))
@@ -247,8 +242,8 @@ def is_valid_global(action: PartialAction) -> bool:
         return False
     isg = action.semigroupoid
     rows = action.rows
-    gens = set(isg.generators)
-    for s, g, sg in isg.products:
+    gens = set(isg._generators)
+    for s, g, sg in isg._products:
         if g in gens:
             row_s = rows[s]
             if rows[sg] != [row_s[j] if j >= 0 else -1 for j in rows[g]]:
@@ -259,57 +254,56 @@ def is_valid_global(action: PartialAction) -> bool:
 def validate_e_axioms(action: PartialAction) -> ValidationReport:
     """Check the equivalent bijection-based axiom system."""
     isg = action.semigroupoid
+    arrows, inv = isg.arrows, isg._inv
     rows, masks, name = action.rows, action.masks, action.carrier
     v: list[Violation] = []
 
     # E1: each theta[s] is a bijection dom_of[inv(s)] -> dom_of[s] inverted by
     # theta[inv(s)], and the per-arrow domains cover the carrier.
-    for s in isg.arrows:
-        si = isg.inv(s)
-        row = rows[s]
+    for a, row, mask, si in zip(arrows, rows, masks, inv):
         off = [x for x, j, inside in zip(name, row, masks[si]) if (j >= 0) != inside]
         if off:
-            v.append(Violation("E1", f"theta[{s}] is not defined exactly on dom_of[{si}]", (s, off[0])))
+            v.append(Violation("E1", f"theta[{a}] is not defined exactly on dom_of[{arrows[si]}]", (a, off[0])))
         image = [j for j in row if j >= 0]
         reached = set(image)
         if len(reached) != len(image):
-            v.append(Violation("E1", f"theta[{s}] is not injective", (s,)))
-        off = [name[i] for i, inside in enumerate(masks[s]) if (i in reached) != inside]
+            v.append(Violation("E1", f"theta[{a}] is not injective", (a,)))
+        off = [name[i] for i, inside in enumerate(mask) if (i in reached) != inside]
         if off:
-            v.append(Violation("E1", f"theta[{s}] is not onto dom_of[{s}]", (s, off[0])))
+            v.append(Violation("E1", f"theta[{a}] is not onto dom_of[{a}]", (a, off[0])))
         flipped = [-1] * len(row)
         for i, j in enumerate(row):
             if j >= 0:
                 flipped[j] = i
         if flipped != rows[si]:
-            v.append(Violation("E1", f"theta[{si}] is not the inverse map of theta[{s}]", (s, si)))
-    for x, inside in zip(name, _union(masks.values(), len(name))):
+            v.append(Violation("E1", f"theta[{arrows[si]}] is not the inverse map of theta[{a}]", (a, arrows[si])))
+    for x, inside in zip(name, _union(masks, len(name))):
         if not inside:
             v.append(Violation("E1", f"carrier element {x} lies in no arrow domain", (x,)))
 
     # E2: theta[st] extends theta[s] o theta[t] on the composite domain.
-    for s, t, st in isg.products:
+    for s, t, st in isg._products:
         row_s, row_st = rows[s], rows[st]
-        image_t, window_s = masks[t], masks[isg.inv(s)]
+        image_t, window_s = masks[t], masks[inv[s]]
         for i, j in enumerate(rows[t]):
             if j >= 0 and image_t[j] and window_s[j]:
                 if row_st[i] < 0:
-                    v.append(Violation("E2", f"theta[{st}] undefined at {name[i]} of the composite domain of ({s},{t})", (s, t, name[i])))
+                    v.append(Violation("E2", f"theta[{arrows[st]}] undefined at {name[i]} of the composite domain of ({arrows[s]},{arrows[t]})", (arrows[s], arrows[t], name[i])))
                 elif row_st[i] != row_s[j]:
-                    v.append(Violation("E2", f"theta[{s}] o theta[{t}] and theta[{st}] disagree at {name[i]}", (s, t, name[i])))
+                    v.append(Violation("E2", f"theta[{arrows[s]}] o theta[{arrows[t]}] and theta[{arrows[st]}] disagree at {name[i]}", (arrows[s], arrows[t], name[i])))
 
     # E3: domains are monotone for the natural order.
-    for s, t in isg.strict_order:
+    for s, t in isg._order:
         for x, inside, within in zip(name, masks[s], masks[t]):
             if inside and not within:
-                v.append(Violation("E3", f"{s} <= {t} but dom_of[{s}] element {x} misses dom_of[{t}]", (s, t, x)))
+                v.append(Violation("E3", f"{arrows[s]} <= {arrows[t]} but dom_of[{arrows[s]}] element {x} misses dom_of[{arrows[t]}]", (arrows[s], arrows[t], x)))
     return ValidationReport(tuple(v))
 
 
 def is_global(action: PartialAction) -> bool:
     """True when every dom_of[s] equals dom_of[s inv(s)] (the action is valid beforehand)."""
-    isg = action.semigroupoid
-    return all(action.masks[s] == action.masks[isg.mul(s, isg.inv(s))] for s in isg.arrows)
+    isg, masks = action.semigroupoid, action.masks
+    return all(mask == masks[e] for mask, e in zip(masks, map(list.__getitem__, isg.table._mul, isg._inv)))
 
 
 def restrict(source: PartialAction, subset: Iterable, trim: bool = False) -> PartialAction:
@@ -329,12 +323,12 @@ def restrict(source: PartialAction, subset: Iterable, trim: bool = False) -> Par
     n = len(source.carrier)
 
     inside = [x in sub for x in source.carrier]
-    masks = {s: [False] * n for s in isg.arrows}
-    for s in isg.arrows:
-        for i, j in enumerate(source.rows[s]):
+    masks = [[False] * n for _ in source.rows]
+    for row, mask in zip(source.rows, masks):
+        for i, j in enumerate(row):
             if j >= 0 and inside[i] and inside[j]:
-                masks[s][j] = True
-    covered = _union((masks[e] for e in isg.arrows if e in isg.idempotent_set()), n)
+                mask[j] = True
+    covered = _union(compress(masks, isg._idem), n)
     kept = [i for i in range(n) if inside[i]]
     uncovered = [source.carrier[i] for i in kept if not covered[i]]
     if uncovered:
@@ -345,11 +339,10 @@ def restrict(source: PartialAction, subset: Iterable, trim: bool = False) -> Par
     new = [-1] * n  # each kept position's new position
     for k, i in enumerate(kept):
         new[i] = k
-    rows = {}
-    for s in isg.arrows:
-        row, window, image = source.rows[s], masks[isg.inv(s)], masks[s]
-        rows[s] = [new[row[i]] if window[i] and row[i] >= 0 and image[row[i]] else -1 for i in kept]
-    masks = {s: [mask[i] for i in kept] for s, mask in masks.items()}
+    rows = []
+    for row, window, image in zip(source.rows, map(masks.__getitem__, isg._inv), masks):
+        rows.append([new[row[i]] if window[i] and row[i] >= 0 and image[row[i]] else -1 for i in kept])
+    masks = [[mask[i] for i in kept] for mask in masks]
     return PartialAction._from_rows(isg, tuple(source.carrier[i] for i in kept), rows, masks)
 
 
@@ -362,27 +355,27 @@ def check_derived_propositions(action: PartialAction) -> ValidationReport:
     monotonicity along the order is axiom E3 of validate_e_axioms.
     """
     isg = action.semigroupoid
-    idem = isg.idempotent_set()
+    arrows, inv, idem = isg.arrows, isg._inv, isg._idem
     rows, masks, name = action.rows, action.masks, action.carrier
     v: list[Violation] = []
 
-    for s, t, st in isg.products:
+    for s, t, st in isg._products:
         reached = [False] * len(name)
-        for j, inside, within in zip(rows[s], masks[isg.inv(s)], masks[t]):
+        for j, inside, within in zip(rows[s], masks[inv[s]], masks[t]):
             if inside and within and j >= 0:
                 reached[j] = True
         for x, y_in, a, b in zip(name, reached, masks[s], masks[st]):
             if y_in != (a and b):
-                v.append(Violation("range-composition", f"image equation fails for ({s},{t}) at {x}", (s, t, x)))
+                v.append(Violation("range-composition", f"image equation fails for ({arrows[s]},{arrows[t]}) at {x}", (arrows[s], arrows[t], x)))
 
-    for s, t in isg.strict_order:
-        for x, inside, j, k in zip(name, masks[isg.inv(s)], rows[s], rows[t]):
+    for s, t in isg._order:
+        for x, inside, j, k in zip(name, masks[inv[s]], rows[s], rows[t]):
             if inside and j != k:
-                v.append(Violation("order-extension", f"{s} <= {t} but theta[{t}] does not extend theta[{s}] at {x}", (s, t, x)))
+                v.append(Violation("order-extension", f"{arrows[s]} <= {arrows[t]} but theta[{arrows[t]}] does not extend theta[{arrows[s]}] at {x}", (arrows[s], arrows[t], x)))
 
-    for e, f, ef in isg.products:
-        if e in idem and f in idem:
+    for e, f, ef in isg._products:
+        if idem[e] and idem[f]:
             for x, inside, a, b in zip(name, masks[ef], masks[e], masks[f]):
                 if inside != (a and b):
-                    v.append(Violation("idempotent-domains", f"dom_of[{ef}] differs from dom_of[{e}] n dom_of[{f}] at {x}", (e, f, x)))
+                    v.append(Violation("idempotent-domains", f"dom_of[{arrows[ef]}] differs from dom_of[{arrows[e]}] n dom_of[{arrows[f]}] at {x}", (arrows[e], arrows[f], x)))
     return ValidationReport(tuple(v))

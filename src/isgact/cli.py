@@ -48,8 +48,8 @@ def _structure_dot(isg: InverseSemigroupoid) -> str:
     lines = ["digraph structure {", "  rankdir=LR;"]
     for o in isg.objects:
         lines.append(f'  "{o}";')
-    for a in isg.arrows:
-        lines.append(f'  "{isg.dom(a)}" -> "{isg.cod(a)}" [label="{a}"];')
+    for a, d, c in zip(isg.arrows, isg.table._dom, isg.table._cod):
+        lines.append(f'  "{isg.objects[d]}" -> "{isg.objects[c]}" [label="{a}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -78,11 +78,11 @@ def _globalization_table(glob: Globalization) -> str:
         body = " ".join(f"({s},{x})" for s, x in members)
         lines.append(f"  class {c}: {body}")
     out = glob.global_action
-    for s in isg.arrows:
-        family = " ".join(str(c) for c, inside in zip(out.carrier, out.masks[s]) if inside)
+    for s, mask in zip(isg.arrows, out.masks):
+        family = " ".join(str(c) for c, inside in zip(out.carrier, mask) if inside)
         lines.append(f"family[{s}] = {family}")
-    for s in isg.arrows:
-        body = ", ".join(f"{c} -> {out.carrier[d]}" for c, d in zip(out.carrier, out.rows[s]) if d >= 0)
+    for s, row in zip(isg.arrows, out.rows):
+        body = ", ".join(f"{c} -> {out.carrier[d]}" for c, d in zip(out.carrier, row) if d >= 0)
         lines.append(f"map[{s}]: {body}")
     emb = glob.canonical_embedding.mapping
     lines.append("embedding: " + ", ".join(f"{x} -> {emb[x]}" for x in glob.action.carrier))
@@ -134,7 +134,7 @@ def _globalization_json(glob: Globalization) -> str:
     # a seed is an array at depth 2 of "seeds", and at depth 4 inside a class's "members"
     seeds = []
     members: list[list[str]] = [[] for _ in name]
-    for s, (ids, pts) in q._blocks.items():
+    for s, (ids, pts) in zip(isg.arrows, q._blocks):
         if pts:
             head = "[\n      " + _encode(s) + ",\n      "
             seeds.append(head + ("\n    ],\n    " + head).join(map(point.__getitem__, pts)) + "\n    ]")
@@ -145,9 +145,9 @@ def _globalization_json(glob: Globalization) -> str:
     classes = [class_head % c + "\n        ],\n        ".join(m) + "\n        ]\n      ]\n    }" for c, m in enumerate(members)]
 
     families, maps = [], []
-    for s in isg.arrows:
-        arrow, row = _encode(s), out.rows[s]
-        families.append(_json_object({"arrow": arrow, "classes": "".join(_json_items(list(compress(name, out.masks[s])), 3))}, 2))
+    for s, row, mask in zip(isg.arrows, out.rows, out.masks):
+        arrow = _encode(s)
+        families.append(_json_object({"arrow": arrow, "classes": "".join(_json_items(list(compress(name, mask)), 3))}, 2))
         defined = [d >= 0 for d in row]
         pairs = _json_pairs(list(compress(name, defined)), list(map(name.__getitem__, compress(row, defined))), 3)
         maps.append(_json_object({"arrow": arrow, "pairs": pairs}, 2))
@@ -178,7 +178,7 @@ def _cmd_validate(args) -> int:
         if path.suffix == ".isgd":
             isg = _load_structure_once(path, loaded)  # raises ValidationFailure on axiom errors
             print(f"{name}: ok (inverse semigroupoid, {len(isg.arrows)} arrows, "
-                  f"{len(isg.idempotent_set())} idempotents)")
+                  f"{sum(isg._idem)} idempotents)")
             structures.append(isg)
         elif path.suffix == ".pact":
             action, isg, _ = _load_action(path, loaded)

@@ -1,19 +1,21 @@
 """Finite semigroupoids: composition tables, axiom validation, inverses, natural order.
 
-Objects and arrows are interned to dense integer indices at construction and
-the multiplication table is stored as a dense |S| x |S| array with an explicit
-"undefined" sentinel.  The quadratic passes read those integers: the
-totality, definedness and endpoint scan visits every pair, while the
+Objects and arrows are stored by position: interned to dense integer indices
+at construction, the multiplication table a dense |S| x |S| array with an
+explicit "undefined" sentinel.  The quadratic passes read those integers:
+the totality, definedness and endpoint scan visits every pair, while the
 pseudo-inverse search, idempotents, products and the natural order visit
-each arrow's composable or parallel partners only; names appear when a
-violation or a name accessor is built.  Associativity is still checked by
-the exhaustive scan over composable triples.
+each arrow's composable or parallel partners only, and keep their results
+by position too.  ``inv``, ``inverse_map``, ``idempotent_set``, ``products``,
+``strict_order`` and ``generators`` are name views of those integers.
+Associativity is still checked by the exhaustive scan over composable triples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Mapping
 
 UNDEF = -1
@@ -169,10 +171,6 @@ class SemigroupoidTable:
         a = self.arrows
         return [(a[s], a[t]) for s, t in self._composable()]
 
-    def defined_pairs(self) -> list[tuple[str, str]]:
-        a = self.arrows
-        return [(a[s], a[t]) for s, row in enumerate(self._mul) for t, u in enumerate(row) if u != UNDEF]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SemigroupoidTable):
             return NotImplemented
@@ -262,12 +260,13 @@ class InverseSemigroupoid:
     The constructor is the one way in and it checks everything once: the
     semigroupoid axioms, then, only if they hold, the exhaustive
     pseudo-inverse search.  A failure raises a StructuralError whose
-    ``report`` names the violations.
+    ``report`` names the violations.  ``_inv[s]`` is the position of the
+    inverse of arrow s, and ``_idem[s]`` says whether s is idempotent.
     """
 
     def __init__(self, table: SemigroupoidTable):
         report = validate_semigroupoid(table)
-        inv: dict[str, str] = {}
+        inv: list[int] = []
         if report.ok:
             violations = []
             for s in table.arrows:
@@ -283,13 +282,13 @@ class InverseSemigroupoid:
                         )
                     )
                 else:
-                    inv[s] = cands[0]
+                    inv.append(table._aidx[cands[0]])
             report = ValidationReport(tuple(violations))
         if not report.ok:
             raise StructuralError("table is not an inverse semigroupoid:\n" + report.render(), report)
         self.table = table
         self._inv = inv
-        self._idem = frozenset(a for e, (a, row) in enumerate(zip(table.arrows, table._mul)) if row[e] == e)
+        self._idem = [row[e] == e for e, row in enumerate(table._mul)]
 
     @property
     def arrows(self) -> tuple[str, ...]:
@@ -311,35 +310,44 @@ class InverseSemigroupoid:
     def mul(self, s: str, t: str) -> str | None:
         return self.table.mul(s, t)
 
+    def _names(self, indices: Iterable[int]) -> tuple[str, ...]:
+        return tuple(map(self.table.arrows.__getitem__, indices))
+
     def inv(self, s: str) -> str:
-        return self._inv[s]
+        return self.arrows[self._inv[self.table._aidx[s]]]
 
     def inverse_map(self) -> dict[str, str]:
-        return dict(self._inv)
+        return dict(zip(self.arrows, self._names(self._inv)))
 
     def idempotent_set(self) -> frozenset[str]:
         """The arrows e with (e, e) composable and e e = e."""
-        return self._idem
+        return frozenset(compress(self.arrows, self._idem))
 
     # built on first use: loading a structure that no action scan reads pays nothing
 
     @cached_property
-    def products(self) -> tuple[tuple[str, str, str], ...]:
+    def _products(self) -> list[tuple[int, int, int]]:
         """Every composable pair with its product, (s, t, s t), s-major in declaration order."""
-        a, mul = self.arrows, self.table._mul
-        return tuple((a[s], a[t], a[mul[s][t]]) for s, t in self.table._composable())
+        mul = self.table._mul
+        return [(s, t, mul[s][t]) for s, t in self.table._composable()]
+
+    @property
+    def products(self) -> tuple[tuple[str, str, str], ...]:
+        return tuple(map(self._names, self._products))
 
     @cached_property
-    def strict_order(self) -> tuple[tuple[str, str], ...]:
+    def _order(self) -> list[tuple[int, int]]:
         """Every pair (s, t) with s <= t in the natural order and s != t, s-major in declaration order."""
-        table = self.table
-        a, mul = table.arrows, table._mul
-        inv = [table._aidx[self._inv[s]] for s in a]
+        mul, inv = self.table._mul, self._inv
         # s <= t exactly when t (s* s) = s, so only arrows with the same endpoints are compared
-        return tuple((a[s], a[t]) for s, t in table._parallel() if mul[t][mul[inv[s]][s]] == s)
+        return [(s, t) for s, t in self.table._parallel() if mul[t][mul[inv[s]][s]] == s]
+
+    @property
+    def strict_order(self) -> tuple[tuple[str, str], ...]:
+        return tuple(map(self._names, self._order))
 
     @cached_property
-    def generators(self) -> tuple[str, ...]:
+    def _generators(self) -> list[int]:
         """A generating set, greedy in declaration order.
 
         An arrow joins when the composable products of the earlier generators
@@ -363,7 +371,11 @@ class InverseSemigroupoid:
                     continue
                 reached.add(u)
                 todo.extend(mul[u][g] for g in gens if dom[u] == cod[g])
-        return tuple(self.arrows[g] for g in gens)
+        return gens
+
+    @property
+    def generators(self) -> tuple[str, ...]:
+        return self._names(self._generators)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, InverseSemigroupoid):

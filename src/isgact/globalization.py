@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain, combinations, compress
 from operator import lt
-from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .actions import PartialAction, is_valid_global, validate_p_axioms
 from .core import StructuralError, ValidationReport, Violation
@@ -33,21 +33,21 @@ class WellDefinednessError(ValueError):
 
 
 class Quotient:
-    """The partition of a seed index (per arrow: seed ids, carrier positions) by the closed one-step relation.
+    """The partition of a seed index (per arrow position: seed ids, carrier positions) by the closed one-step relation.
 
     The constructor enumerates the relation and closes it once; classes are
     numbered by their first seed, their representative.  The other members
     are views built on first read, for the API, renderers and error messages.
     """
 
-    def __init__(self, action: PartialAction, blocks: dict):
+    def __init__(self, action: PartialAction, blocks: list):
         self._action, self._blocks = action, blocks
-        self._label, self.n_classes = _classes(sum(len(ids) for ids, _ in blocks.values()), _related_pairs(blocks, action))
+        self._label, self.n_classes = _classes(sum(len(ids) for ids, _ in blocks), _related_pairs(blocks, action))
 
     @cached_property
     def seeds(self) -> tuple[Seed, ...]:
         carrier, seeds = self._action.carrier, [None] * len(self._label)
-        for s, (ids, pts) in self._blocks.items():
+        for s, (ids, pts) in zip(self._action.semigroupoid.arrows, self._blocks):
             for i, k in zip(ids, pts):
                 seeds[i] = Seed(s, carrier[k])
         return tuple(seeds)
@@ -97,23 +97,24 @@ def _classes(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
     return label, count
 
 
-def _seed_index(action: PartialAction) -> dict[str, tuple[range, list[int]]]:
-    """Per arrow in declaration order, the ids of its seeds, in canonical order, and their positions in dom_of[inv(s) s]."""
+def _seed_index(action: PartialAction) -> list[tuple[range, list[int]]]:
+    """Per arrow position, the ids of its seeds, in canonical order, and their positions in dom_of[inv(s) s]."""
     isg = action.semigroupoid
-    columns = range(len(action.carrier))
-    blocks, start = {}, 0
-    for s in isg.arrows:
-        pts = list(compress(columns, action.masks[isg.mul(isg.inv(s), s)]))
-        blocks[s] = (range(start, start + len(pts)), pts)
+    mul, columns = isg.table._mul, range(len(action.carrier))
+    blocks, start = [], 0
+    for s, si in enumerate(isg._inv):
+        pts = list(compress(columns, action.masks[mul[si][s]]))
+        blocks.append((range(start, start + len(pts)), pts))
         start += len(pts)
     return blocks
 
 
-def _translated(seeds: Sequence[Seed], action: PartialAction) -> dict:
-    """The seed index of a list in any order: per arrow, its seeds' ids, increasing, and positions."""
-    pos, blocks = action._pos, {}
+def _translated(seeds: Sequence[Seed], action: PartialAction) -> list:
+    """The seed index of a list in any order: per arrow position, its seeds' ids, increasing, and positions."""
+    pos, aidx = action._pos, action.semigroupoid.table._aidx
+    blocks: list = [([], []) for _ in aidx]
     for i, (s, x) in enumerate(seeds):
-        ids, pts = blocks.setdefault(s, ([], []))
+        ids, pts = blocks[aidx[s]]
         ids.append(i)
         pts.append(pos[x])
     return blocks
@@ -130,10 +131,10 @@ def _scatter(n: int, keys: Iterable[int], values: Iterable[int]) -> list[int]:
 def build_seed_set(action: PartialAction) -> list[Seed]:
     """All pairs (s, x) with x in dom_of[inv(s) s], in canonical order."""
     carrier = action.carrier
-    return [Seed(s, carrier[k]) for s, (_, pts) in _seed_index(action).items() for k in pts]
+    return [Seed(s, carrier[k]) for s, (_, pts) in zip(action.semigroupoid.arrows, _seed_index(action)) for k in pts]
 
 
-def _related_pairs(blocks: dict, action: PartialAction) -> Iterator[tuple[int, int]]:
+def _related_pairs(blocks: list, action: PartialAction) -> Iterator[tuple[int, int]]:
     """Every one-step related pair (i, j) of a seed index with i < j, seen from seed i; pairs may repeat.
 
     (s, x) relates to (t, y) when either inv(t) composes with s, x lies in
@@ -148,21 +149,21 @@ def _related_pairs(blocks: dict, action: PartialAction) -> Iterator[tuple[int, i
     is about seeds times arrows per codomain, not seeds squared.
     """
     isg = action.semigroupoid
-    n, inv, idem = len(action.carrier), isg.inverse_map(), isg.idempotent_set()
-    rows: dict[str, list[int]] = {}  # each arrow's id row
+    n, inv, idem = len(action.carrier), isg._inv, isg._idem
+    rows: list = [None] * len(blocks)  # each arrow's id row, None for an arrow without seeds
     idempotent_at: list[list[int]] = [[] for _ in range(n)]  # ids of the idempotent seeds at each carrier position
-    for t, (ids, pts) in blocks.items():
+    for t, (ids, pts) in enumerate(blocks):
         if ids:
             rows[t] = _scatter(n + 1, pts, ids)
-            if t in idem:
+            if idem[t]:
                 for k, i in zip(pts, ids):
                     idempotent_at[k].append(i)
 
-    hops: dict[str, list[int]] = {}  # per arrow u, its row cut to dom_of[inv u]; the cut only bites off the axioms
-    lookups: dict[str, list] = {s: [] for s in rows}  # per arrow s: (id row of t, hop of inv(t) s) per partner t
-    for a, s, u in isg.products:  # a = inv(t) composes with s
+    hops: dict[int, list[int]] = {}  # per arrow u, its row cut to dom_of[inv u]; the cut only bites off the axioms
+    lookups: dict[int, list] = {s: [] for s, row in enumerate(rows) if row}  # per arrow s: (id row of t, hop of inv(t) s) per partner t
+    for a, s, u in isg._products:  # a = inv(t) composes with s
         t = inv[a]
-        if s in rows and t in rows and blocks[t][0][-1] >= blocks[s][0][0]:  # else every partner would come first
+        if rows[s] and rows[t] and blocks[t][0][-1] >= blocks[s][0][0]:  # else every partner would come first
             if u not in hops:
                 hops[u] = [j if inside else -1 for j, inside in zip(action.rows[u], action.masks[inv[u]])]
             lookups[s].append((rows[t], hops[u]))
@@ -219,30 +220,28 @@ def build_globalization(action: PartialAction) -> Globalization:
     quotient = Quotient(action, blocks)
     n_classes = quotient.n_classes
     # per arrow, its seeds' classes, and its class row: the class of its seed at each carrier position, or -1
-    labels = {p: quotient._label[ids.start:ids.stop] for p, (ids, _) in blocks.items()}
-    class_rows = {p: _scatter(n, pts, labels[p]) for p, (_, pts) in blocks.items()}
+    labels = [quotient._label[ids.start:ids.stop] for ids, _ in blocks]
+    class_rows = [_scatter(n, pts, labels[p]) for p, (_, pts) in enumerate(blocks)]
 
     # per arrow s, a row over class ids: the class s sends it to, or -1
-    moves_of = {s: [-1] * n_classes for s in isg.arrows}
+    moves_of = [[-1] * n_classes for _ in blocks]
     # for each arrow p, per arrow s with s p defined: the moves of s and the class row of s p
-    lefts: dict[str, list[tuple[str, list[int], list[int]]]] = {p: [] for p in isg.arrows}
-    for s, p, sp in isg.products:
+    lefts: list[list[tuple[int, list[int], list[int]]]] = [[] for _ in blocks]
+    for s, p, sp in isg._products:
         lefts[p].append((s, moves_of[s], class_rows[sp]))
     # s sends the class of (p, x) to that of (s p, x), defined exactly when (s p, x) is a seed
-    for p, (_, pts) in blocks.items():
-        left = lefts[p]
-        for k, src in zip(pts, labels[p]):
+    for (_, pts), left, label in zip(blocks, lefts, labels):
+        for k, src in zip(pts, label):
             for s, moves, row in left:
                 dst = row[k]
                 if dst >= 0 and moves[src] != dst:
                     if moves[src] >= 0:
-                        raise RuntimeError(f"class map for arrow {s} is not well defined: class {src} sent to both {moves[src]} and {dst}")
+                        raise RuntimeError(f"class map for arrow {isg.arrows[s]} is not well defined: class {src} sent to both {moves[src]} and {dst}")
                     moves[src] = dst
     # the family of s is where the map of inv(s) is defined
-    families = {s: [d >= 0 for d in moves_of[isg.inv(s)]] for s in isg.arrows}
+    families = [[d >= 0 for d in moves_of[si]] for si in isg._inv]
 
-    idem = isg.idempotent_set()
-    landing = set(chain.from_iterable(zip(blocks[e][1], labels[e]) for e in isg.arrows if e in idem))
+    landing = set(chain.from_iterable(zip(blocks[e][1], labels[e]) for e in compress(range(len(blocks)), isg._idem)))
     home = dict(landing)  # carrier position -> class
     if len(landing) != n or len(home) != n:
         for k, x in enumerate(action.carrier):
@@ -286,40 +285,32 @@ def mediating(glob: Globalization, target) -> ActionMap:
     """The unique factoring map: a class named by (s, x) goes to the target move of j(x) by s.
 
     ``target`` is either a GlobalizationTriple or a plain ActionMap into a
-    global action.  Every seed of every class is evaluated, block by block
-    on the target's rows; any disagreement raises WellDefinednessError with
-    the offending pair.
+    global action.  Every seed of every class is evaluated on the target's
+    rows, class by class; the first class, in class order, that j does not
+    carry to one value raises WellDefinednessError with the offending seeds.
     """
     j = _target_map(glob, target)
-    tgt, q = j.target, glob.quotient
-    image, inv = j._image, tgt.semigroupoid.inv
-    value = [-1] * q.n_classes  # each class's target position, -1 while unset
-    for s, (ids, pts) in q._blocks.items():
-        row, mask = tgt.rows[s], tgt.masks[inv(s)]
-        for c, y in zip(q._label[ids.start:ids.stop], map(image.__getitem__, pts)):
-            z = row[y] if mask[y] else -1
-            if z < 0 or value[c] not in (-1, z):
-                _raise_ill_defined(glob, j)
-            value[c] = z
-    return ActionMap(glob.global_action, tgt, dict(enumerate(map(tgt.carrier.__getitem__, value))))
-
-
-def _raise_ill_defined(glob: Globalization, j: ActionMap) -> NoReturn:
-    """Raise WellDefinednessError for the first class, in class order, whose seeds j does not carry to one value."""
-    tgt, pos, image, inv = j.target, glob.action._pos, j._image, j.target.semigroupoid.inv
-    for c, members in enumerate(glob.quotient.classes):
-        values: dict[int, Seed] = {}  # target position -> the first seed that gives it
-        for seed in members:
-            s, x = seed
-            y = image[pos[x]]  # j(x)
-            z = tgt.rows[s][y] if tgt.masks[inv(s)][y] else -1
+    tgt, q, image, inv = j.target, glob.quotient, j._image, j.target.semigroupoid._inv
+    members: list[list[tuple[int, int]]] = [[] for _ in range(q.n_classes)]  # each class's seeds (arrow, position), by id
+    for s, (ids, pts) in enumerate(q._blocks):
+        for c, k in zip(q._label[ids.start:ids.stop], pts):
+            members[c].append((s, k))
+    arrows, carrier = tgt.semigroupoid.arrows, glob.action.carrier
+    value = []  # each class's target point
+    for c, seeds in enumerate(members):
+        first: dict[int, tuple[int, int]] = {}  # target position -> the first seed that gives it
+        for s, k in seeds:
+            y = image[k]  # j(x)
+            z = tgt.rows[s][y] if tgt.masks[inv[s]][y] else -1
             if z < 0:
-                raise WellDefinednessError(f"target action undefined on seed ({s}, {x}) of class {c}", (seed,))
-            values.setdefault(z, seed)
-        if len(values) > 1:
-            (z1, p1), (z2, p2) = list(values.items())[:2]
+                bad = Seed(arrows[s], carrier[k])
+                raise WellDefinednessError(f"target action undefined on seed ({bad.arrow}, {bad.point}) of class {c}", (bad,))
+            first.setdefault(z, (s, k))
+        if len(first) > 1:
+            (z1, p1), (z2, p2) = [(z, Seed(arrows[s], carrier[k])) for z, (s, k) in list(first.items())[:2]]
             raise WellDefinednessError(f"class {c} maps to both {tgt.carrier[z1]} (via {p1}) and {tgt.carrier[z2]} (via {p2})", (p1, p2))
-    raise AssertionError("every class of the quotient is well defined")
+        value.append(tgt.carrier[z])  # every seed of the class gave z
+    return ActionMap(glob.global_action, tgt, dict(enumerate(value)))
 
 
 def _commuting_maps(source: PartialAction, target: PartialAction, assigned: dict) -> list[dict]:
@@ -337,11 +328,9 @@ def _commuting_maps(source: PartialAction, target: PartialAction, assigned: dict
     propagation.  Maps come in lexicographic order of their values, points
     and values taken in carrier order.
     """
-    isg = source.semigroupoid
     forced: list[list[tuple[int, list[int]]]] = [[] for _ in source.carrier]  # per point: (d, target row of s)
-    for s in isg.arrows:
-        moves = target.rows[s]
-        for c, (d, inside) in enumerate(zip(source.rows[s], source.masks[isg.inv(s)])):
+    for moves, row, window in zip(target.rows, source.rows, map(source.masks.__getitem__, source.semigroupoid._inv)):
+        for c, (d, inside) in enumerate(zip(row, window)):
             if inside and d >= 0:
                 forced[c].append((d, moves))
 
@@ -420,11 +409,11 @@ def verify_universal(glob: Globalization, target, sigma: ActionMap, exhaustive_b
 
 def fiber_classes(glob: Globalization, u: str) -> frozenset[int]:
     """Classes containing a seed whose arrow has codomain u."""
-    isg = glob.action.semigroupoid
-    if u not in isg.objects:
+    table = glob.action.semigroupoid.table
+    if u not in table._oidx:
         raise StructuralError(f"unknown object: {u!r}")
-    q = glob.quotient
-    return frozenset(chain.from_iterable(q._label[ids.start:ids.stop] for s, (ids, _) in q._blocks.items() if isg.cod(s) == u))
+    q, o = glob.quotient, table._oidx[u]
+    return frozenset(chain.from_iterable(q._label[ids.start:ids.stop] for (ids, _), c in zip(q._blocks, table._cod) if c == o))
 
 
 def check_fiber_injectivity(sigma: ActionMap, glob: Globalization) -> ValidationReport:

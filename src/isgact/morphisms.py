@@ -64,14 +64,12 @@ def is_action_map(f: ActionMap) -> ValidationReport:
     isg = src.semigroupoid
     m, name, value = f._image, src.carrier, f.mapping
     v: list[Violation] = []
-    for s in isg.arrows:
-        family = tgt.masks[s]
-        for x, inside, y in zip(name, src.masks[s], m):
+    for s, mask, family in zip(isg.arrows, src.masks, tgt.masks):
+        for x, inside, y in zip(name, mask, m):
             if inside and not family[y]:
                 v.append(Violation("family", f"map sends {x} of dom_of[{s}] to {value[x]} outside the target dom_of[{s}]", (s, x)))
-    for s in isg.arrows:
-        target_row = tgt.rows[s]
-        for x, inside, moved, y in zip(name, src.masks[isg.inv(s)], src.rows[s], m):
+    for s, window, row, target_row in zip(isg.arrows, map(src.masks.__getitem__, isg._inv), src.rows, tgt.rows):
+        for x, inside, moved, y in zip(name, window, row, m):
             if inside and moved < 0:
                 v.append(Violation("equivariance", f"source theta[{s}] undefined at {x}", (s, x)))
             elif inside and m[moved] != target_row[y]:
@@ -102,10 +100,9 @@ def is_embedding(f: ActionMap) -> ValidationReport:
     v = list(is_action_map(f).violations) + _injectivity(f)
     m = f._image
     image = set(m)
-    for s in isg.arrows:
-        row, window = tgt.rows[s], tgt.masks[isg.inv(s)]
+    for s, row, window, mask in zip(isg.arrows, tgt.rows, map(tgt.masks.__getitem__, isg._inv), src.masks):
         reachable = {row[z] for z in image if window[z]}
-        for x, inside, y in zip(src.carrier, src.masks[s], m):
+        for x, inside, y in zip(src.carrier, mask, m):
             if (y in reachable) != inside:
                 v.append(Violation("embedding-domain", f"preimage equation for arrow {s} fails at {x}", (s, x)))
     return ValidationReport(tuple(v))

@@ -182,7 +182,7 @@ def format_structure(structure: SemigroupoidTable | InverseSemigroupoid) -> str:
     """Canonical text for a structure; inverse section only when one is known."""
     if isinstance(structure, InverseSemigroupoid):
         table = structure.table
-        inverse = structure.inverse_map()
+        inverse = structure._inv
     else:
         table = structure
         inverse = None
@@ -199,16 +199,16 @@ def format_structure(structure: SemigroupoidTable | InverseSemigroupoid) -> str:
     if inverse is not None:
         lines.append("")
         lines.append("[inverse]")
-        lines.extend(f"{a} = {inverse[a]}" for a in table.arrows)
+        lines.extend(f"{a} = {arrows[i]}" for a, i in zip(arrows, inverse))
     return "\n".join(lines) + "\n"
 
 
 _INLINE = re.compile(r"^\[([^\]]*)\]\s*=(.*)$")
 
 
-def structure_ref(text: str) -> str:
-    """The `structure = <path>` header of an action file."""
-    for lineno, body in _content_lines(text):
+def _header(lines) -> str:
+    """The path in the `structure = <path>` header, read off the first of an action file's content lines."""
+    for lineno, body in lines:
         toks = body.split(None, 2)
         if len(toks) >= 2 and toks[0] == "structure" and toks[1] == "=":
             if len(toks) < 3 or not toks[2].strip():
@@ -220,22 +220,28 @@ def structure_ref(text: str) -> str:
     raise ParseError(1, 1, "action file must start with: structure = <path>")
 
 
+def structure_ref(text: str) -> str:
+    """The `structure = <path>` header of an action file."""
+    return _header(_content_lines(text))
+
+
 def parse_action(text: str, isg: InverseSemigroupoid) -> PartialAction:
     """Parse a .pact file against an already-loaded structure.
 
     Shape only: names must be declared and sections complete; whether the
     per-arrow maps really are bijections between the right domains is the
-    validators' business.  Names become carrier positions here, written
-    straight into the action's rows and masks.
+    validators' business.  Names become arrow and carrier positions here,
+    written straight into the action's rows and masks.
     """
-    structure_ref(text)  # insist the header is present and well formed
+    lines = _content_lines(text)
+    _header(lines)  # insist the first content line is a well-formed header
     carrier: list[str] | None = None
     points: dict[str, int] = {}  # each carrier element's position
-    masks: dict[str, list[bool]] = {}
-    rows: dict[str, list[int]] = {}
-    arrow_set = set(isg.arrows)
+    aidx = isg.table._aidx
+    masks: list = [None] * len(aidx)  # per arrow position, set by its section
+    rows: list = [None] * len(aidx)
 
-    for lineno, body in _content_lines(text):
+    for lineno, body in lines:
         stripped = body.strip()
         toks = stripped.split(None, 2)
         if len(toks) >= 2 and toks[0] == "structure" and toks[1] == "=":
@@ -257,21 +263,22 @@ def parse_action(text: str, isg: InverseSemigroupoid) -> PartialAction:
         if len(head) != 2 or head[0] not in ("domain", "map"):
             raise ParseError(lineno, 1, f"unknown section [{m.group(1)}]")
         kind, arrow = head
-        if arrow not in arrow_set:
+        a = aidx.get(arrow)
+        if a is None:
             raise ParseError(lineno, 1, f"unknown arrow {arrow}")
         if carrier is None:
             raise ParseError(lineno, 1, "[carrier] must come before domain and map sections")
         store = masks if kind == "domain" else rows
-        if arrow in store:
+        if store[a] is not None:
             raise ParseError(lineno, 1, f"duplicate [{kind} {arrow}] section")
         if kind == "domain":
-            mask = masks[arrow] = [False] * len(carrier)
+            mask = masks[a] = [False] * len(carrier)
             for x in payload:
                 if x not in points:
                     raise ParseError(lineno, 1, f"domain element {x} is not in the carrier")
                 mask[points[x]] = True
         else:
-            row = rows[arrow] = [-1] * len(carrier)
+            row = rows[a] = [-1] * len(carrier)
             for tok in payload:
                 if "->" not in tok:
                     raise ParseError(lineno, 1, f"map entry {tok} must read x->y")
@@ -284,11 +291,11 @@ def parse_action(text: str, isg: InverseSemigroupoid) -> PartialAction:
 
     if carrier is None:
         raise ParseError(1, 1, "missing [carrier] section")
-    for a in isg.arrows:
-        if a not in masks:
-            raise ParseError(1, 1, f"missing [domain {a}] section")
-        if a not in rows:
-            raise ParseError(1, 1, f"missing [map {a}] section")
+    for s, mask, row in zip(isg.arrows, masks, rows):
+        if mask is None:
+            raise ParseError(1, 1, f"missing [domain {s}] section")
+        if row is None:
+            raise ParseError(1, 1, f"missing [map {s}] section")
     return PartialAction._from_rows(isg, tuple(carrier), rows, masks)
 
 
@@ -296,9 +303,9 @@ def format_action(action: PartialAction, ref: str) -> str:
     """Canonical text for an action over the structure referenced by ``ref``."""
     name = action.carrier
     lines = [f"structure = {ref}", "", "[carrier] = " + " ".join(str(x) for x in name)]
-    for s in action.semigroupoid.arrows:
-        lines.append(f"[domain {s}] = " + " ".join(str(x) for x, inside in zip(name, action.masks[s]) if inside))
-        lines.append(f"[map {s}] = " + " ".join(f"{x}->{name[j]}" for x, j in zip(name, action.rows[s]) if j >= 0))
+    for s, mask, row in zip(action.semigroupoid.arrows, action.masks, action.rows):
+        lines.append(f"[domain {s}] = " + " ".join(str(x) for x, inside in zip(name, mask) if inside))
+        lines.append(f"[map {s}] = " + " ".join(f"{x}->{name[j]}" for x, j in zip(name, row) if j >= 0))
     return "\n".join(lines) + "\n"
 
 

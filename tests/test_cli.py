@@ -5,8 +5,10 @@ from pathlib import Path
 import pytest
 
 from isgact import actions, cli, core, format_action, globalization, morphisms, parse_action, parse_structure, restrict
-from isgact.catalog import _rotations, partial_bijections, three_point_action
+from isgact.catalog import _rotations, catalog, partial_bijections, random_partial_action, three_point_action
 from isgact.cli import run_cli
+from isgact.morphisms import inclusion_map
+from isgact.textio import load_action
 
 from worked_data import CLASSES_B
 
@@ -454,6 +456,47 @@ def test_globalize_table_and_json_enumerate_the_relation_once(capsys, monkeypatc
     calls = count_calls(monkeypatch, "_related_pairs", globalization)
     assert run(capsys, "globalize", str(fixtures_dir / "three_point_restricted.pact"), "--format", fmt)[0] == 0
     assert len(calls) == 1
+
+
+def _no_name_view(*args):
+    raise AssertionError("an arrow name view was read below the I/O boundary")
+
+
+def _audited(action, j):
+    """Every scan, audit and globalize writer on an action and a map j into a global action, as text."""
+    glob = globalization.build_globalization(action)
+    sigma = globalization.mediating(glob, morphisms.GlobalizationTriple(j))
+    reports = (
+        actions.validate_p_axioms(action),
+        actions.validate_e_axioms(action),
+        actions.check_derived_propositions(action),
+        globalization.verify_universal(glob, j, sigma),
+        globalization.check_fiber_injectivity(sigma, glob),
+    )
+    writers = (cli._globalization_table, cli._globalization_json, cli._quotient_dot)
+    return [r.render() for r in reports] + [repr(sorted(sigma.mapping.items()))] + [w(glob) for w in writers]
+
+
+def test_the_scans_audits_and_writers_read_arrows_by_position(monkeypatch, fixtures_dir):
+    # names stay at the I/O boundary: with every arrow name view of the structure broken, nothing changes
+    restricted, _ = load_action(fixtures_dir / "three_point_restricted.pact")
+    three, _ = load_action(fixtures_dir / "three_point_global.pact")
+    four, _ = load_action(fixtures_dir / "four_point.pact")
+    cases = [(restricted, inclusion_map(restricted, three)), (four, globalization.build_globalization(four).canonical_embedding)]
+    for entry in catalog():
+        for i, ca in enumerate(entry.actions):
+            if ca.global_tag:
+                for seed in range(3):
+                    sub = random_partial_action(entry, i, seed)
+                    cases.append((sub, inclusion_map(sub, ca.action)))
+    expected = [_audited(action, j) for action, j in cases]
+    for view in ("inv", "inverse_map", "idempotent_set"):
+        monkeypatch.setattr(core.InverseSemigroupoid, view, _no_name_view)
+    for view in ("products", "strict_order", "generators"):
+        monkeypatch.setattr(core.InverseSemigroupoid, view, property(_no_name_view))
+    assert [_audited(action, j) for action, j in cases] == expected
+    with pytest.raises(AssertionError, match="name view"):
+        core.InverseSemigroupoid.inverse_map(cases[0][0].semigroupoid)
 
 
 @pytest.mark.parametrize("fmt", ["table", "json", "dot"])

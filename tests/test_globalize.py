@@ -254,13 +254,14 @@ def test_a_wrong_class_map_entry_trips_the_output_check(monkeypatch, two_point, 
     from_rows = PartialAction._from_rows.__func__
 
     def with_a_wrong_entry(cls, isg, carrier, rows, masks):
-        moves = list(rows["a"])  # over class ids, which are the output's carrier positions
+        a = isg.arrows.index("a")
+        moves = list(rows[a])  # over class ids, which are the output's carrier positions
         c = next(c for c, d in enumerate(moves) if d >= 0)
         if planted == "moved":
             moves[c] = next(d for d in range(len(carrier)) if d != moves[c])
         else:
             moves[c] = -1
-        built.append(from_rows(cls, isg, carrier, {**rows, "a": moves}, masks))
+        built.append(from_rows(cls, isg, carrier, [*rows[:a], moves, *rows[a + 1 :]], masks))
         return built[-1]
 
     monkeypatch.setattr(PartialAction, "_from_rows", classmethod(with_a_wrong_entry))

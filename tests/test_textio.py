@@ -155,6 +155,15 @@ def test_structure_ref_extraction(fixtures_dir):
         structure_ref("structure = eight\x00arrow.isgd\n")
 
 
+def test_load_action_splits_the_action_text_into_lines_twice(monkeypatch, fixtures_dir):
+    # once to find the structure file, once to parse: parse_action checks the header on its own first line
+    calls = []
+    original = textio._content_lines
+    monkeypatch.setattr(textio, "_content_lines", lambda text: calls.append(text) or original(text))
+    load_action(fixtures_dir / "four_point.pact")
+    assert len(calls) == 2
+
+
 def test_declared_inverse_mismatch_fails_loading(tmp_path, hybrid):
     inv = hybrid.inverse_map()
     inv["a"], inv["a*"] = "a", "a*"   # wrong on purpose
