@@ -38,7 +38,7 @@ def show_globalization(glob):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--bound", type=int, default=1_000_000,
-                        help="candidate-map budget for the uniqueness audit")
+                        help="candidate-map count above which the uniqueness audit is skipped")
     args = parser.parse_args()
 
     isg = two_object_hybrid()

@@ -313,72 +313,46 @@ def mediating(glob: Globalization, target) -> ActionMap:
     return ActionMap(glob.global_action, tgt, dict(enumerate(value)))
 
 
-def _commuting_maps(source: PartialAction, target: PartialAction, assigned: dict) -> list[dict]:
-    """Every action map from source to target that extends the partial map ``assigned``.
+def _forced_values(source: PartialAction, target: PartialAction, fixed: dict) -> list[int] | None:
+    """Per source position, the one target position an action map extending ``fixed`` can give it.
 
-    A complete search over carrier positions.  Equivariance makes each move
-    theta[s](c) = d with c in dom_of[inv(s)] force the value of d: the
-    target move of the value of c by s.  Values spread from the assigned
-    points along those moves, and a branch where a forced move is undefined
-    or disagrees with a value already set is cut, since no action map
-    extends it.  The search branches over the target carrier only at the
-    first point still unset, and propagates again after each choice.  Every
-    complete assignment it reaches is checked by ``is_action_map``, which
-    also decides the family condition, so the result does not rest on the
-    propagation.  Maps come in lexicographic order of their values, points
-    and values taken in carrier order.
+    Equivariance makes each move theta[s](c) = d with c in dom_of[inv(s)]
+    force the value of d: the target move of the value of c by s.  One pass
+    over the fixed points and the arrows reads every value one move away;
+    a point not one move from a fixed point keeps -1.  None means no action
+    map extends ``fixed``: a forced move is undefined in the target, or two
+    forced values disagree.
     """
-    forced: list[list[tuple[int, list[int]]]] = [[] for _ in source.carrier]  # per point: (d, target row of s)
-    for moves, row, window in zip(target.rows, source.rows, map(source.masks.__getitem__, source.semigroupoid._inv)):
-        for c, (d, inside) in enumerate(zip(row, window)):
-            if inside and d >= 0:
-                forced[c].append((d, moves))
-
-    def spread(values: list[int], frontier: list[int]) -> bool:
-        while frontier:
-            c = frontier.pop()
-            y = values[c]
-            for d, moves in forced[c]:
+    values = [-1] * len(source.carrier)
+    starts = [(source._pos[c], target._pos[y]) for c, y in fixed.items()]
+    for c, y in starts:
+        values[c] = y
+    for row, window, moves in zip(source.rows, map(source.masks.__getitem__, source.semigroupoid._inv), target.rows):
+        for c, y in starts:
+            d = row[c]
+            if window[c] and d >= 0:
                 z = moves[y]
                 if z < 0 or values[d] not in (-1, z):
-                    return False
-                if values[d] < 0:
-                    values[d] = z
-                    frontier.append(d)
-        return True
-
-    matches = []
-    # per source position, a target position or -1 while unset
-    start = [target._pos[assigned[x]] if x in assigned else -1 for x in source.carrier]
-    pending = [start] if spread(start, [c for c, y in enumerate(start) if y >= 0]) else []
-    while pending:
-        values = pending.pop()
-        if -1 not in values:
-            found = {x: target.carrier[y] for x, y in zip(source.carrier, values)}
-            if is_action_map(ActionMap(source, target, found)).ok:
-                matches.append(found)
-            continue
-        c = values.index(-1)
-        # pushed in reverse so that branches are taken in target carrier order
-        for y in reversed(range(len(target.carrier))):
-            trial = values.copy()
-            trial[c] = y
-            if spread(trial, [c]):
-                pending.append(trial)
-    return matches
+                    return None
+                values[d] = z
+    return values
 
 
 def verify_universal(glob: Globalization, target, sigma: ActionMap, exhaustive_bound: int = 1_000_000) -> ValidationReport:
     """Audit the universal property for one target.
 
     Checks that sigma is an action map and closes the triangle with the
-    canonical embedding i, then searches for every action map that sends
-    each class i(x) to j(x) (``_commuting_maps``) and confirms sigma is the
-    only one.  Values spread from the embedded classes along the constructed
-    action; every class of a true globalization is reached that way, so the
-    search does not branch there and costs about classes times arrows.  The
-    budget still counts all |Y|^|classes| maps into the target carrier Y,
-    and the audit is skipped with a note when that exceeds the bound.
+    canonical embedding i, then that exactly one action map f sends each
+    class i(x) to j(x), and that f is sigma.  Every class of the
+    construction is the class of a seed (s, x), which is theta[s](i(x)), so
+    f can only send it to the target move of j(x) by s: one pass reads that
+    candidate (``_forced_values``), and ``is_action_map`` decides whether it
+    is an action map.  A class the pass leaves unset is not one move from
+    the embedding, so the global action is not the construction's, and it
+    is reported.  The pass costs about embedded points times arrows, so the
+    bound limits no work; it still counts all |Y|^|classes| maps into the
+    target carrier Y, as the enumeration oracle does, and the uniqueness
+    audit is skipped with a note when that count exceeds it.
     """
     j = _target_map(glob, target)
     v: list[Violation] = []
@@ -399,11 +373,19 @@ def verify_universal(glob: Globalization, target, sigma: ActionMap, exhaustive_b
         notes.append(f"uniqueness skipped (bound): {len(points)}^{len(classes)} = {total} candidates exceed {exhaustive_bound}")
     else:
         fixed = {glob.canonical_embedding(x): j(x) for x in glob.action.carrier}
-        matches = _commuting_maps(glob.global_action, j.target, fixed)
-        if len(matches) != 1:
-            v.append(Violation("uniqueness", f"{len(matches)} commuting action maps found, expected exactly one", ()))
-        elif matches[0] != sigma.mapping:
-            v.append(Violation("uniqueness", "the enumerated factoring map differs from sigma", ()))
+        values = _forced_values(glob.global_action, j.target, fixed)
+        none_found = Violation("uniqueness", "0 commuting action maps found, expected exactly one", ())
+        if values is None:
+            v.append(none_found)
+        elif -1 in values:
+            c = classes[values.index(-1)]
+            v.append(Violation("uniqueness", f"class {c} is not one move from the embedding, so its value is not forced", (c,)))
+        else:
+            forced = ActionMap(glob.global_action, j.target, {c: points[y] for c, y in zip(classes, values)})
+            if not is_action_map(forced).ok:
+                v.append(none_found)
+            elif forced.mapping != sigma.mapping:
+                v.append(Violation("uniqueness", "the enumerated factoring map differs from sigma", ()))
     return ValidationReport(tuple(v), tuple(notes))
 
 

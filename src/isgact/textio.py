@@ -245,7 +245,7 @@ def parse_action(text: str, isg: InverseSemigroupoid) -> PartialAction:
         stripped = body.strip()
         toks = stripped.split(None, 2)
         if len(toks) >= 2 and toks[0] == "structure" and toks[1] == "=":
-            continue
+            raise ParseError(lineno, 1, "duplicate structure header")
         m = _INLINE.match(stripped)
         if not m:
             raise ParseError(lineno, 1, "expected [carrier], [domain s] or [map s] line")
@@ -330,8 +330,8 @@ def load_structure(path: str | Path) -> InverseSemigroupoid:
     result = infer_inverses(doc.table)
     if isinstance(result, ValidationReport):
         raise ValidationFailure(str(path), result)
-    if doc.inverse is not None and doc.inverse != result.inverse_map():
-        inferred = result.inverse_map()
+    inferred = None if doc.inverse is None else result.inverse_map()
+    if doc.inverse != inferred:
         off = sorted(s for s in set(doc.inverse) | set(inferred) if doc.inverse.get(s) != inferred.get(s))
         raise ValidationFailure(
             str(path),

@@ -1,6 +1,7 @@
 import pytest
 
 from isgact import (
+    ActionMap,
     GlobalizationTriple,
     PartialAction,
     Seed,
@@ -18,16 +19,18 @@ from isgact import (
     infer_inverses,
     is_embedding,
     is_global,
+    is_valid_global,
     mediating,
     restrict,
     validate_e_axioms,
     validate_p_axioms,
     verify_universal,
 )
-from isgact.core import SemigroupoidTable
-from isgact.catalog import four_point_action
+from isgact.core import SemigroupoidTable, Violation
+from isgact.catalog import catalog_entry, four_point_action
 
 from pairwise_oracle import seed_domain, seeds_related
+from universal_oracle import verify_universal_by_enumeration
 from worked_data import (
     CLASSES_A,
     CLASSES_B,
@@ -222,6 +225,47 @@ def test_uniqueness_against_itself(four_point):
     sigma = mediating(glob, triple)
     report = verify_universal(glob, triple, sigma)  # 5**5 candidates, within default bound
     assert report.ok and not report.notes
+
+
+def _one_point_of_cyclic_3():
+    """The regular action of Z_3, its restriction to one point, and that restriction's globalization."""
+    base = catalog_entry("cyclic-3").actions[0].action
+    action = restrict(base, [base.carrier[0]], trim=True)
+    return base, action, build_globalization(action)
+
+
+def test_uniqueness_reports_a_class_off_the_embedding():
+    # the construction plus a disjoint copy of its one orbit: no class of the copy is one move from
+    # the embedding, and the copy can land on any of the three rotations of the target
+    base, action, built = _one_point_of_cyclic_3()
+    n = len(built.global_action.carrier)
+    rows = [row + [d + n if d >= 0 else -1 for d in row] for row in built.global_action.rows]
+    doubled = PartialAction._from_rows(action.semigroupoid, tuple(range(2 * n)), rows, [m + m for m in built.global_action.masks])
+    assert is_valid_global(doubled)
+    glob = globalization.Globalization(action, built.quotient, doubled, ActionMap(action, doubled, built.canonical_embedding.mapping))
+    j = inclusion_map(action, base)
+    first = mediating(built, j).mapping
+    sigma = ActionMap(doubled, base, {**first, **{c + n: z for c, z in first.items()}})
+    report = verify_universal(glob, j, sigma)
+    assert report.violations == (Violation("uniqueness", f"class {n} is not one move from the embedding, so its value is not forced", (n,)),)
+    assert verify_universal_by_enumeration(glob, j, sigma).violations == (
+        Violation("uniqueness", "3 commuting action maps found, expected exactly one", ()),
+    )
+
+
+def test_uniqueness_checks_the_forced_map():
+    # a smuggled triple into the target with one point cut from a domain: every class still has
+    # its forced value, but the forced map breaks the family condition, so no map commutes
+    base, action, glob = _one_point_of_cyclic_3()
+    masks = [m.copy() for m in base.masks]
+    masks[1][0] = False
+    cut = PartialAction._from_rows(base.semigroupoid, base.carrier, base.rows, masks)
+    bad = object.__new__(GlobalizationTriple)
+    bad.embedding = ActionMap(action, cut, {x: x for x in action.carrier})
+    sigma = ActionMap(glob.global_action, cut, mediating(glob, inclusion_map(action, base)).mapping)
+    report = verify_universal(glob, bad, sigma)
+    assert report == verify_universal_by_enumeration(glob, bad, sigma)
+    assert report.violations[-1] == Violation("uniqueness", "0 commuting action maps found, expected exactly one", ())
 
 
 def test_fiber_classes(two_point, four_point):

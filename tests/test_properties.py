@@ -10,6 +10,7 @@ from isgact import (
     ActionMap,
     GlobalizationTriple,
     PartialAction,
+    WellDefinednessError,
     build_globalization,
     build_seed_set,
     check_derived_propositions,
@@ -31,14 +32,13 @@ from isgact import (
     verify_universal,
 )
 from isgact.catalog import catalog, four_point_action, grow_catalog, partial_bijections, random_partial_action
-from isgact.globalization import _commuting_maps
 
 from corruptions import labeled_corruptions
 from dual_route_oracles import is_action_map as is_action_map_by_names
 from dual_route_oracles import is_embedding_by_names, natural_leq_diagnostic
 from p_scan_oracle import validate_p_axioms_by_scan
 from pairwise_oracle import pairwise_closure, pairwise_edges, seed_domain, seeds_related
-from universal_oracle import action_maps_by_enumeration, verify_universal_by_enumeration
+from universal_oracle import verify_universal_by_enumeration
 from worked_data import audit_equivalence_lemmas
 
 CATALOG = catalog()
@@ -402,18 +402,29 @@ def test_globalizing_twice_stabilizes_the_class_count(slot, seed):
     seed=seeds,
     perturb=st.sampled_from([None, "embedded", "free"]),
     rank=st.integers(min_value=0, max_value=10),
-    wrap=st.booleans(),
+    kind=st.sampled_from(["plain", "triple", "smuggled"]),
     over=st.booleans(),
 )
-@settings(max_examples=100, deadline=None)
-def test_uniqueness_audit_matches_the_enumeration_oracle(slot, seed, perturb, rank, wrap, over):
+@settings(max_examples=150, deadline=None)
+def test_uniqueness_audit_matches_the_enumeration_oracle(slot, seed, perturb, rank, kind, over):
     entry, index = slot
     base = entry.actions[index].action
     action = random_partial_action(entry, index, seed)
     glob = build_globalization(action)
-    j = inclusion_map(action, base)
-    target = GlobalizationTriple(j) if wrap else j
-    sigma = mediating(glob, target)
+    if kind == "smuggled":
+        # an arbitrary carrier map into the base, smuggled past the triple's checks, often
+        # admits no commuting map; where mediating rejects it, sigma is arbitrary as well
+        rng = random.Random(seed)
+        target = object.__new__(GlobalizationTriple)
+        target.embedding = ActionMap(action, base, {x: rng.choice(base.carrier) for x in action.carrier})
+        try:
+            sigma = mediating(glob, target)
+        except WellDefinednessError:
+            sigma = ActionMap(glob.global_action, base, {c: rng.choice(base.carrier) for c in glob.global_action.carrier})
+    else:
+        j = inclusion_map(action, base)
+        target = GlobalizationTriple(j) if kind == "triple" else j
+        sigma = mediating(glob, target)
     if perturb is not None:
         # move one class, embedded or left free by the embedding, to another target point
         embedded = set(glob.canonical_embedding.mapping.values())
@@ -428,35 +439,7 @@ def test_uniqueness_audit_matches_the_enumeration_oracle(slot, seed, perturb, ra
     report = verify_universal(glob, target, sigma, exhaustive_bound=bound)
     assert report == verify_universal_by_enumeration(glob, target, sigma, exhaustive_bound=bound)
     assert bool(report.notes) == over
-    assert report.ok == (perturb is None)
+    if kind != "smuggled":
+        assert report.ok == (perturb is None)
 
 
-def _search_cases(entry):
-    """(source, target, assigned) over the entry's global actions, with at most 10^4 candidates.
-
-    ``assigned`` is empty or fixes the source's first point, so the search
-    has to branch.  Each single-entry corruption of an action, searched from
-    the empty map into the action itself up to 10^3 candidates, can break the
-    family condition or leave a domain point without a move, which only the
-    final ``is_action_map`` check sees.
-    """
-    actions = [ca.action for ca in entry.actions if ca.global_tag]
-    for source in actions:
-        for target in actions:
-            for assigned in [{}, *({source.carrier[0]: y} for y in target.carrier)]:
-                if len(target.carrier) ** (len(source.carrier) - len(assigned)) <= 10**4:
-                    yield source, target, assigned
-        if len(source.carrier) ** len(source.carrier) <= 10**3:
-            for broken in _single_entry_corruptions(source):
-                yield broken, source, {}
-
-
-def test_the_commuting_map_search_matches_brute_force():
-    found = {}
-    for entry in GROWN:
-        for source, target, assigned in _search_cases(entry):
-            maps = _commuting_maps(source, target, assigned)
-            assert maps == action_maps_by_enumeration(source, target, assigned), entry.name
-            found.setdefault(len(maps), entry.name)
-    # some searches branch into several maps, and some corrupted sources admit none
-    assert max(found) > 1 and 0 in found

@@ -5,6 +5,7 @@ import pytest
 from isgact import (
     ParseError,
     ValidationFailure,
+    Violation,
     format_action,
     format_structure,
     load_action,
@@ -15,6 +16,7 @@ from isgact import (
     textio,
 )
 from isgact.catalog import catalog, four_point_action, three_point_action
+from isgact.cli import run_cli
 
 
 def test_fixture_structure_matches_the_builder(fixtures_dir, hybrid):
@@ -155,6 +157,19 @@ def test_structure_ref_extraction(fixtures_dir):
         structure_ref("structure = eight\x00arrow.isgd\n")
 
 
+def test_a_second_structure_header_is_a_parse_error_on_its_line(tmp_path, fixtures_dir, hybrid, capsys):
+    text = (fixtures_dir / "four_point.pact").read_text() + "structure = nowhere.isgd\n"
+    line = len(text.splitlines())
+    with pytest.raises(ParseError) as err:
+        parse_action(text, hybrid)
+    assert str(err.value) == f"line {line}, col 1: duplicate structure header"
+    # the first header still names the structure, so the command loads it and then stops at the duplicate
+    (tmp_path / "eight_arrow.isgd").write_text((fixtures_dir / "eight_arrow.isgd").read_text())
+    (tmp_path / "twice.pact").write_text(text)
+    assert run_cli(["validate", str(tmp_path / "twice.pact")]) == 2
+    assert capsys.readouterr().err == f"error: line {line}, col 1: duplicate structure header\n"
+
+
 def test_load_action_splits_the_action_text_into_lines_twice(monkeypatch, fixtures_dir):
     # once to find the structure file, once to parse: parse_action checks the header on its own first line
     calls = []
@@ -173,7 +188,10 @@ def test_declared_inverse_mismatch_fails_loading(tmp_path, hybrid):
     target.write_text(text)
     with pytest.raises(ValidationFailure) as err:
         load_structure(target)
-    assert "declared-inverse" in err.value.report.tags()
+    assert err.value.report.violations == (
+        Violation("declared-inverse", "declared inverse of a is a but the unique pseudo-inverse is a*", ("a",)),
+        Violation("declared-inverse", "declared inverse of a* is a* but the unique pseudo-inverse is a", ("a*",)),
+    )
 
 
 def test_loading_a_structure_without_inverses_reports_it(tmp_path):

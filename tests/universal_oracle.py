@@ -1,13 +1,14 @@
-"""Reference oracles for the uniqueness audit: every candidate map, tried one by one.
+"""Reference oracle for the uniqueness audit: every candidate map, tried one by one.
 
 ``verify_universal_by_enumeration`` is the direct reading of the universal
 property.  It enumerates all |Y|^|classes| maps from the classes into the
 target carrier Y, keeps those that send i(x) to j(x) for every point x, and
-counts the action maps among them.  ``action_maps_by_enumeration`` tries
-every value on the points a partial map leaves unset.  The library instead
-propagates values along the action from the fixed points and branches only
-where propagation leaves a point unset; the tests require the same report
-and the same list of maps.
+counts the action maps among them.  The library instead reads the one
+candidate that equivariance forces on each class one move from the
+embedding and checks only that; the tests require the same report.  On a
+hand-built global action with a class that is not one move from the
+embedding, both report ``uniqueness``, and only there do the messages
+differ: the oracle counts the maps, the library names the class.
 """
 
 import itertools
@@ -29,17 +30,6 @@ def _target_map(glob, target) -> ActionMap:
     if j.source != glob.action:
         raise StructuralError("target must be built over the same input action")
     return j
-
-
-def action_maps_by_enumeration(source, target, assigned) -> list[dict]:
-    """Every action map from source to target extending ``assigned``, in lexicographic order of the other values."""
-    free = [c for c in source.carrier if c not in assigned]
-    matches = []
-    for values in itertools.product(target.carrier, repeat=len(free)):
-        candidate = {**assigned, **dict(zip(free, values))}
-        if is_action_map(ActionMap(source, target, candidate)).ok:
-            matches.append(candidate)
-    return matches
 
 
 def verify_universal_by_enumeration(glob, target, sigma: ActionMap, exhaustive_bound: int = 1_000_000) -> ValidationReport:
