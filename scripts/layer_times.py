@@ -16,7 +16,10 @@ from text.  Stages, each timed alone:
 
 Loading the structure is printed first, in three parts that are not
 stages: the parse into the integer table, the semigroupoid axiom scan (it
-grows with the cube of the arrow count) and the pseudo-inverse search.
+grows with the number of composable triples) and the pseudo-inverse
+search.  The same three parts follow for the pair groupoid P_k with
+k = round(sqrt(n)): about as many arrows as Z_n, spread over k objects, so
+about n^2 composable triples where Z_n has n^3.
 With ``--repeat`` each stage reports its fastest run.  Standard library
 only:
 
@@ -24,6 +27,7 @@ only:
 """
 
 import argparse
+import math
 import random
 import sys
 import time
@@ -56,6 +60,25 @@ def _timed(fn, stage, spent):
             spent[stage] = spent.get(stage, 0.0) + time.perf_counter() - start
 
     return wrapper
+
+
+def load_timed(structure, label):
+    """Load a generated structure, print its three load parts under the label, and return it."""
+    load: dict = {}
+    start = time.perf_counter()
+    table = parse_structure(structure.text()).table
+    load["parse"] = time.perf_counter() - start
+    scan = core.validate_semigroupoid
+    core.validate_semigroupoid = _timed(scan, "axiom scan", load)
+    try:
+        start = time.perf_counter()
+        isg = infer_inverses(table)
+        load["inverse search"] = time.perf_counter() - start - load["axiom scan"]
+    finally:
+        core.validate_semigroupoid = scan
+    for part, seconds in load.items():
+        print(f"{label} {part:<15} {seconds:8.3f} s")
+    return isg
 
 
 def run_once(action_text, isg) -> tuple[dict, object]:
@@ -94,20 +117,9 @@ def main():
     structure, regular = gen.cyclic(args.n, random.Random(0))
     half = gen.restrict(regular, [str(i) for i in range(args.n // 2)])
 
-    load: dict = {}
-    start = time.perf_counter()
-    table = parse_structure(structure.text()).table
-    load["parse"] = time.perf_counter() - start
-    scan = core.validate_semigroupoid
-    core.validate_semigroupoid = _timed(scan, "axiom scan", load)
-    try:
-        start = time.perf_counter()
-        isg = infer_inverses(table)
-        load["inverse search"] = time.perf_counter() - start - load["axiom scan"]
-    finally:
-        core.validate_semigroupoid = scan
-    for part, seconds in load.items():
-        print(f"structure {part:<15} {seconds:8.3f} s")
+    isg = load_timed(structure, f"Z_{args.n} structure")
+    k = round(math.sqrt(args.n))
+    load_timed(gen.pair_groupoid(k, random.Random(0))[0], f"P_{k} structure")
 
     best: dict = {}
     for _ in range(max(1, args.repeat)):

@@ -347,7 +347,8 @@ def verify_universal(glob: Globalization, target, sigma: ActionMap, exhaustive_b
     construction is the class of a seed (s, x), which is theta[s](i(x)), so
     f can only send it to the target move of j(x) by s: one pass reads that
     candidate (``_forced_values``), and ``is_action_map`` decides whether it
-    is an action map.  A class the pass leaves unset is not one move from
+    is an action map; when the candidate is sigma itself, sigma's report
+    already did.  A class the pass leaves unset is not one move from
     the embedding, so the global action is not the construction's, and it
     is reported.  The pass costs about embedded points times arrows, so the
     bound limits no work; it still counts all |Y|^|classes| maps into the
@@ -382,9 +383,12 @@ def verify_universal(glob: Globalization, target, sigma: ActionMap, exhaustive_b
             v.append(Violation("uniqueness", f"class {c} is not one move from the embedding, so its value is not forced", (c,)))
         else:
             forced = ActionMap(glob.global_action, j.target, {c: points[y] for c, y in zip(classes, values)})
-            if not is_action_map(forced).ok:
+            is_sigma = forced.mapping == sigma.mapping
+            # sigma's own check already decided the same map between the same two actions
+            same = is_sigma and sigma.source is forced.source and sigma.target is forced.target
+            if not (sig_report if same else is_action_map(forced)).ok:
                 v.append(none_found)
-            elif forced.mapping != sigma.mapping:
+            elif not is_sigma:
                 v.append(Violation("uniqueness", "the enumerated factoring map differs from sigma", ()))
     return ValidationReport(tuple(v), tuple(notes))
 

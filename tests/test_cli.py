@@ -432,6 +432,28 @@ def test_each_command_lists_the_composable_pairs_once(capsys, monkeypatch, fixtu
     assert len(calls) == 1
 
 
+def pair_groupoid_table(k):
+    """P_k: one arrow c_j -> c_i for every pair (i, j), composing as (i, j)(j, l) = (i, l)."""
+    objects = tuple(f"c{i}" for i in range(k))
+    ends = {f"p{i}{j}": (i, j) for i in range(k) for j in range(k)}
+    dom = {a: objects[j] for a, (i, j) in ends.items()}
+    cod = {a: objects[i] for a, (i, j) in ends.items()}
+    mul = {(s, t): f"p{i}{ends[t][1]}" for s, (i, j) in ends.items() for t in ends if ends[t][0] == j}
+    return core.SemigroupoidTable(objects, ends, dom, cod, mul)
+
+
+@pytest.mark.parametrize("structure", ["P_3", "eight_arrow.isgd"])
+def test_the_axiom_scan_asks_no_composability_question(monkeypatch, fixtures_dir, structure):
+    # the associativity scan walks each arrow's right partners from the per-object index
+    if structure == "P_3":
+        table = pair_groupoid_table(3)
+    else:
+        table = parse_structure((fixtures_dir / structure).read_text()).table
+    calls = count_calls(monkeypatch, "composable", core.SemigroupoidTable)
+    assert core.validate_semigroupoid(table).ok
+    assert calls == []
+
+
 def test_check_props_decides_each_natural_order_pair_once(capsys, monkeypatch, fixtures_dir):
     # the strict order is decided on the integer table over the pairs of parallel arrows, listed once
     calls = count_calls(monkeypatch, "_parallel", core.SemigroupoidTable)
@@ -575,7 +597,13 @@ def test_the_uniqueness_audit_checks_one_candidate_on_a_true_globalization(monke
     sigma = globalization.mediating(glob, triple)
     calls = count_calls(monkeypatch, "is_action_map", globalization)
     assert globalization.verify_universal(glob, triple, sigma).ok
-    # sigma itself, then the one complete assignment propagation reaches
+    # sigma itself only: the one forced candidate is sigma, so sigma's report decides it
+    assert [f.source for f, in calls] == [glob.global_action]
+    # a perturbed sigma differs from the forced candidate, which is then checked on its own
+    c = glob.canonical_embedding(base.carrier[0])
+    mapping = {**sigma.mapping, c: base.carrier[1]}
+    calls.clear()
+    assert "commutes" in globalization.verify_universal(glob, triple, morphisms.ActionMap(glob.global_action, base, mapping)).tags()
     assert [f.source for f, in calls] == [glob.global_action] * 2
 
 

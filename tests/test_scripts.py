@@ -19,9 +19,11 @@ ROOT = Path(__file__).resolve().parent.parent
         # Z_8 on 4 of its points: 8 arrows times 4 points of seeds, one class per group element
         (["scripts/layer_times.py", "--n", "8"], "Z_8 half restriction: 8 arrows, 4 points, 32 seeds, 8 classes"),
         # the structure load is split into its three parts
-        (["scripts/layer_times.py", "--n", "8"], "structure inverse search"),
+        (["scripts/layer_times.py", "--n", "8"], "Z_8 structure inverse search"),
+        # and so is the load of the pair groupoid with about as many arrows
+        (["scripts/layer_times.py", "--n", "8"], "P_3 structure inverse search"),
     ],
-    ids=["worked_examples", "randomized_audit", "layer_times", "layer_times_load"],
+    ids=["worked_examples", "randomized_audit", "layer_times", "layer_times_load", "layer_times_pair_groupoid_load"],
 )
 def test_script_exits_cleanly(argv, expected):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
