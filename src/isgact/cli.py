@@ -199,6 +199,10 @@ def _cmd_validate(args) -> int:
 def _cmd_restrict(args) -> int:
     action, _, ref = _load_action(Path(args.action))
     subset = [x for x in args.subset.replace(",", " ").split()]
+    points = {str(x) for x in action.carrier}
+    unknown = [x for x in dict.fromkeys(subset) if x not in points]
+    if unknown:
+        raise UsageError("--subset names points outside the carrier: " + ", ".join(unknown))
     restricted = restrict(action, subset, trim=args.trim)
     sys.stdout.write(format_action(restricted, ref))
     return 0

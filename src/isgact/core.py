@@ -10,10 +10,11 @@ by position too.  ``inv``, ``inverse_map``, ``idempotent_set``, ``products``,
 ``strict_order`` and ``generators`` are name views of those integers.
 Associativity is checked by an exhaustive scan that visits the composable
 triples only, walking each arrow's right partners from the per-object index.
-Its per-triple body still reads products by name.  An integer body would
-let a benchmark run fit so many deck passes that its tail metric becomes
-the one I_4 load, so it waits until that tail stops depending on the pass
-count (ROADMAP item 2 after item 1).
+It reads each product s t once per composable pair, before the walk; the two
+reads per triple, (p s) t and p (s t), still go by name.  An integer body
+would let a benchmark run fit so many deck passes that its tail metric
+becomes the one I_4 load, so it waits until that tail stops depending on
+the pass count (ROADMAP item 2 after item 1).
 """
 
 from __future__ import annotations
@@ -201,9 +202,11 @@ def validate_semigroupoid(raw: SemigroupoidTable) -> ValidationReport:
     The associativity scan visits only the composable triples (p, s, t): s
     runs over the arrows into dom(p) and t over those into dom(s), both in
     declaration order, so witnesses come in the order of the exhaustive
-    scan over all triples.  The body still reads the three products by
-    name; its integer form waits on the benchmark's tail fix (ROADMAP item 2
-    after item 1).
+    scan over all triples.  The products s t do not depend on p, so each is
+    read once per pair, before the walk, and zipped with the names of the
+    arrows t; p s is read once per pair too.  The body still reads the two
+    products (p s) t and p (s t) by name; its integer form waits on the
+    benchmark's tail fix (ROADMAP item 2 after item 1).
     """
     violations = []
     arrows, dom, cod = raw.arrows, raw._dom, raw._cod
@@ -228,14 +231,14 @@ def validate_semigroupoid(raw: SemigroupoidTable) -> ValidationReport:
                     Violation("definedness", f"product {name} {arrows[t]} defined on a non-composable pair", (name, arrows[t]))
                 )
 
-    into = raw._into
+    into = [[arrows[t] for t in ts] for ts in raw._into]  # per object, the names of the arrows into it
+    # per arrow s, its products s t over the arrows t into dom(s), in that order: each read once, not once per p
+    products = [[raw.mul(s, t) for t in into[d]] for s, d in zip(arrows, dom)]
     for i, p in enumerate(arrows):
-        for j in into[dom[i]]:
+        for j in raw._into[dom[i]]:
             s = arrows[j]
             ps = raw.mul(p, s)
-            for k in into[dom[j]]:
-                t = arrows[k]
-                st = raw.mul(s, t)
+            for t, st in zip(into[dom[j]], products[j]):
                 if ps is None or st is None:
                     continue  # already reported as a totality violation
                 left = raw.mul(ps, t)

@@ -285,55 +285,48 @@ def mediating(glob: Globalization, target) -> ActionMap:
     """The unique factoring map: a class named by (s, x) goes to the target move of j(x) by s.
 
     ``target`` is either a GlobalizationTriple or a plain ActionMap into a
-    global action.  Every seed of every class is evaluated on the target's
-    rows, class by class; the first class, in class order, that j does not
-    carry to one value raises WellDefinednessError with the offending seeds.
+    global action.  Every class is theta[s](i(x)) for a seed (s, x), so the
+    map is read off the rows from the embedding (``_forced_values``), the
+    same pass ``verify_universal`` makes.  A seed whose target move is
+    undefined, or gives a class a second value, raises WellDefinednessError
+    naming that seed, and so does a class the pass leaves unset.
     """
     j = _target_map(glob, target)
-    tgt, q, image, inv = j.target, glob.quotient, j._image, j.target.semigroupoid._inv
-    members: list[list[tuple[int, int]]] = [[] for _ in range(q.n_classes)]  # each class's seeds (arrow, position), by id
-    for s, (ids, pts) in enumerate(q._blocks):
-        for c, k in zip(q._label[ids.start:ids.stop], pts):
-            members[c].append((s, k))
-    arrows, carrier = tgt.semigroupoid.arrows, glob.action.carrier
-    value = []  # each class's target point
-    for c, seeds in enumerate(members):
-        first: dict[int, tuple[int, int]] = {}  # target position -> the first seed that gives it
-        for s, k in seeds:
-            y = image[k]  # j(x)
-            z = tgt.rows[s][y] if tgt.masks[inv[s]][y] else -1
-            if z < 0:
-                bad = Seed(arrows[s], carrier[k])
-                raise WellDefinednessError(f"target action undefined on seed ({bad.arrow}, {bad.point}) of class {c}", (bad,))
-            first.setdefault(z, (s, k))
-        if len(first) > 1:
-            (z1, p1), (z2, p2) = [(z, Seed(arrows[s], carrier[k])) for z, (s, k) in list(first.items())[:2]]
-            raise WellDefinednessError(f"class {c} maps to both {tgt.carrier[z1]} (via {p1}) and {tgt.carrier[z2]} (via {p2})", (p1, p2))
-        value.append(tgt.carrier[z])  # every seed of the class gave z
-    return ActionMap(glob.global_action, tgt, dict(enumerate(value)))
+    values = _forced_values(glob, j)
+    classes, points = glob.global_action.carrier, j.target.carrier
+    if -1 in values:
+        c = classes[values.index(-1)]
+        raise WellDefinednessError(f"class {c} is not one move from the embedding, so its value is not forced")
+    return ActionMap(glob.global_action, j.target, dict(zip(classes, map(points.__getitem__, values))))
 
 
-def _forced_values(source: PartialAction, target: PartialAction, fixed: dict) -> list[int] | None:
-    """Per source position, the one target position an action map extending ``fixed`` can give it.
+def _forced_values(glob: Globalization, j: ActionMap) -> list[int]:
+    """Per class position, the one target position a map sending i(x) to j(x) for every x can give it.
 
-    Equivariance makes each move theta[s](c) = d with c in dom_of[inv(s)]
-    force the value of d: the target move of the value of c by s.  One pass
-    over the fixed points and the arrows reads every value one move away;
-    a point not one move from a fixed point keeps -1.  None means no action
-    map extends ``fixed``: a forced move is undefined in the target, or two
-    forced values disagree.
+    The pass starts from the two position images, ``canonical_embedding._image``
+    and ``j._image``.  Equivariance makes each move theta[s](i(x)) = d with
+    i(x) in dom_of[inv(s)], the class of the seed (s, x), force the value of
+    d: the target move of j(x) by s.  One pass over the embedded points and
+    the arrows reads every value one move away; a class not one move from
+    the embedding keeps -1.  A forced move undefined in the target, or two
+    forced values that disagree, raise WellDefinednessError naming the seed.
     """
+    source, target = glob.global_action, j.target
+    arrows, carrier = source.semigroupoid.arrows, glob.action.carrier
     values = [-1] * len(source.carrier)
-    starts = [(source._pos[c], target._pos[y]) for c, y in fixed.items()]
+    starts = list(zip(glob.canonical_embedding._image, j._image))
     for c, y in starts:
         values[c] = y
-    for row, window, moves in zip(source.rows, map(source.masks.__getitem__, source.semigroupoid._inv), target.rows):
-        for c, y in starts:
+    for s, row, window, moves in zip(arrows, source.rows, map(source.masks.__getitem__, source.semigroupoid._inv), target.rows):
+        for k, (c, y) in enumerate(starts):
             d = row[c]
             if window[c] and d >= 0:
                 z = moves[y]
                 if z < 0 or values[d] not in (-1, z):
-                    return None
+                    bad, cls = Seed(s, carrier[k]), source.carrier[d]
+                    if z < 0:
+                        raise WellDefinednessError(f"target action undefined on seed ({bad.arrow}, {bad.point}) of class {cls}", (bad,))
+                    raise WellDefinednessError(f"class {cls} maps to both {target.carrier[values[d]]} and {target.carrier[z]} (via {bad})", (bad,))
                 values[d] = z
     return values
 
@@ -373,9 +366,11 @@ def verify_universal(glob: Globalization, target, sigma: ActionMap, exhaustive_b
     if total > exhaustive_bound:
         notes.append(f"uniqueness skipped (bound): {len(points)}^{len(classes)} = {total} candidates exceed {exhaustive_bound}")
     else:
-        fixed = {glob.canonical_embedding(x): j(x) for x in glob.action.carrier}
-        values = _forced_values(glob.global_action, j.target, fixed)
         none_found = Violation("uniqueness", "0 commuting action maps found, expected exactly one", ())
+        try:
+            values = _forced_values(glob, j)
+        except WellDefinednessError:
+            values = None
         if values is None:
             v.append(none_found)
         elif -1 in values:

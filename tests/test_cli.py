@@ -82,6 +82,14 @@ def test_restrict_matches_the_library(capsys, fixtures_dir, three_point):
     assert out == format_action(restrict(three_point, {"1", "2"}), "eight_arrow.isgd")
 
 
+@pytest.mark.parametrize("subset, unknown", [("9", "9"), ("1,9,x,9", "9, x")])
+def test_restrict_to_unknown_points_is_a_usage_error(capsys, fixtures_dir, subset, unknown):
+    code, out, err = run(capsys, "restrict", str(fixtures_dir / "three_point_global.pact"), "--subset", subset)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --subset names points outside the carrier: {unknown}\n"
+
+
 def test_globalize_table(capsys, fixtures_dir):
     code, out, _ = run(capsys, "globalize", str(fixtures_dir / "three_point_restricted.pact"))
     assert code == 0
@@ -444,14 +452,19 @@ def pair_groupoid_table(k):
 
 @pytest.mark.parametrize("structure", ["P_3", "eight_arrow.isgd"])
 def test_the_axiom_scan_asks_no_composability_question(monkeypatch, fixtures_dir, structure):
-    # the associativity scan walks each arrow's right partners from the per-object index
+    # the associativity scan walks each arrow's right partners from the per-object index; it reads
+    # p s and s t once per composable pair, then (p s) t and p (s t) per composable triple
     if structure == "P_3":
         table = pair_groupoid_table(3)
     else:
         table = parse_structure((fixtures_dir / structure).read_text()).table
+    pairs = len(table._composable())
+    triples = sum(len(table._into[table._dom[s]]) for _, s in table._composable())
     calls = count_calls(monkeypatch, "composable", core.SemigroupoidTable)
+    reads = count_calls(monkeypatch, "mul", core.SemigroupoidTable)
     assert core.validate_semigroupoid(table).ok
     assert calls == []
+    assert len(reads) == 2 * pairs + 2 * triples
 
 
 def test_check_props_decides_each_natural_order_pair_once(capsys, monkeypatch, fixtures_dir):

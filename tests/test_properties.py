@@ -38,7 +38,7 @@ from dual_route_oracles import is_action_map as is_action_map_by_names
 from dual_route_oracles import is_embedding_by_names, natural_leq_diagnostic
 from p_scan_oracle import validate_p_axioms_by_scan
 from pairwise_oracle import pairwise_closure, pairwise_edges, seed_domain, seeds_related
-from universal_oracle import verify_universal_by_enumeration
+from universal_oracle import mediating_by_seeds, verify_universal_by_enumeration
 from worked_data import audit_equivalence_lemmas
 
 CATALOG = catalog()
@@ -397,6 +397,14 @@ def test_globalizing_twice_stabilizes_the_class_count(slot, seed):
     assert len(second.global_action.carrier) == len(first.global_action.carrier)
 
 
+def _factoring_mapping(mediate, glob, target):
+    """The mapping of the factoring map, or None where it raises WellDefinednessError."""
+    try:
+        return mediate(glob, target).mapping
+    except WellDefinednessError:
+        return None
+
+
 @given(
     slot=st.sampled_from(GROWN_SLOTS),
     seed=seeds,
@@ -412,19 +420,21 @@ def test_uniqueness_audit_matches_the_enumeration_oracle(slot, seed, perturb, ra
     action = random_partial_action(entry, index, seed)
     glob = build_globalization(action)
     if kind == "smuggled":
-        # an arbitrary carrier map into the base, smuggled past the triple's checks, often
-        # admits no commuting map; where mediating rejects it, sigma is arbitrary as well
+        # an arbitrary carrier map into the base, smuggled past the triple's checks, often admits no commuting map
         rng = random.Random(seed)
         target = object.__new__(GlobalizationTriple)
         target.embedding = ActionMap(action, base, {x: rng.choice(base.carrier) for x in action.carrier})
-        try:
-            sigma = mediating(glob, target)
-        except WellDefinednessError:
-            sigma = ActionMap(glob.global_action, base, {c: rng.choice(base.carrier) for c in glob.global_action.carrier})
     else:
         j = inclusion_map(action, base)
         target = GlobalizationTriple(j) if kind == "triple" else j
-        sigma = mediating(glob, target)
+    # the factoring map read off the embedding is the one every seed of every class gives, or both raise
+    mapping = _factoring_mapping(mediating, glob, target)
+    assert mapping == _factoring_mapping(mediating_by_seeds, glob, target)
+    if mapping is None:
+        # only a smuggled target admits no commuting map; sigma is arbitrary as well
+        assert kind == "smuggled"
+        mapping = {c: rng.choice(base.carrier) for c in glob.global_action.carrier}
+    sigma = ActionMap(glob.global_action, base, mapping)
     if perturb is not None:
         # move one class, embedded or left free by the embedding, to another target point
         embedded = set(glob.canonical_embedding.mapping.values())

@@ -9,11 +9,26 @@ embedding and checks only that; the tests require the same report.  On a
 hand-built global action with a class that is not one move from the
 embedding, both report ``uniqueness``, and only there do the messages
 differ: the oracle counts the maps, the library names the class.
+
+``mediating_by_seeds`` computes the factoring map the other way: it
+evaluates every seed of every class on the target's rows, class by class,
+where the library reads each class's value once, one move from the
+embedding.  The tests require the same map, or that both raise.
 """
 
 import itertools
 
-from isgact import ActionMap, GlobalizationTriple, StructuralError, ValidationReport, Violation, is_global, validate_p_axioms
+from isgact import (
+    ActionMap,
+    GlobalizationTriple,
+    Seed,
+    StructuralError,
+    ValidationReport,
+    Violation,
+    WellDefinednessError,
+    is_global,
+    validate_p_axioms,
+)
 from isgact.morphisms import is_action_map
 
 
@@ -65,3 +80,33 @@ def verify_universal_by_enumeration(glob, target, sigma: ActionMap, exhaustive_b
         elif matches[0] != sigma.mapping:
             v.append(Violation("uniqueness", "the enumerated factoring map differs from sigma", ()))
     return ValidationReport(tuple(v), tuple(notes))
+
+
+def mediating_by_seeds(glob, target) -> ActionMap:
+    """mediating, evaluating every seed of every class on the target's rows, class by class.
+
+    The first class, in class order, that j does not carry to one value
+    raises WellDefinednessError with the offending seeds.
+    """
+    j = _target_map(glob, target)
+    tgt, q, image, inv = j.target, glob.quotient, j._image, j.target.semigroupoid._inv
+    members: list[list[tuple[int, int]]] = [[] for _ in range(q.n_classes)]  # each class's seeds (arrow, position), by id
+    for s, (ids, pts) in enumerate(q._blocks):
+        for c, k in zip(q._label[ids.start:ids.stop], pts):
+            members[c].append((s, k))
+    arrows, carrier = tgt.semigroupoid.arrows, glob.action.carrier
+    value = []  # each class's target point
+    for c, seeds in enumerate(members):
+        first: dict[int, tuple[int, int]] = {}  # target position -> the first seed that gives it
+        for s, k in seeds:
+            y = image[k]  # j(x)
+            z = tgt.rows[s][y] if tgt.masks[inv[s]][y] else -1
+            if z < 0:
+                bad = Seed(arrows[s], carrier[k])
+                raise WellDefinednessError(f"target action undefined on seed ({bad.arrow}, {bad.point}) of class {c}", (bad,))
+            first.setdefault(z, (s, k))
+        if len(first) > 1:
+            (z1, p1), (z2, p2) = [(z, Seed(arrows[s], carrier[k])) for z, (s, k) in list(first.items())[:2]]
+            raise WellDefinednessError(f"class {c} maps to both {tgt.carrier[z1]} (via {p1}) and {tgt.carrier[z2]} (via {p2})", (p1, p2))
+        value.append(tgt.carrier[z])  # every seed of the class gave z
+    return ActionMap(glob.global_action, tgt, dict(enumerate(value)))
