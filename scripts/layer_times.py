@@ -19,7 +19,9 @@ stages: the parse into the integer table, the semigroupoid axiom scan (it
 grows with the number of composable triples) and the pseudo-inverse
 search.  The same three parts follow for the pair groupoid P_k with
 k = round(sqrt(n)): about as many arrows as Z_n, spread over k objects, so
-about n^2 composable triples where Z_n has n^3.
+about n^2 composable triples where Z_n has n^3.  Then they follow for the
+symmetric inverse monoid I_m, the largest with at most n arrows: I_3 (34
+arrows) at the default n = 200, I_4 (209 arrows) from n = 210.
 With ``--repeat`` each stage reports its fastest run.  Standard library
 only:
 
@@ -81,6 +83,11 @@ def load_timed(structure, label):
     return isg
 
 
+def symmetric_inverse_size(k: int) -> int:
+    """The number of arrows of I_k, the partial bijections of k points."""
+    return sum(math.comb(k, j) ** 2 * math.factorial(j) for j in range(k + 1))
+
+
 def run_once(action_text, isg) -> tuple[dict, object]:
     spent: dict = {}
     start = time.perf_counter()
@@ -120,6 +127,10 @@ def main():
     isg = load_timed(structure, f"Z_{args.n} structure")
     k = round(math.sqrt(args.n))
     load_timed(gen.pair_groupoid(k, random.Random(0))[0], f"P_{k} structure")
+    m = 1
+    while symmetric_inverse_size(m + 1) <= args.n:
+        m += 1
+    load_timed(gen.symmetric_inverse(m, random.Random(0))[0], f"I_{m} structure")
 
     best: dict = {}
     for _ in range(max(1, args.repeat)):

@@ -10,11 +10,12 @@ by position too.  ``inv``, ``inverse_map``, ``idempotent_set``, ``products``,
 ``strict_order`` and ``generators`` are name views of those integers.
 Associativity is checked by an exhaustive scan that visits the composable
 triples only, walking each arrow's right partners from the per-object index.
-It reads each product s t once per composable pair, before the walk; the two
-reads per triple, (p s) t and p (s t), still go by name.  An integer body
-would let a benchmark run fit so many deck passes that its tail metric
-becomes the one I_4 load, so it waits until that tail stops depending on
-the pass count (ROADMAP item 2 after item 1).
+It reads each product s t once per composable pair, before the walk, and
+takes the left side (p s) t from those lists: it is the row of p s.  The one
+read per triple, p (s t), still goes by name.  An integer body would let a
+benchmark run fit so many deck passes that its tail metric becomes the one
+I_4 load, so it waits until that tail stops depending on the pass count
+(ROADMAP item 2 after item 1).
 """
 
 from __future__ import annotations
@@ -204,9 +205,13 @@ def validate_semigroupoid(raw: SemigroupoidTable) -> ValidationReport:
     declaration order, so witnesses come in the order of the exhaustive
     scan over all triples.  The products s t do not depend on p, so each is
     read once per pair, before the walk, and zipped with the names of the
-    arrows t; p s is read once per pair too.  The body still reads the two
-    products (p s) t and p (s t) by name; its integer form waits on the
-    benchmark's tail fix (ROADMAP item 2 after item 1).
+    arrows t; p s is read once per pair too.  Those lists also hold the left
+    sides: when p s = u has domain dom(s), the values (p s) t over the
+    arrows t into dom(s) are the products of u, in the same order.  Only a
+    product p s with another domain, already reported under ``endpoints``,
+    has its (p s) t read by name.  The body still reads p (s t) by name; its
+    integer form waits on the benchmark's tail fix (ROADMAP item 2 after
+    item 1).
     """
     violations = []
     arrows, dom, cod = raw.arrows, raw._dom, raw._cod
@@ -234,14 +239,20 @@ def validate_semigroupoid(raw: SemigroupoidTable) -> ValidationReport:
     into = [[arrows[t] for t in ts] for ts in raw._into]  # per object, the names of the arrows into it
     # per arrow s, its products s t over the arrows t into dom(s), in that order: each read once, not once per p
     products = [[raw.mul(s, t) for t in into[d]] for s, d in zip(arrows, dom)]
+    aidx = raw._aidx
     for i, p in enumerate(arrows):
         for j in raw._into[dom[i]]:
             s = arrows[j]
             ps = raw.mul(p, s)
-            for t, st in zip(into[dom[j]], products[j]):
-                if ps is None or st is None:
+            if ps is None:
+                continue  # already reported as a totality violation
+            ts = into[dom[j]]
+            u = aidx[ps]
+            # (p s) t over the arrows t into dom(s) is the row of p s, unless p s has another domain (an endpoints violation)
+            lefts = products[u] if dom[u] == dom[j] else [raw.mul(ps, t) for t in ts]
+            for t, st, left in zip(ts, products[j], lefts):
+                if st is None:
                     continue  # already reported as a totality violation
-                left = raw.mul(ps, t)
                 right = raw.mul(p, st)
                 if left is None or right is None or left != right:
                     violations.append(

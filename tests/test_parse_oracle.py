@@ -169,3 +169,18 @@ def test_partial_tables_build_and_scan_as_the_oracle_does(parts):
     for field in ("objects", "arrows", "_dom", "_cod", "_mul"):
         assert getattr(table, field) == getattr(named, field), field
     assert_same_passes(table, named)
+
+
+def test_a_product_with_another_domain_is_read_by_name_as_the_oracle_does():
+    # e g = e has the wrong domain (u, not dom(g) = v), so (e g) f cannot come from the row of e g:
+    # that row runs over the arrows into u, not over those into v
+    parts = (
+        ("u", "v"),
+        ("e", "f", "g"),
+        {"e": "u", "f": "v", "g": "v"},
+        {"e": "u", "f": "v", "g": "u"},
+        {("e", "e"): "e", ("e", "g"): "e", ("f", "f"): "f", ("g", "f"): "g"},
+    )
+    report = validate_semigroupoid(SemigroupoidTable(*parts))
+    assert report.tags() == {"endpoints", "associativity"}
+    assert repr(report) == repr(oracle.validate_semigroupoid(oracle.NameKeyedTable(*parts)))

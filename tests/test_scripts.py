@@ -22,8 +22,17 @@ ROOT = Path(__file__).resolve().parent.parent
         (["scripts/layer_times.py", "--n", "8"], "Z_8 structure inverse search"),
         # and so is the load of the pair groupoid with about as many arrows
         (["scripts/layer_times.py", "--n", "8"], "P_3 structure inverse search"),
+        # and so is the load of the largest symmetric inverse monoid with at most as many arrows
+        (["scripts/layer_times.py", "--n", "8"], "I_2 structure axiom scan"),
     ],
-    ids=["worked_examples", "randomized_audit", "layer_times", "layer_times_load", "layer_times_pair_groupoid_load"],
+    ids=[
+        "worked_examples",
+        "randomized_audit",
+        "layer_times",
+        "layer_times_load",
+        "layer_times_pair_groupoid_load",
+        "layer_times_symmetric_inverse_load",
+    ],
 )
 def test_script_exits_cleanly(argv, expected):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
