@@ -9,8 +9,10 @@ from text.  Stages, each timed alone:
     parse          parse_action on the .pact text (after the structure is loaded)
     input P scan   validate_p_axioms on the input
     index          the integer seed index (_seed_index)
-    closure        the one-step relation and its union-find (the Quotient constructor)
-    class maps     the rest of build_globalization: the class maps and the embedding
+    closure        each seed's images under the generators (_generator_images)
+                   and their congruence closure (_congruence_labels)
+    class maps     the rest of build_globalization: the generators' class maps,
+                   the others composed along the right Cayley tree, the embedding
     output checks  is_valid_global and is_embedding on the output
     JSON           the ``globalize --format json`` text
 
@@ -46,7 +48,8 @@ from isgact.cli import _globalization_json  # noqa: E402
 PROBED = (
     ("validate_p_axioms", "input P scan"),
     ("_seed_index", "index"),
-    ("Quotient", "closure"),
+    ("_generator_images", "closure"),
+    ("_congruence_labels", "closure"),
     ("is_valid_global", "output checks"),
     ("is_embedding", "output checks"),
 )

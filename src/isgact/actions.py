@@ -11,8 +11,8 @@ witnesses come out sorted and names appear only in the violations they report.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress
-from operator import le
+from itertools import chain, compress
+from operator import itemgetter, le
 from typing import Iterable, Mapping
 
 from .core import InverseSemigroupoid, StructuralError, ValidationReport, Violation
@@ -198,17 +198,31 @@ def _p3_violations(action: PartialAction, s: int, t: int, st: int) -> list[Viola
     return v
 
 
+def _picker(keys: list[int]):
+    """A function from a row to its entries at the keys, in order: a tuple, or a list for fewer than two keys."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    return itemgetter(slice(keys[0], keys[0] + 1) if keys else slice(0))
+
+
 def validate_p_axioms(action: PartialAction) -> ValidationReport:
     """Check the definitional axiom system, with a witness per violation.
 
-    P3 is first decided per composable pair (s, t) by one comparison of two
-    lists read at the points where the row of t is defined: the row of s at
-    each value, the row of s t at each point.  For arrows whose row is
-    defined exactly on dom_of[inv] and lands in their own domain
-    ("shaped"), they are equal exactly when P3 holds for the pair: both
-    sides are undefined off dom_of[inv(s t)] n dom_of[inv t] and agree on
-    it.  Only a pair that fails, or involves an arrow that is not shaped,
-    runs the full check to build its report.
+    P3 for a composable pair (s, t) compares two lists read at the points
+    where the row of t is defined: the row of s at each value, the row of
+    s t at each point.  For arrows whose row is defined exactly on
+    dom_of[inv] and lands in their own domain ("shaped"), they are equal
+    exactly when P3 holds for the pair: both sides are undefined off
+    dom_of[inv(s t)] n dom_of[inv t] and agree on it.  The two lists of a
+    pair have the same length, so the concatenations over all right
+    partners t of s are equal exactly when every pair's lists are, and P3
+    is decided with one comparison per arrow s.  Only a row that fails, or
+    that involves an arrow that is not shaped, compares pair by pair and
+    runs the full check on each pair that fails, so witnesses keep their
+    (s, t) order.  ``build_globalization`` closes its seeds by congruence
+    along the generators only once this report is ok: that closure gives
+    the partition of the one-step relation only for an action that
+    satisfies the P axioms.
     """
     isg = action.semigroupoid
     rows, masks, inv = action.rows, action.masks, isg._inv
@@ -217,11 +231,21 @@ def validate_p_axioms(action: PartialAction) -> ValidationReport:
     keys = [[i for i, j in enumerate(row) if j >= 0] for row in rows]
     values = [list(map(row.__getitem__, at)) for row, at in zip(rows, keys)]
     shaped = [[j >= 0 for j in row] == masks[i] and all(map(image.__getitem__, vals)) for row, i, image, vals in zip(rows, inv, masks, values)]
-    for s, t, st in isg._products:
-        if shaped[s] and shaped[t] and shaped[st]:
-            if list(map(rows[s].__getitem__, values[t])) == list(map(rows[st].__getitem__, keys[t])):
+    table = isg.table
+    # per object: a picker of the values of all arrows into it, in order, or None if one is not shaped
+    through = [_picker(list(chain.from_iterable(map(values.__getitem__, ts)))) if all(map(shaped.__getitem__, ts)) else None for ts in table._into]
+    for s, (d, products) in enumerate(zip(table._dom, table._mul)):
+        ts = table._into[d]  # the right partners t of s, in declaration order, and the products s t
+        sts = list(map(products.__getitem__, ts))
+        row_s = rows[s]
+        if through[d] is not None and shaped[s] and all(map(shaped.__getitem__, sts)):
+            if list(through[d](row_s)) == [row[i] for t, row in zip(ts, map(rows.__getitem__, sts)) for i in keys[t]]:
                 continue
-        v.extend(_p3_violations(action, s, t, st))
+        for t, st in zip(ts, sts):
+            if shaped[s] and shaped[t] and shaped[st]:
+                if list(map(row_s.__getitem__, values[t])) == list(map(rows[st].__getitem__, keys[t])):
+                    continue
+            v.extend(_p3_violations(action, s, t, st))
     return ValidationReport(tuple(v))
 
 

@@ -5,6 +5,16 @@ closes a one-step relation on those pairs into an equivalence, and lets the
 semigroupoid act on the classes by left multiplication of the arrow slot.
 The result is a global action receiving the input through a canonical
 embedding, and every map into a global action factors through it uniquely.
+
+Two routes close the relation.  ``Quotient``, and so ``close_equivalence``,
+enumerate it (``_related_pairs``) and close it by union-find; that route
+holds for any action, and ``Quotient.edges``, the DOT edge list, reads the
+same enumeration.  ``build_globalization`` runs only on an action that
+passes the P axioms, and there the same partition is a congruence closure
+along the generators (``_congruence_labels``): about seeds times generators
+instead of seeds times arrows.  Its class maps are read off the seeds for
+the generators only and composed along the right Cayley tree for the other
+arrows.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from operator import lt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .actions import PartialAction, is_valid_global, validate_p_axioms
-from .core import StructuralError, ValidationReport, Violation
+from .core import InverseSemigroupoid, StructuralError, ValidationReport, Violation
 from .morphisms import ActionMap, GlobalizationTriple, is_action_map, is_embedding
 
 
@@ -35,14 +45,23 @@ class WellDefinednessError(ValueError):
 class Quotient:
     """The partition of a seed index (per arrow position: seed ids, carrier positions) by the closed one-step relation.
 
-    The constructor enumerates the relation and closes it once; classes are
-    numbered by their first seed, their representative.  The other members
-    are views built on first read, for the API, renderers and error messages.
+    The constructor enumerates the relation and closes it once;
+    ``_from_labels`` takes labels closed another way, as the construction's
+    congruence closure.  Classes are numbered by their first seed, their
+    representative.  The other members are views built on first read, for
+    the API, renderers and error messages.
     """
 
     def __init__(self, action: PartialAction, blocks: list):
         self._action, self._blocks = action, blocks
         self._label, self.n_classes = _classes(sum(len(ids) for ids, _ in blocks), _related_pairs(blocks, action))
+
+    @classmethod
+    def _from_labels(cls, action: PartialAction, blocks: list, label: list[int], n_classes: int) -> Quotient:
+        """The quotient of a seed index whose class labels are already known."""
+        quotient = cls.__new__(cls)
+        quotient._action, quotient._blocks, quotient._label, quotient.n_classes = action, blocks, label, n_classes
+        return quotient
 
     @cached_property
     def seeds(self) -> tuple[Seed, ...]:
@@ -77,7 +96,8 @@ def _classes(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
     """The class label of each of n seed ids, classes numbered by first seed, and the class count.
 
     One union-find pass over the pairs (path halving) links every root below the smaller id, so a
-    seed's parent never comes after it, and one forward pass labels every seed in about seeds + pairs.
+    seed's parent never comes after it, and one forward pass (``_number``) labels every seed in about
+    seeds + pairs.
     """
     parent = list(range(n))
     for i, j in pairs:
@@ -89,6 +109,11 @@ def _classes(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
             parent[j] = i
         elif j < i:
             parent[i] = j
+    return _number(parent)
+
+
+def _number(parent: list[int]) -> tuple[list[int], int]:
+    """The class labels and class count of a union-find forest in which no seed's parent comes after it."""
     label: list[int] = []
     count = 0
     for i, p in enumerate(parent):
@@ -146,7 +171,11 @@ def _related_pairs(blocks: list, action: PartialAction) -> Iterator[tuple[int, i
     end so that ``row[-1]`` reads "no seed".  The pairs (s, t) come from the
     products inv(t) s, skipping t when all its ids come before those of s,
     and one list comprehension per arrow s reads its whole block.  The cost
-    is about seeds times arrows per codomain, not seeds squared.
+    is about seeds times arrows per codomain, not seeds squared.  The
+    ``Quotient`` constructor closes these pairs for any action, on or off the
+    axioms, and ``Quotient.edges`` lists them; ``build_globalization`` never
+    enumerates them, since on an action that passes the P axioms the
+    congruence closure of ``_congruence_labels`` gives the same partition.
     """
     isg = action.semigroupoid
     n, inv, idem = len(action.carrier), isg._inv, isg._idem
@@ -177,6 +206,101 @@ def _related_pairs(blocks: list, action: PartialAction) -> Iterator[tuple[int, i
     return chain.from_iterable(found)
 
 
+def _generator_images(blocks: list, action: PartialAction) -> list[list[int]]:
+    """Per generator g, a row over seed ids: the id of the seed (g p, x) for the seed (p, x), or -1."""
+    isg = action.semigroupoid
+    n, mul = len(action.carrier), isg.table._mul
+    id_rows = [_scatter(n, pts, ids) for ids, pts in blocks]  # per arrow, its seed id at each carrier position, or -1
+    images = []
+    for g in isg._generators:
+        image: list[int] = []
+        for gp, (ids, pts) in zip(mul[g], blocks):
+            image += map(id_rows[gp].__getitem__, pts) if gp >= 0 else [-1] * len(ids)
+        images.append(image)
+    return images
+
+
+def _congruence_labels(blocks: list, action: PartialAction, images: list[list[int]]) -> tuple[list[int], int]:
+    """The partition of a seed index by the closed one-step relation, for an action that passes the P axioms.
+
+    It is the congruence closure, along left multiplication by the
+    generators, of two kinds of base pair from the one-step relation:
+    (a) a seed (u, x) with x in dom_of[inv u] and the idempotent seeds at
+    theta[u](x) (take t = u inv(u) in the relation), and (c) the idempotent
+    seeds at one point, which (a) covers for idempotent u.  Together they
+    put the seeds (u, x) with theta[u](x) = y in one class per point y, and
+    one pass over the seeds links each to the first of them.  When two classes
+    merge, their images under each generator merge too; a class keeps, per
+    generator, one seed id of its image (``images`` holds each seed's), read
+    from any member where it is defined.  The propagation stays inside the
+    one-step closure because the class maps are well defined.  Conversely,
+    if (s, x) relates to (t, y), multiplying the base pair (a) of u =
+    inv(t) s on the left by t, and the idempotent seeds (inv(u) u, x) and
+    (inv(s) s, x) on the left by s, joins both to (t inv(t) s, x): every
+    suffix of a product that gives a seed gives a seed, by P2 and domain
+    monotonicity, which is why the P axioms must hold.  After the base
+    pass, each generator's image row is read once, and each later merge
+    costs a union-find step per generator, so the closure costs about seeds
+    times generators; ``_number`` numbers the classes as ``_classes`` does.
+    """
+    # the base pairs: the seeds (u, x) with theta[u](x) = y, the idempotent seeds (e, y) among them, join the first
+    first: dict[int, int] = {}
+    parent = [
+        first.setdefault(y, i) if y >= 0 else i for (ids, pts), row in zip(blocks, action.rows) for i, y in zip(ids, map(row.__getitem__, pts))
+    ]
+    # every parent is now a root; per generator, each root keeps the first image of a member, and the others merge with it
+    tops, pending = [], []
+    for image in images:
+        top = [-1] * len(parent)  # at each root: a seed id of its class's image, or -1
+        for r, b in zip(parent, image):
+            if b >= 0:
+                a = top[r]
+                if a < 0:
+                    top[r] = b
+                elif parent[a] != parent[b]:
+                    pending.append((a, b))
+        tops.append(top)
+    while pending:
+        i, j = pending.pop()
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i == j:
+            continue
+        if j < i:
+            i, j = j, i
+        parent[j] = i  # the smaller root stays, so no seed's parent comes after it
+        for top in tops:
+            b = top[j]
+            if b >= 0:
+                a = top[i]
+                if a < 0:
+                    top[i] = b
+                elif a != b:
+                    pending.append((a, b))
+    return _number(parent)
+
+
+def _cayley_tree(isg: InverseSemigroupoid) -> list[tuple[int, int, int]]:
+    """Right Cayley edges (u, g, u g), g a generator, reaching every other arrow once, each u reached before u g."""
+    mul, gens = isg.table._mul, isg._generators
+    reached = [False] * len(mul)
+    for g in gens:
+        reached[g] = True
+    tree: list[tuple[int, int, int]] = []
+    queue = list(gens)
+    for u in queue:  # breadth first; the queue grows as it is read
+        row = mul[u]
+        for g in gens:
+            ug = row[g]
+            if ug >= 0 and not reached[ug]:
+                reached[ug] = True
+                tree.append((u, g, ug))
+                queue.append(ug)
+    return tree
+
+
 def close_equivalence(seeds: list[Seed], action: PartialAction) -> Quotient:
     """The quotient of a seed list, in any order, by the closure of the one-step relation; seed ids are list positions."""
     return Quotient(action, _translated(seeds, action))
@@ -198,18 +322,39 @@ class Globalization:
 def build_globalization(action: PartialAction) -> Globalization:
     """Run the whole construction and verify the promised properties.
 
-    The closure runs on the integer seed index (``_seed_index``), and the
-    later passes read the index and the class labels block by block.  Arrow
-    s sends the class of (p, x) to the class of (s p, x), read in the class
-    row of s p (its seeds' classes by carrier position) at x, and is defined
-    there exactly when (s p, x) is a seed, since inv(s p) s p equals inv(p)
-    inv(s) s p.  Every seed is evaluated against every left multiplier, as a
-    well-definedness audit.  The class maps are the output's rows over class
-    ids; the family of s is where the map of inv(s) is defined, and the
-    idempotent seeds (e, x) give the class that x embeds into.  The output
-    is checked to be a valid global action along the generators
+    Once the input passes the P axioms, the seed index (``_seed_index``) is
+    partitioned by congruence closure along the generators
+    (``_congruence_labels``), which gives the classes of the one-step
+    relation without enumerating it.  Arrow s sends the class of (p, x) to
+    the class of (s p, x), and is defined there exactly when (s p, x) is a
+    seed, since inv(s p) s p equals inv(p) inv(s) s p.  Only the
+    generators' maps are read off the seeds: every seed is checked against
+    every generator, and a class sent to two classes raises.  Every other
+    arrow is s = u g on the right Cayley tree (``_cayley_tree``), with u
+    reached first, and its map is the map of u after the map of g.  That is
+    the map the seeds give, by induction along the tree: if (s p, x) is a
+    seed, then (g p, x) is a seed, by P2 and domain monotonicity; the
+    generator check shows that g sends the class of (p, x) to the class of
+    (g p, x); and by induction and associativity, u sends that class to the
+    class of (u (g p), x), which is the class of (s p, x).  So every seed
+    would pass a well-definedness audit against every left multiplier, and
+    none is run.  The class maps are the output's rows over class ids; the
+    family of s is where the map of inv(s) is defined, and the idempotent
+    seeds (e, x) give the class that x embeds into.  The output is checked
+    to be a valid global action along every right Cayley edge
     (``is_valid_global``), with the full axiom scan run only to report a
     failure, and the canonical map to be an embedding.
+
+    The composed map of u g is defined exactly where the seeds define it.
+    The induction shows "at least".  Conversely, "(u q, y) is a seed" is
+    the same for any two seeds of a class whose arrows have codomain
+    dom(u): along a one-step pair of one codomain it follows from the image
+    equation, P2 and domain monotonicity, and along the idempotent seeds at
+    one point from the intersection of idempotent domains; a class's path
+    that leaves that codomain leaves and returns through idempotent seeds,
+    at one point since the embedding is injective.  So where g sends the
+    class of (p, x) to that of (g p, x), and u is defined on it, (u g p, x)
+    is a seed.  Every output returned has passed the embedding check.
     """
     pre = validate_p_axioms(action)
     if not pre.ok:
@@ -217,31 +362,27 @@ def build_globalization(action: PartialAction) -> Globalization:
 
     isg, n = action.semigroupoid, len(action.carrier)
     blocks = _seed_index(action)
-    quotient = Quotient(action, blocks)
-    n_classes = quotient.n_classes
-    # per arrow, its seeds' classes, and its class row: the class of its seed at each carrier position, or -1
-    labels = [quotient._label[ids.start:ids.stop] for ids, _ in blocks]
-    class_rows = [_scatter(n, pts, labels[p]) for p, (_, pts) in enumerate(blocks)]
+    images = _generator_images(blocks, action)
+    label, n_classes = _congruence_labels(blocks, action, images)
+    quotient = Quotient._from_labels(action, blocks, label, n_classes)
 
     # per arrow s, a row over class ids: the class s sends it to, or -1
-    moves_of = [[-1] * n_classes for _ in blocks]
-    # for each arrow p, per arrow s with s p defined: the moves of s and the class row of s p
-    lefts: list[list[tuple[int, list[int], list[int]]]] = [[] for _ in blocks]
-    for s, p, sp in isg._products:
-        lefts[p].append((s, moves_of[s], class_rows[sp]))
-    # s sends the class of (p, x) to that of (s p, x), defined exactly when (s p, x) is a seed
-    for (_, pts), left, label in zip(blocks, lefts, labels):
-        for k, src in zip(pts, label):
-            for s, moves, row in left:
-                dst = row[k]
-                if dst >= 0 and moves[src] != dst:
-                    if moves[src] >= 0:
-                        raise RuntimeError(f"class map for arrow {isg.arrows[s]} is not well defined: class {src} sent to both {moves[src]} and {dst}")
-                    moves[src] = dst
+    moves_of: list = [None] * len(blocks)
+    # g sends the class of (p, x) to that of (g p, x), defined exactly when (g p, x) is a seed
+    for g, image in zip(isg._generators, images):
+        moves = moves_of[g] = [-1] * n_classes
+        for src, j in zip(label, image):
+            if j >= 0 and moves[src] != label[j]:
+                if moves[src] >= 0:
+                    raise RuntimeError(f"class map for arrow {isg.arrows[g]} is not well defined: class {src} sent to both {moves[src]} and {label[j]}")
+                moves[src] = label[j]
+    for u, g, ug in _cayley_tree(isg):
+        moves = moves_of[u]
+        moves_of[ug] = [moves[d] if d >= 0 else -1 for d in moves_of[g]]
     # the family of s is where the map of inv(s) is defined
     families = [[d >= 0 for d in moves_of[si]] for si in isg._inv]
 
-    landing = set(chain.from_iterable(zip(blocks[e][1], labels[e]) for e in compress(range(len(blocks)), isg._idem)))
+    landing = set(chain.from_iterable(zip(pts, label[ids.start:ids.stop]) for ids, pts in compress(blocks, isg._idem)))
     home = dict(landing)  # carrier position -> class
     if len(landing) != n or len(home) != n:
         for k, x in enumerate(action.carrier):

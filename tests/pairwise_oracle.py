@@ -1,12 +1,14 @@
 """Reference oracles for the globalization: the one-step relation tested on
-every pair of seeds, and the seed domain of each class map by its window formula.
+every pair of seeds, the seed domain of each class map by its window formula,
+and the class maps read off every seed and every left multiplier.
 
 These are direct readings of the definitions, quadratic in the number of
-seeds or arrows.  The library enumerates neighbours, closes them by
-union-find and reads the class maps off the seed index instead; the tests
-require both routes to give the same edges, the same partition and the same
-class maps.  The closure here is a graph search of its own, so it shares no
-code with the one it checks.
+seeds or arrows.  The library enumerates neighbours and closes them by
+union-find (``Quotient``), or closes a congruence along the generators and
+composes the other arrows' class maps along the right Cayley tree
+(``build_globalization``); the tests require every route to give the same
+edges, the same partition and the same class maps.  The closure here is a
+graph search of its own, so it shares no code with the ones it checks.
 """
 
 from typing import NamedTuple
@@ -99,3 +101,38 @@ def seed_domain(action: PartialAction, s: str, seeds=None) -> list[Seed]:
         p: action.dom_of[isg.mul(isg.inv(p), isg.mul(w, p))] for p in isg.arrows if isg.composable(s, p)
     }
     return [seed for seed in seeds if seed.point in window.get(seed.arrow, ())]
+
+
+def class_maps_by_left_multipliers(action: PartialAction, quotient) -> list[list[int]]:
+    """Per arrow s, a row over class ids: the class s sends it to, or -1.
+
+    s sends the class of (p, x) to the class of (s p, x), and is defined
+    there exactly when (s p, x) is a seed.  Every seed is evaluated against
+    every left multiplier s, and a class sent to two classes raises
+    RuntimeError naming the arrow.  The quotient is read as its seed index
+    (``_blocks``) and class labels (``_label``).
+    """
+    isg, n = action.semigroupoid, len(action.carrier)
+    blocks = quotient._blocks
+    labels = [quotient._label[ids.start:ids.stop] for ids, _ in blocks]
+    # per arrow, its class row: the class of its seed at each carrier position, or -1
+    class_rows = []
+    for (_, pts), label in zip(blocks, labels):
+        row = [-1] * n
+        for k, c in zip(pts, label):
+            row[k] = c
+        class_rows.append(row)
+    moves_of = [[-1] * quotient.n_classes for _ in blocks]
+    # for each arrow p, per arrow s with s p defined: s and the class row of s p
+    lefts = [[] for _ in blocks]
+    for s, p, sp in isg._products:
+        lefts[p].append((s, class_rows[sp]))
+    for (_, pts), left, label in zip(blocks, lefts, labels):
+        for k, src in zip(pts, label):
+            for s, row in left:
+                dst, moves = row[k], moves_of[s]
+                if dst >= 0 and moves[src] != dst:
+                    if moves[src] >= 0:
+                        raise RuntimeError(f"class map for arrow {isg.arrows[s]} is not well defined: class {src} sent to both {moves[src]} and {dst}")
+                    moves[src] = dst
+    return moves_of

@@ -478,20 +478,28 @@ def test_check_props_decides_each_natural_order_pair_once(capsys, monkeypatch, f
     assert per_pair == []
 
 
-def test_globalize_dot_enumerates_the_relation_for_the_closure_and_the_edge_list(capsys, monkeypatch, fixtures_dir):
+def test_globalize_dot_enumerates_the_relation_only_for_the_edge_list(capsys, monkeypatch, fixtures_dir):
     calls = count_calls(monkeypatch, "_related_pairs", globalization)
     code, out, _ = run(capsys, "globalize", str(fixtures_dir / "three_point_restricted.pact"), "--format", "dot")
     assert code == 0
     assert " -- " in out
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
-def test_globalize_table_and_json_enumerate_the_relation_once(capsys, monkeypatch, fixtures_dir, fmt):
-    # the closure enumerates the relation; only the DOT edge list asks for it again
+def test_globalize_table_and_json_never_enumerate_the_relation(capsys, monkeypatch, fixtures_dir, fmt):
+    # the construction closes by congruence along the generators; only the DOT edge list asks for the relation
     calls = count_calls(monkeypatch, "_related_pairs", globalization)
     assert run(capsys, "globalize", str(fixtures_dir / "three_point_restricted.pact"), "--format", fmt)[0] == 0
-    assert len(calls) == 1
+    assert calls == []
+
+
+def test_the_construction_never_enumerates_the_relation(monkeypatch, fixtures_dir):
+    calls = count_calls(monkeypatch, "_related_pairs", globalization)
+    for name in ("three_point_restricted.pact", "four_point.pact"):
+        action, _ = load_action(fixtures_dir / name)
+        globalization.build_globalization(action)
+    assert calls == []
 
 
 def _no_name_view(*args):

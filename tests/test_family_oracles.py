@@ -1,0 +1,96 @@
+"""The globalization against its oracles on the benchmark generator's families.
+
+Inputs: seeded restrictions of orbit unions of the natural actions of I_2,
+I_3, Z_n, P_3, P_4, L_n and the hybrid H_8 (perfbench/generate.py), written
+as text and parsed back through ``parse_structure`` and ``parse_action``;
+an empty carrier; and a structure with no arrows.  On each, the
+construction's partition must be the pairwise oracle's and the one-step
+``Quotient``'s, its class maps those read off every seed and every left
+multiplier, and ``mediating`` into the orbit union the map that
+``mediating_by_seeds`` reads class by class.  The seed count is capped so
+that the quadratic oracles stay quick.
+"""
+
+import random
+import sys
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from isgact import Quotient, build_globalization, build_seed_set, infer_inverses, mediating, parse_action, parse_structure
+from isgact.morphisms import inclusion_map
+from pairwise_oracle import class_maps_by_left_multipliers, pairwise_closure
+from universal_oracle import mediating_by_seeds
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+import generate as gen  # noqa: E402
+
+FAMILIES = [("I", 2), ("I", 3), ("Z", 1), ("Z", 2), ("Z", 5), ("Z", 8), ("P", 3), ("P", 4), ("L", 1), ("L", 4), ("L", 8), ("H", 0)]
+SEED_CAP = 90
+
+
+def parsed(structure, *actions):
+    """The structure parsed from its text, then each generated action parsed against it."""
+    isg = infer_inverses(parse_structure(structure.text()).table)
+    return [parse_action(action.text(f"{structure.name}.isgd"), isg) for action in actions]
+
+
+@st.composite
+def restricted_unions(draw):
+    """A seeded restriction of an orbit union with at most SEED_CAP seeds, and the orbit union, both parsed."""
+    kind, size = draw(st.sampled_from(FAMILIES))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    structure, action = gen.family(kind, size, rng)
+    union = gen.orbit_union(action, draw(st.integers(1, 3)), rng)
+    kept = rng.sample(union.carrier, draw(st.integers(0, len(union.carrier))))
+    sub = gen.restrict(union, kept)
+    while len(sub.seeds()) > SEED_CAP:
+        kept.pop()
+        sub = gen.restrict(union, kept)
+    return parsed(structure, sub, union)
+
+
+def assert_the_oracles_agree(action, union):
+    glob = build_globalization(action)
+    built = glob.quotient
+    seeds = build_seed_set(action)
+    oracle = pairwise_closure(seeds, action)
+    assert built.seeds == oracle.seeds
+    assert built.n_classes == oracle.n_classes
+    assert built.classes == oracle.classes
+    assert built._label == Quotient(action, built._blocks)._label
+    out = glob.global_action
+    moves = class_maps_by_left_multipliers(action, built)
+    assert out.rows == moves
+    assert out.masks == [[d >= 0 for d in moves[si]] for si in action.semigroupoid._inv]
+    j = inclusion_map(action, union)
+    assert mediating(glob, j).mapping == mediating_by_seeds(glob, j).mapping
+
+
+@given(restricted_unions())
+@settings(max_examples=300, deadline=None)
+def test_the_construction_matches_its_oracles_on_restricted_orbit_unions(pair):
+    assert_the_oracles_agree(*pair)
+
+
+def test_the_construction_matches_its_oracles_on_full_orbit_unions():
+    # nothing restricted: every seed of a global action, across copies that stay apart
+    for kind, size in FAMILIES:
+        rng = random.Random(size)
+        structure, action = gen.family(kind, size, rng)
+        union = gen.orbit_union(action, 2, rng)
+        if len(union.seeds()) <= 2 * SEED_CAP:
+            assert_the_oracles_agree(*parsed(structure, union, union))
+
+
+def test_the_construction_matches_its_oracles_on_an_empty_carrier():
+    for kind, size in FAMILIES:
+        structure, action = gen.family(kind, size, random.Random(0))
+        assert_the_oracles_agree(*parsed(structure, gen.restrict(action, []), action))
+
+
+def test_the_construction_matches_its_oracles_on_a_structure_without_arrows():
+    structure = gen.Structure("E", ["o"], [], {}, {}, {}, {})
+    empty = gen.Action(structure, [], {}, {})
+    assert_the_oracles_agree(*parsed(structure, empty, empty))
