@@ -6,7 +6,9 @@ explicit "undefined" sentinel.  The quadratic passes read those integers:
 the totality, definedness and endpoint scan visits every pair, while the
 pseudo-inverse search, idempotents, products and the natural order visit
 each arrow's composable or parallel partners only, and keep their results
-by position too.  ``inv``, ``inverse_map``, ``idempotent_set``, ``products``,
+by position too.  The greedy generator search keeps the right Cayley tree it
+walks, so the globalization composes its class maps along it without a second
+walk.  ``inv``, ``inverse_map``, ``idempotent_set``, ``products``,
 ``strict_order`` and ``generators`` are name views of those integers.
 Associativity is checked by an exhaustive scan that visits the composable
 triples only, walking each arrow's right partners from the per-object index.
@@ -372,31 +374,39 @@ class InverseSemigroupoid:
         return tuple(map(self._names, self._order))
 
     @cached_property
-    def _generators(self) -> list[int]:
-        """A generating set, greedy in declaration order.
+    def _generator_walk(self) -> tuple[list[int], list[tuple[int, int, int]]]:
+        """A generating set, greedy in declaration order, and the right Cayley tree the search walks.
 
         An arrow joins when the composable products of the earlier generators
         do not reach it.  The reached set is grown Froidure-Pin style: every
         product of generators is a shorter product times one generator, so
         closing under right multiplication by the generators reaches them all.
+        The tree keeps the edge (u, g, u g), g a generator, by which the walk
+        first reaches each arrow that is not a generator, u reached before u g.
         """
-        table = self.table
-        dom, cod, mul = table._dom, table._cod, table._mul
+        mul = self.table._mul
         gens: list[int] = []
-        reached: set[int] = set()
-        for a in range(len(self.arrows)):
-            if a in reached:
+        tree: list[tuple[int, int, int]] = []
+        reached = [False] * len(mul)
+        for a in range(len(mul)):
+            if reached[a]:
                 continue
+            reached[a] = True
             gens.append(a)
-            # the new generator alone, and every reached arrow times it
-            todo = [a] + [mul[u][a] for u in reached if dom[u] == cod[a]]
+            # every reached arrow times the new generator, and the new generator times every generator
+            todo = [(u, a) for u in gens] + [(ug, a) for _, _, ug in tree] + [(a, g) for g in gens]
             while todo:
-                u = todo.pop()
-                if u in reached:
-                    continue
-                reached.add(u)
-                todo.extend(mul[u][g] for g in gens if dom[u] == cod[g])
-        return gens
+                u, g = todo.pop()
+                ug = mul[u][g]
+                if ug != UNDEF and not reached[ug]:
+                    reached[ug] = True
+                    tree.append((u, g, ug))
+                    todo += [(ug, h) for h in gens]
+        return gens, tree
+
+    @property
+    def _generators(self) -> list[int]:
+        return self._generator_walk[0]
 
     @property
     def generators(self) -> tuple[str, ...]:

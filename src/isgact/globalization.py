@@ -6,15 +6,15 @@ semigroupoid act on the classes by left multiplication of the arrow slot.
 The result is a global action receiving the input through a canonical
 embedding, and every map into a global action factors through it uniquely.
 
-Two routes close the relation.  ``Quotient``, and so ``close_equivalence``,
-enumerate it (``_related_pairs``) and close it by union-find; that route
-holds for any action, and ``Quotient.edges``, the DOT edge list, reads the
-same enumeration.  ``build_globalization`` runs only on an action that
-passes the P axioms, and there the same partition is a congruence closure
-along the generators (``_congruence_labels``): about seeds times generators
-instead of seeds times arrows.  Its class maps are read off the seeds for
-the generators only and composed along the right Cayley tree for the other
-arrows.
+``close_equivalence`` enumerates the relation (``_related_pairs``) and
+closes it by union-find; that holds for any action, and ``Quotient.edges``,
+the DOT edge list, reads the same enumeration.  ``build_globalization`` runs
+only on an action that passes the P axioms, and there the same partition is
+a congruence closure along the generators (``_congruence_labels``): about
+seeds times generators instead of seeds times arrows.  Both close their
+pairs with one union step (``_merge``).  The class maps are read off the
+seeds for the generators only and composed along the right Cayley tree that
+the generator search keeps for the other arrows.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from operator import lt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .actions import PartialAction, is_valid_global, validate_p_axioms
-from .core import InverseSemigroupoid, StructuralError, ValidationReport, Violation
+from .core import StructuralError, ValidationReport, Violation
 from .morphisms import ActionMap, GlobalizationTriple, is_action_map, is_embedding
 
 
@@ -45,23 +45,15 @@ class WellDefinednessError(ValueError):
 class Quotient:
     """The partition of a seed index (per arrow position: seed ids, carrier positions) by the closed one-step relation.
 
-    The constructor enumerates the relation and closes it once;
-    ``_from_labels`` takes labels closed another way, as the construction's
-    congruence closure.  Classes are numbered by their first seed, their
+    A record of the action, the seed index, each seed's class label and the
+    class count; ``close_equivalence`` and ``build_globalization`` close the
+    relation and build it.  Classes are numbered by their first seed, their
     representative.  The other members are views built on first read, for
     the API, renderers and error messages.
     """
 
-    def __init__(self, action: PartialAction, blocks: list):
-        self._action, self._blocks = action, blocks
-        self._label, self.n_classes = _classes(sum(len(ids) for ids, _ in blocks), _related_pairs(blocks, action))
-
-    @classmethod
-    def _from_labels(cls, action: PartialAction, blocks: list, label: list[int], n_classes: int) -> Quotient:
-        """The quotient of a seed index whose class labels are already known."""
-        quotient = cls.__new__(cls)
-        quotient._action, quotient._blocks, quotient._label, quotient.n_classes = action, blocks, label, n_classes
-        return quotient
+    def __init__(self, action: PartialAction, blocks: list, label: list[int], n_classes: int):
+        self._action, self._blocks, self._label, self.n_classes = action, blocks, label, n_classes
 
     @cached_property
     def seeds(self) -> tuple[Seed, ...]:
@@ -92,24 +84,35 @@ class Quotient:
         return dict(zip(self.seeds, self._label))
 
 
-def _classes(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
-    """The class label of each of n seed ids, classes numbered by first seed, and the class count.
+def _merge(parent: list[int], pending: list[tuple[int, int]], tops: Sequence[list[int]] = ()) -> None:
+    """Merge the classes of every pending pair of seed ids in a union-find forest, emptying the stack.
 
-    One union-find pass over the pairs (path halving) links every root below the smaller id, so a
-    seed's parent never comes after it, and one forward pass (``_number``) labels every seed in about
-    seeds + pairs.
+    Each find halves its path, and each link keeps the smaller root, so no
+    seed's parent comes after it and ``_number`` can label the forest in one
+    pass.  Each list in ``tops`` holds, at each root, a seed id of its
+    class's image under one map, or -1; when two classes merge their images
+    must merge too, so a root that loses its place hands its image on, or
+    pushes the pair of the two images.
     """
-    parent = list(range(n))
-    for i, j in pairs:
+    while pending:
+        i, j = pending.pop()
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
         while parent[j] != j:
             parent[j] = j = parent[parent[j]]
-        if i < j:
-            parent[j] = i
-        elif j < i:
-            parent[i] = j
-    return _number(parent)
+        if i == j:
+            continue
+        if j < i:
+            i, j = j, i
+        parent[j] = i
+        for top in tops:
+            b = top[j]
+            if b >= 0:
+                a = top[i]
+                if a < 0:
+                    top[i] = b
+                elif a != b:
+                    pending.append((a, b))
 
 
 def _number(parent: list[int]) -> tuple[list[int], int]:
@@ -171,8 +174,8 @@ def _related_pairs(blocks: list, action: PartialAction) -> Iterator[tuple[int, i
     end so that ``row[-1]`` reads "no seed".  The pairs (s, t) come from the
     products inv(t) s, skipping t when all its ids come before those of s,
     and one list comprehension per arrow s reads its whole block.  The cost
-    is about seeds times arrows per codomain, not seeds squared.  The
-    ``Quotient`` constructor closes these pairs for any action, on or off the
+    is about seeds times arrows per codomain, not seeds squared.
+    ``close_equivalence`` closes these pairs for any action, on or off the
     axioms, and ``Quotient.edges`` lists them; ``build_globalization`` never
     enumerates them, since on an action that passes the P axioms the
     congruence closure of ``_congruence_labels`` gives the same partition.
@@ -240,8 +243,8 @@ def _congruence_labels(blocks: list, action: PartialAction, images: list[list[in
     suffix of a product that gives a seed gives a seed, by P2 and domain
     monotonicity, which is why the P axioms must hold.  After the base
     pass, each generator's image row is read once, and each later merge
-    costs a union-find step per generator, so the closure costs about seeds
-    times generators; ``_number`` numbers the classes as ``_classes`` does.
+    costs a union-find step per generator (``_merge``), so the closure costs
+    about seeds times generators.
     """
     # the base pairs: the seeds (u, x) with theta[u](x) = y, the idempotent seeds (e, y) among them, join the first
     first: dict[int, int] = {}
@@ -260,50 +263,16 @@ def _congruence_labels(blocks: list, action: PartialAction, images: list[list[in
                 elif parent[a] != parent[b]:
                     pending.append((a, b))
         tops.append(top)
-    while pending:
-        i, j = pending.pop()
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        while parent[j] != j:
-            parent[j] = j = parent[parent[j]]
-        if i == j:
-            continue
-        if j < i:
-            i, j = j, i
-        parent[j] = i  # the smaller root stays, so no seed's parent comes after it
-        for top in tops:
-            b = top[j]
-            if b >= 0:
-                a = top[i]
-                if a < 0:
-                    top[i] = b
-                elif a != b:
-                    pending.append((a, b))
+    _merge(parent, pending, tops)
     return _number(parent)
-
-
-def _cayley_tree(isg: InverseSemigroupoid) -> list[tuple[int, int, int]]:
-    """Right Cayley edges (u, g, u g), g a generator, reaching every other arrow once, each u reached before u g."""
-    mul, gens = isg.table._mul, isg._generators
-    reached = [False] * len(mul)
-    for g in gens:
-        reached[g] = True
-    tree: list[tuple[int, int, int]] = []
-    queue = list(gens)
-    for u in queue:  # breadth first; the queue grows as it is read
-        row = mul[u]
-        for g in gens:
-            ug = row[g]
-            if ug >= 0 and not reached[ug]:
-                reached[ug] = True
-                tree.append((u, g, ug))
-                queue.append(ug)
-    return tree
 
 
 def close_equivalence(seeds: list[Seed], action: PartialAction) -> Quotient:
     """The quotient of a seed list, in any order, by the closure of the one-step relation; seed ids are list positions."""
-    return Quotient(action, _translated(seeds, action))
+    blocks = _translated(seeds, action)
+    parent = list(range(len(seeds)))
+    _merge(parent, list(_related_pairs(blocks, action)))
+    return Quotient(action, blocks, *_number(parent))
 
 
 class Globalization:
@@ -330,13 +299,14 @@ def build_globalization(action: PartialAction) -> Globalization:
     seed, since inv(s p) s p equals inv(p) inv(s) s p.  Only the
     generators' maps are read off the seeds: every seed is checked against
     every generator, and a class sent to two classes raises.  Every other
-    arrow is s = u g on the right Cayley tree (``_cayley_tree``), with u
-    reached first, and its map is the map of u after the map of g.  That is
-    the map the seeds give, by induction along the tree: if (s p, x) is a
-    seed, then (g p, x) is a seed, by P2 and domain monotonicity; the
-    generator check shows that g sends the class of (p, x) to the class of
-    (g p, x); and by induction and associativity, u sends that class to the
-    class of (u (g p), x), which is the class of (s p, x).  So every seed
+    arrow is s = u g on the right Cayley tree that the generator search
+    keeps (``InverseSemigroupoid._generator_walk``), with u reached first,
+    and its map is the map of u after the map of g.  That is the map the
+    seeds give, by induction along the tree: if (s p, x) is a seed, then
+    (g p, x) is a seed, by P2 and domain monotonicity; the generator check
+    shows that g sends the class of (p, x) to the class of (g p, x); and by
+    induction and associativity, u sends that class to the class of
+    (u (g p), x), which is the class of (s p, x).  So every seed
     would pass a well-definedness audit against every left multiplier, and
     none is run.  The class maps are the output's rows over class ids; the
     family of s is where the map of inv(s) is defined, and the idempotent
@@ -361,22 +331,23 @@ def build_globalization(action: PartialAction) -> Globalization:
         raise StructuralError("input fails the partial-action axioms:\n" + pre.render())
 
     isg, n = action.semigroupoid, len(action.carrier)
+    gens, tree = isg._generator_walk
     blocks = _seed_index(action)
     images = _generator_images(blocks, action)
     label, n_classes = _congruence_labels(blocks, action, images)
-    quotient = Quotient._from_labels(action, blocks, label, n_classes)
+    quotient = Quotient(action, blocks, label, n_classes)
 
     # per arrow s, a row over class ids: the class s sends it to, or -1
     moves_of: list = [None] * len(blocks)
     # g sends the class of (p, x) to that of (g p, x), defined exactly when (g p, x) is a seed
-    for g, image in zip(isg._generators, images):
+    for g, image in zip(gens, images):
         moves = moves_of[g] = [-1] * n_classes
         for src, j in zip(label, image):
             if j >= 0 and moves[src] != label[j]:
                 if moves[src] >= 0:
                     raise RuntimeError(f"class map for arrow {isg.arrows[g]} is not well defined: class {src} sent to both {moves[src]} and {label[j]}")
                 moves[src] = label[j]
-    for u, g, ug in _cayley_tree(isg):
+    for u, g, ug in tree:
         moves = moves_of[u]
         moves_of[ug] = [moves[d] if d >= 0 else -1 for d in moves_of[g]]
     # the family of s is where the map of inv(s) is defined

@@ -4,10 +4,11 @@ and the class maps read off every seed and every left multiplier.
 
 These are direct readings of the definitions, quadratic in the number of
 seeds or arrows.  The library enumerates neighbours and closes them by
-union-find (``Quotient``), or closes a congruence along the generators and
-composes the other arrows' class maps along the right Cayley tree
-(``build_globalization``); the tests require every route to give the same
-edges, the same partition and the same class maps.  The closure here is a
+union-find (``close_equivalence``), or closes a congruence along the
+generators and composes the other arrows' class maps along the right Cayley
+tree kept by the generator search (``build_globalization``); the tests
+require every route to give the same edges, the same partition and the same
+class maps.  The closure here is a
 graph search of its own, so it shares no code with the ones it checks.
 """
 

@@ -423,21 +423,22 @@ def test_restrict_reads_each_input_file_once(capsys, monkeypatch, fixtures_dir):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "lists"),
     [
-        ["validate", "eight_arrow.isgd", "four_point.pact"],
-        ["globalize", "three_point_restricted.pact"],
-        ["check", "four_point.pact", "--props"],
+        (["validate", "eight_arrow.isgd", "four_point.pact"], 1),
+        (["globalize", "three_point_restricted.pact"], 0),
+        (["check", "four_point.pact", "--props"], 1),
     ],
     ids=["validate", "globalize", "check"],
 )
-def test_each_command_lists_the_composable_pairs_once(capsys, monkeypatch, fixtures_dir, argv):
-    # the products view enumerates the composable pairs as integers, once
+def test_each_command_lists_the_composable_pairs_once(capsys, monkeypatch, fixtures_dir, argv, lists):
+    # the products view enumerates the composable pairs as integers, once; globalize's output check
+    # walks the generators' columns of the product table instead, and never builds it
     calls = count_calls(monkeypatch, "_composable", core.SemigroupoidTable)
     argv = [str(fixtures_dir / a) if a.endswith((".isgd", ".pact")) else a for a in argv]
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert len(calls) == 1
+    assert len(calls) == lists
 
 
 def pair_groupoid_table(k):

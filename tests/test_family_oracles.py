@@ -4,11 +4,14 @@ Inputs: seeded restrictions of orbit unions of the natural actions of I_2,
 I_3, Z_n, P_3, P_4, L_n and the hybrid H_8 (perfbench/generate.py), written
 as text and parsed back through ``parse_structure`` and ``parse_action``;
 an empty carrier; and a structure with no arrows.  On each, the
-construction's partition must be the pairwise oracle's and the one-step
-``Quotient``'s, its class maps those read off every seed and every left
-multiplier, and ``mediating`` into the orbit union the map that
-``mediating_by_seeds`` reads class by class.  The seed count is capped so
-that the quadratic oracles stay quick.
+construction's partition must be the pairwise oracle's and that of
+``close_equivalence``, which closes the enumerated one-step relation, its
+class maps those read off every seed and every left multiplier, and
+``mediating`` into the orbit union the map that ``mediating_by_seeds`` reads
+class by class.  On each drawn orbit union, and on one seeded single-entry
+corruption of it, the generator edge check ``is_valid_global`` must agree
+with the full scans, on structures with more generators than the catalog's.
+The seed count is capped so that the quadratic oracles stay quick.
 """
 
 import random
@@ -18,8 +21,20 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isgact import Quotient, build_globalization, build_seed_set, infer_inverses, mediating, parse_action, parse_structure
+from isgact import (
+    build_globalization,
+    build_seed_set,
+    close_equivalence,
+    infer_inverses,
+    is_global,
+    is_valid_global,
+    mediating,
+    parse_action,
+    parse_structure,
+    validate_p_axioms,
+)
 from isgact.morphisms import inclusion_map
+from corruptions import changes, corrupted
 from pairwise_oracle import class_maps_by_left_multipliers, pairwise_closure
 from universal_oracle import mediating_by_seeds
 
@@ -59,7 +74,7 @@ def assert_the_oracles_agree(action, union):
     assert built.seeds == oracle.seeds
     assert built.n_classes == oracle.n_classes
     assert built.classes == oracle.classes
-    assert built._label == Quotient(action, built._blocks)._label
+    assert built._label == close_equivalence(list(built.seeds), action)._label
     out = glob.global_action
     moves = class_maps_by_left_multipliers(action, built)
     assert out.rows == moves
@@ -68,10 +83,17 @@ def assert_the_oracles_agree(action, union):
     assert mediating(glob, j).mapping == mediating_by_seeds(glob, j).mapping
 
 
-@given(restricted_unions())
+def assert_the_generator_edge_check_agrees(union, rng):
+    _, bad = corrupted(union, rng.choice(list(changes(union))))
+    for action in (union, bad):
+        assert is_valid_global(action) == (validate_p_axioms(action).ok and is_global(action))
+
+
+@given(restricted_unions(), st.randoms(use_true_random=False))
 @settings(max_examples=300, deadline=None)
-def test_the_construction_matches_its_oracles_on_restricted_orbit_unions(pair):
+def test_the_construction_matches_its_oracles_on_restricted_orbit_unions(pair, rng):
     assert_the_oracles_agree(*pair)
+    assert_the_generator_edge_check_agrees(pair[1], rng)
 
 
 def test_the_construction_matches_its_oracles_on_full_orbit_unions():

@@ -165,6 +165,14 @@ def test_generators_are_greedy_and_generate_every_arrow(isg):
     for a in set(isg.arrows) - set(gens):
         position = isg.arrows.index(a)
         assert a in _closure(isg, [g for g in gens if isg.arrows.index(g) < position]), a
+    # the walk's right Cayley tree reaches every other arrow once, by a generator, from an arrow reached before
+    generators, tree = isg._generator_walk
+    assert sorted(ug for _, _, ug in tree) == sorted(set(range(len(isg.arrows))) - set(generators))
+    reached = set(generators)
+    for u, g, ug in tree:
+        assert g in generators and ug == isg.table._mul[u][g]
+        assert u in reached, (u, g, ug)
+        reached.add(ug)
 
 
 def _single_entry_corruptions(action):
