@@ -259,19 +259,19 @@ def is_valid_global(action: PartialAction) -> bool:
     (s, g), g a generator, it holds for every t = g1 ... gk by induction on
     k: theta[s t' g] = theta[s t'] o theta[g] = theta[s] o theta[t'] o theta[g]
     = theta[s] o theta[t' g].  So one comparison of rows per edge replaces
-    the scan over all composable pairs; the edges (s, g) are read down each
-    generator's column of the product table.  The full scan is left to build
-    a report.
+    the scan over all composable pairs; the edges (s, g) run over the arrows
+    s leaving cod(g), whose products s g are all defined in an inverse
+    semigroupoid.  The full scan is left to build a report.
     """
     if _linear_violations(action) or not is_global(action):
         return False
     isg = action.semigroupoid
-    rows, mul = action.rows, isg.table._mul
+    rows, mul, cod, leaving = action.rows, isg.table._mul, isg.table._cod, isg.table._leaving
     for g in isg._generators:
         row_g = rows[g]
-        for row_s, products in zip(rows, mul):
-            sg = products[g]
-            if sg >= 0 and rows[sg] != [row_s[j] if j >= 0 else -1 for j in row_g]:
+        for s in leaving[cod[g]]:
+            row_s = rows[s]
+            if rows[mul[s][g]] != [row_s[j] if j >= 0 else -1 for j in row_g]:
                 return False
     return True
 

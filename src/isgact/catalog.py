@@ -67,17 +67,13 @@ def two_object_hybrid() -> InverseSemigroupoid:
     return InverseSemigroupoid(two_object_hybrid_table())
 
 
-def four_point_action(isg: InverseSemigroupoid, bad_range: bool = False) -> PartialAction:
-    """The four-point action of the hybrid structure.
-
-    With ``bad_range`` the domain of arrow a is declared as {3} although its
-    map produces 4; that variant is a negative fixture for the validators.
-    """
+def four_point_action(isg: InverseSemigroupoid) -> PartialAction:
+    """The four-point action of the hybrid structure."""
     dom_of = {
         "b*": {"1", "2"}, "b*b": {"1", "2"},
         "b": {"1", "4"}, "bb*": {"1", "4"},
         "a*": {"1"}, "a*a": {"1"},
-        "a": {"3"} if bad_range else {"4"}, "aa*": {"3", "4"},
+        "a": {"4"}, "aa*": {"3", "4"},
     }
     theta = {
         "b": {"1": "1", "2": "4"}, "b*": {"1": "1", "4": "2"},

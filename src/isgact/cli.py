@@ -239,6 +239,9 @@ def _cmd_mediate(args) -> int:
             raise UsageError("--embedding maps to points outside the target carrier: " + ", ".join(outside))
         mapping = {x: raw[str(x)] for x in action.carrier}
     else:
+        outside = [str(x) for x in action.carrier if x not in target_action]
+        if outside:
+            raise UsageError("the default embedding x->x maps to points outside the target carrier: " + ", ".join(outside))
         mapping = {x: x for x in action.carrier}
     j = ActionMap(action, target_action, mapping)
     target = GlobalizationTriple(j) if args.strict else j

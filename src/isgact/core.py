@@ -8,8 +8,9 @@ pseudo-inverse search, idempotents, products and the natural order visit
 each arrow's composable or parallel partners only, and keep their results
 by position too.  The greedy generator search keeps the right Cayley tree it
 walks, so the globalization composes its class maps along it without a second
-walk.  ``inv``, ``inverse_map``, ``idempotent_set``, ``products``,
-``strict_order`` and ``generators`` are name views of those integers.
+walk.  ``pseudo_inverses``, ``inv``, ``inverse_map``, ``idempotent_set``,
+``products``, ``strict_order`` and ``generators`` are name views of those
+integers.
 Associativity is checked by an exhaustive scan that visits the composable
 triples only, walking each arrow's right partners from the per-object index.
 It reads each product s t once per composable pair, before the walk, and
@@ -150,6 +151,10 @@ class SemigroupoidTable:
         self._into = [[] for _ in objects]
         for a, c in enumerate(cod):
             self._into[c].append(a)
+        # per object, the arrows with that domain in declaration order: the left partners of the arrows into it
+        self._leaving = [[] for _ in objects]
+        for a, d in enumerate(dom):
+            self._leaving[d].append(a)
 
     def dom(self, s: str) -> str:
         return self.objects[self._dom[self._aidx[s]]]
@@ -267,18 +272,23 @@ def validate_semigroupoid(raw: SemigroupoidTable) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def pseudo_inverses(table: SemigroupoidTable, s: str) -> list[str]:
-    """All arrows t with s t s = s and t s t = t, in declaration order."""
+def _pseudo_inverses(table: SemigroupoidTable, i: int) -> list[int]:
+    """The positions of all arrows t with s t s = s and t s t = t, s the arrow at position i, in declaration order."""
     dom, cod, mul = table._dom, table._cod, table._mul
-    i = table._aidx[s]
+    row = mul[i]
     out = []
     for t in table._into[dom[i]]:  # s t is composable; t s must be too
         if dom[t] != cod[i]:
             continue
-        st, ts = mul[i][t], mul[t][i]
+        st, ts = row[t], mul[t][i]
         if st != UNDEF and ts != UNDEF and mul[st][i] == i and mul[ts][t] == t:
-            out.append(table.arrows[t])
+            out.append(t)
     return out
+
+
+def pseudo_inverses(table: SemigroupoidTable, s: str) -> list[str]:
+    """All arrows t with s t s = s and t s t = t, in declaration order."""
+    return [table.arrows[t] for t in _pseudo_inverses(table, table._aidx[s])]
 
 
 class InverseSemigroupoid:
@@ -286,9 +296,11 @@ class InverseSemigroupoid:
 
     The constructor is the one way in and it checks everything once: the
     semigroupoid axioms, then, only if they hold, the exhaustive
-    pseudo-inverse search.  A failure raises a StructuralError whose
-    ``report`` names the violations.  ``_inv[s]`` is the position of the
-    inverse of arrow s, and ``_idem[s]`` says whether s is idempotent.
+    pseudo-inverse search, one ``_pseudo_inverses`` call per arrow position.
+    Names appear only in the ``no-inverse`` and ``non-unique-inverse``
+    violations.  A failure raises a StructuralError whose ``report`` names
+    the violations.  ``_inv[s]`` is the position of the inverse of arrow s,
+    and ``_idem[s]`` says whether s is idempotent.
     """
 
     def __init__(self, table: SemigroupoidTable):
@@ -296,20 +308,21 @@ class InverseSemigroupoid:
         inv: list[int] = []
         if report.ok:
             violations = []
-            for s in table.arrows:
-                cands = pseudo_inverses(table, s)
+            for i, s in enumerate(table.arrows):
+                cands = _pseudo_inverses(table, i)
                 if not cands:
                     violations.append(Violation("no-inverse", f"arrow {s} has no pseudo-inverse", (s,)))
                 elif len(cands) > 1:
+                    names = [table.arrows[t] for t in cands]
                     violations.append(
                         Violation(
                             "non-unique-inverse",
-                            f"arrow {s} has several pseudo-inverses: {', '.join(cands)}",
-                            (s, cands[0], cands[1]),
+                            f"arrow {s} has several pseudo-inverses: {', '.join(names)}",
+                            (s, names[0], names[1]),
                         )
                     )
                 else:
-                    inv.append(table._aidx[cands[0]])
+                    inv.append(cands[0])
             report = ValidationReport(tuple(violations))
         if not report.ok:
             raise StructuralError("table is not an inverse semigroupoid:\n" + report.render(), report)

@@ -362,7 +362,6 @@ def build_globalization(action: PartialAction) -> Globalization:
                 raise StructuralError(f"carrier element {x} lies in no idempotent domain")
             if len(targets) > 1:
                 raise RuntimeError(f"canonical embedding of {x} is not well defined: classes {targets}")
-    embed = {x: home[k] for k, x in enumerate(action.carrier)}
 
     global_action = PartialAction._from_rows(isg, tuple(range(n_classes)), moves_of, families)
     if not is_valid_global(global_action):
@@ -371,7 +370,7 @@ def build_globalization(action: PartialAction) -> Globalization:
         if not report.ok:
             raise RuntimeError("constructed action fails the axioms:\n" + report.render())
         raise RuntimeError("constructed action is not global")
-    canonical = ActionMap(action, global_action, embed)
+    canonical = ActionMap._from_image(action, global_action, [home[k] for k in range(n)])
     emb_report = is_embedding(canonical)
     if not emb_report.ok:
         raise RuntimeError("canonical map is not an embedding:\n" + emb_report.render())
@@ -405,11 +404,10 @@ def mediating(glob: Globalization, target) -> ActionMap:
     """
     j = _target_map(glob, target)
     values = _forced_values(glob, j)
-    classes, points = glob.global_action.carrier, j.target.carrier
     if -1 in values:
-        c = classes[values.index(-1)]
+        c = glob.global_action.carrier[values.index(-1)]
         raise WellDefinednessError(f"class {c} is not one move from the embedding, so its value is not forced")
-    return ActionMap(glob.global_action, j.target, dict(zip(classes, map(points.__getitem__, values))))
+    return ActionMap._from_image(glob.global_action, j.target, values)
 
 
 def _forced_values(glob: Globalization, j: ActionMap) -> list[int]:
@@ -489,7 +487,7 @@ def verify_universal(glob: Globalization, target, sigma: ActionMap, exhaustive_b
             c = classes[values.index(-1)]
             v.append(Violation("uniqueness", f"class {c} is not one move from the embedding, so its value is not forced", (c,)))
         else:
-            forced = ActionMap(glob.global_action, j.target, {c: points[y] for c, y in zip(classes, values)})
+            forced = ActionMap._from_image(glob.global_action, j.target, values)
             is_sigma = forced.mapping == sigma.mapping
             # sigma's own check already decided the same map between the same two actions
             same = is_sigma and sigma.source is forced.source and sigma.target is forced.target

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Mapping
 
 from .actions import PartialAction, _name, is_valid_global, validate_p_axioms
@@ -10,7 +9,15 @@ from .core import StructuralError, ValidationReport, Violation
 
 
 class ActionMap:
-    """A total map between the carriers of two actions of one semigroupoid."""
+    """A total map between the carriers of two actions of one semigroupoid.
+
+    ``_image`` holds, at each source position, the target position of its
+    image, and the checks read it against both actions' rows and masks;
+    ``mapping`` is the same map by name, in source-carrier order.  The
+    constructor takes names and checks that they cover the source carrier
+    and land in the target's; ``_from_image`` takes positions that are in
+    range by construction and checks nothing.
+    """
 
     def __init__(self, source: PartialAction, target: PartialAction, mapping: Mapping):
         if source.semigroupoid != target.semigroupoid:
@@ -26,16 +33,18 @@ class ActionMap:
             raise StructuralError(f"map values outside the target carrier: {sorted(bad, key=str)}")
         self.source = source
         self.target = target
-        self.mapping = dict(mapping)
+        self.mapping = {x: mapping[x] for x in source.carrier}
+        self._image = list(map(target._pos.__getitem__, self.mapping.values()))
+
+    @classmethod
+    def _from_image(cls, source: PartialAction, target: PartialAction, image: list[int]) -> ActionMap:
+        f = cls.__new__(cls)
+        f.source, f.target, f._image = source, target, image
+        f.mapping = dict(zip(source.carrier, map(target.carrier.__getitem__, image)))
+        return f
 
     def __call__(self, x):
         return self.mapping[x]
-
-    @cached_property
-    def _image(self) -> list[int]:
-        """The target position of the image of each source position."""
-        pos = self.target._pos
-        return [pos[self.mapping[x]] for x in self.source.carrier]
 
     def image(self) -> frozenset:
         return frozenset(self.mapping.values())

@@ -2,6 +2,11 @@
 
 Names are whitespace-separated tokens, so `*` is an ordinary character and
 arrow names like a*a read verbatim.  A `#` starts a comment anywhere.
+
+Each file is split into lines once, and each line is cut at its `#` once
+(``_bodies``); every later pass reads those bodies.  An action file's
+header is read off its first content line, and the same line iterator then
+parses the rest, so loading an action splits its text once.
 """
 
 from __future__ import annotations
@@ -46,17 +51,27 @@ class StructureDoc:
     inverse: dict[str, str] | None
 
 
-def _section_lines(lines: list[str], span: range):
-    """(line number, body before any comment) for each line of a span of line indices that has content."""
+def _bodies(text: str) -> list[str]:
+    """The text's lines, each cut before its first `#`; a text without a `#` keeps its lines as split."""
+    lines = text.splitlines()
+    if "#" in text:
+        for i, line in enumerate(lines):
+            if "#" in line:
+                lines[i] = line.partition("#")[0]
+    return lines
+
+
+def _section_lines(bodies: list[str], span: range):
+    """(line number, body) for each line of a span of line indices that has content."""
     for i in span:
-        body = lines[i].split("#", 1)[0]
+        body = bodies[i]
         if body.strip():
             yield i + 1, body
 
 
 def _content_lines(text: str):
-    lines = text.splitlines()
-    return _section_lines(lines, range(len(lines)))
+    bodies = _bodies(text)
+    return _section_lines(bodies, range(len(bodies)))
 
 
 def _token_col(body: str, token_index: int) -> int:
@@ -83,13 +98,15 @@ def parse_structure(text: str) -> StructureDoc:
     positioned parse errors.  Everything semantic beyond that shape is left
     to the validators.
     """
-    lines = text.splitlines()
+    lines = _bodies(text)
     spans: dict[str, range] = {}  # each section's content lines, as line indices
     current: str | None = None
-    for i, raw in enumerate(lines):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
+    for i, body in enumerate(lines):
+        if "[" not in body:  # not a header: only its place before every header matters here
+            if current is None and body.strip():
+                raise ParseError(i + 1, 1, "content before any section header")
             continue
+        body = body.strip()
         m = _SECTION.match(body) if body[0] == "[" else None
         if m:
             name = m.group(1).strip()
@@ -235,6 +252,11 @@ def parse_action(text: str, isg: InverseSemigroupoid) -> PartialAction:
     """
     lines = _content_lines(text)
     _header(lines)  # insist the first content line is a well-formed header
+    return _parse_sections(lines, isg)
+
+
+def _parse_sections(lines, isg: InverseSemigroupoid) -> PartialAction:
+    """The action read off an action file's content lines after its header."""
     carrier: list[str] | None = None
     points: dict[str, int] = {}  # each carrier element's position
     aidx = isg.table._aidx
@@ -243,9 +265,10 @@ def parse_action(text: str, isg: InverseSemigroupoid) -> PartialAction:
 
     for lineno, body in lines:
         stripped = body.strip()
-        toks = stripped.split(None, 2)
-        if len(toks) >= 2 and toks[0] == "structure" and toks[1] == "=":
-            raise ParseError(lineno, 1, "duplicate structure header")
+        if stripped.startswith("structure"):
+            toks = stripped.split(None, 2)
+            if len(toks) >= 2 and toks[0] == "structure" and toks[1] == "=":
+                raise ParseError(lineno, 1, "duplicate structure header")
         m = _INLINE.match(stripped)
         if not m:
             raise ParseError(lineno, 1, "expected [carrier], [domain s] or [map s] line")
@@ -274,20 +297,24 @@ def parse_action(text: str, isg: InverseSemigroupoid) -> PartialAction:
         if kind == "domain":
             mask = masks[a] = [False] * len(carrier)
             for x in payload:
-                if x not in points:
+                k = points.get(x)
+                if k is None:
                     raise ParseError(lineno, 1, f"domain element {x} is not in the carrier")
-                mask[points[x]] = True
+                if mask[k]:
+                    raise ParseError(lineno, 1, f"duplicate domain element {x}")
+                mask[k] = True
         else:
             row = rows[a] = [-1] * len(carrier)
             for tok in payload:
                 if "->" not in tok:
                     raise ParseError(lineno, 1, f"map entry {tok} must read x->y")
                 x, _, y = tok.partition("->")
-                if x not in points or y not in points:
+                k, j = points.get(x), points.get(y)
+                if k is None or j is None:
                     raise ParseError(lineno, 1, f"map entry {tok} leaves the carrier")
-                if row[points[x]] >= 0:
+                if row[k] >= 0:
                     raise ParseError(lineno, 1, f"duplicate map entry for {x}")
-                row[points[x]] = points[y]
+                row[k] = j
 
     if carrier is None:
         raise ParseError(1, 1, "missing [carrier] section")
@@ -367,11 +394,11 @@ def _load_action(
     that reads several files loads each structure once; otherwise it is
     loaded directly.
     """
-    text = _read_text(path)
-    ref = structure_ref(text)
+    lines = _content_lines(_read_text(path))
+    ref = _header(lines)  # a malformed header fails before any structure file is opened
     where = path.parent / ref
     isg = load_structure(where) if loaded is None else _load_structure_once(where, loaded)
-    return parse_action(text, isg), isg, ref
+    return _parse_sections(lines, isg), isg, ref
 
 
 def load_action(path: str | Path) -> tuple[PartialAction, InverseSemigroupoid]:

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from isgact.catalog import four_point_action, three_point_action, two_object_hybrid
+from isgact.textio import load_action
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -15,6 +16,13 @@ def hybrid():
 @pytest.fixture(scope="session")
 def four_point(hybrid):
     return four_point_action(hybrid)
+
+
+@pytest.fixture(scope="session")
+def four_point_bad_range():
+    """The committed negative fixture: theta[a] produces 4 but dom_of[a] is declared as {3}."""
+    action, _ = load_action(FIXTURES / "four_point_bad_range.pact")
+    return action
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ from isgact import (
     validate_e_axioms,
     validate_p_axioms,
 )
-from isgact.catalog import four_point_action, semilattice_2
+from isgact.catalog import semilattice_2
 
 from dual_route_oracles import is_global_diagnostic
 
@@ -21,8 +21,8 @@ def test_corrected_four_point_action_passes_both_systems(four_point):
     assert validate_e_axioms(four_point).ok
 
 
-def test_bad_range_variant_fails_with_a_witness_on_a(hybrid):
-    printed = four_point_action(hybrid, bad_range=True)
+def test_bad_range_variant_fails_with_a_witness_on_a(four_point_bad_range):
+    printed = four_point_bad_range
     report = validate_p_axioms(printed)
     assert not report.ok
     ranges = [v for v in report.violations if v.tag == "theta-range"]

@@ -275,6 +275,19 @@ def test_mediate_with_a_malformed_embedding_or_images_outside_the_target(capsys,
     assert err == f"error: {message}\n"
 
 
+def test_mediate_with_a_default_embedding_that_leaves_the_target(capsys, fixtures_dir):
+    # without --embedding the map is x->x, checked like a given one: a usage error naming the points
+    code, out, err = run(
+        capsys,
+        "mediate",
+        str(fixtures_dir / "four_point.pact"),
+        "--target", str(fixtures_dir / "three_point_global.pact"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: the default embedding x->x maps to points outside the target carrier: 4\n"
+
+
 def test_mediate_with_an_embedding_that_maps_a_point_twice(capsys, fixtures_dir):
     code, out, err = run(
         capsys,

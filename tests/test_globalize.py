@@ -27,7 +27,7 @@ from isgact import (
     verify_universal,
 )
 from isgact.core import SemigroupoidTable, Violation
-from isgact.catalog import catalog_entry, four_point_action
+from isgact.catalog import catalog_entry
 
 from pairwise_oracle import seed_domain, seeds_related
 from universal_oracle import verify_universal_by_enumeration
@@ -160,9 +160,9 @@ def test_globalization_of_a_one_point_action():
     assert glob.global_action.theta["e"] == {0: 0}
 
 
-def test_globalization_rejects_invalid_input(hybrid):
+def test_globalization_rejects_invalid_input(four_point_bad_range):
     with pytest.raises(StructuralError):
-        build_globalization(four_point_action(hybrid, bad_range=True))
+        build_globalization(four_point_bad_range)
 
 
 def test_mediating_map_of_the_restriction(three_point, two_point):

@@ -102,11 +102,11 @@ def test_generated_families_parse_as_the_oracle_does(family, seed, corruption):
     assert_same_passes(*assert_same_parse(text))
 
 
-MUTATIONS = ("delete", "duplicate", "swap", "unknown", "truncate")
+MUTATIONS = ("delete", "duplicate", "swap", "unknown", "truncate", "comment")
 
 
 def mutated(text: str, kind: str, index: int, rng: random.Random) -> str:
-    """The text with one of its lines deleted, doubled, two tokens swapped, a token renamed or the line cut short."""
+    """The text with one of its lines deleted, doubled, two tokens swapped, a token renamed, the line cut short or its rest commented out."""
     lines = text.splitlines()
     i = index % len(lines)
     line = lines[i]
@@ -124,6 +124,9 @@ def mutated(text: str, kind: str, index: int, rng: random.Random) -> str:
         lines[i] = "  ".join(toks)
     elif kind == "truncate":
         lines[i] = line[: rng.randrange(len(line) + 1)]
+    elif kind == "comment":
+        cut = rng.randrange(len(line) + 1)
+        lines[i] = line[:cut] + "#" + line[cut:]
     return "\n".join(lines) + "\n"
 
 

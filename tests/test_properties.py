@@ -1,7 +1,9 @@
 """Property suites: algebra laws, axiom-system agreement, construction invariants."""
 
+import contextlib
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -31,7 +33,7 @@ from isgact import (
     validate_p_axioms,
     verify_universal,
 )
-from isgact.catalog import catalog, four_point_action, grow_catalog, partial_bijections, random_partial_action
+from isgact.catalog import catalog, grow_catalog, partial_bijections, random_partial_action
 
 from corruptions import labeled_corruptions
 from dual_route_oracles import is_action_map as is_action_map_by_names
@@ -313,10 +315,10 @@ def test_closure_matches_the_pairwise_oracle_on_shuffled_seeds(action):
     assert quotient.classes == pairwise_closure(seed_list, action).classes
 
 
-def test_closure_matches_the_pairwise_oracle_off_the_axioms(hybrid):
+def test_closure_matches_the_pairwise_oracle_off_the_axioms(four_point_bad_range):
     # theta[a] leaves its declared domain here, so the domain test in the
     # relation is not implied by theta being defined
-    _assert_closure_matches_the_pairwise_oracle(four_point_action(hybrid, bad_range=True))
+    _assert_closure_matches_the_pairwise_oracle(four_point_bad_range)
 
 
 @given(slot=st.sampled_from(GROWN_SLOTS), seed=seeds)
@@ -423,6 +425,30 @@ def _factoring_mapping(mediate, glob, target):
 )
 @settings(max_examples=150, deadline=None)
 def test_uniqueness_audit_matches_the_enumeration_oracle(slot, seed, perturb, rank, kind, over):
+    with _maps_built_from_positions() as built:
+        _assert_uniqueness_audit_matches_the_enumeration_oracle(slot, seed, perturb, rank, kind, over)
+    # the canonical embedding, the mediating map and the audit's forced map: each is the map the
+    # name constructor gives for its mapping, which lists the source carrier in order
+    assert built
+    for f in built:
+        assert list(f.mapping) == list(f.source.carrier)
+        assert f._image == ActionMap(f.source, f.target, f.mapping)._image
+
+
+@contextlib.contextmanager
+def _maps_built_from_positions():
+    """A list that collects every ActionMap the library builds with ``_from_image`` inside the block."""
+    built, original = [], ActionMap._from_image.__func__
+
+    def recording(cls, *args):
+        built.append(original(cls, *args))
+        return built[-1]
+
+    with mock.patch.object(ActionMap, "_from_image", classmethod(recording)):
+        yield built
+
+
+def _assert_uniqueness_audit_matches_the_enumeration_oracle(slot, seed, perturb, rank, kind, over):
     entry, index = slot
     base = entry.actions[index].action
     action = random_partial_action(entry, index, seed)

@@ -118,6 +118,10 @@ def test_action_parse_errors(hybrid):
         parse_action(good.replace("[domain a] = 4", "[domain a] = 9"), hybrid)
     with pytest.raises(ParseError, match="duplicate"):
         parse_action(good.replace("[map a] = 1->4", "[map a] = 1->4 1->4"), hybrid)
+    # a repeated domain element is positioned like a repeated carrier element or map entry
+    with pytest.raises(ParseError) as err:
+        parse_action(good.replace("[domain a] = 4", "[domain a] = 4 4"), hybrid)
+    assert str(err.value) == "line 4, col 1: duplicate domain element 4"
 
 
 @pytest.mark.parametrize(
@@ -170,13 +174,17 @@ def test_a_second_structure_header_is_a_parse_error_on_its_line(tmp_path, fixtur
     assert capsys.readouterr().err == f"error: line {line}, col 1: duplicate structure header\n"
 
 
-def test_load_action_splits_the_action_text_into_lines_twice(monkeypatch, fixtures_dir):
-    # once to find the structure file, once to parse: parse_action checks the header on its own first line
-    calls = []
-    original = textio._content_lines
-    monkeypatch.setattr(textio, "_content_lines", lambda text: calls.append(text) or original(text))
+def test_load_action_splits_the_action_text_into_lines_once(monkeypatch, fixtures_dir):
+    # the header names the structure file, and the same content lines then give the sections
+    calls, bodies = [], []
+    content, cut = textio._content_lines, textio._bodies
+    monkeypatch.setattr(textio, "_content_lines", lambda text: calls.append(text) or content(text))
+    monkeypatch.setattr(textio, "_bodies", lambda text: bodies.append(text) or cut(text))
     load_action(fixtures_dir / "four_point.pact")
-    assert len(calls) == 2
+    text = (fixtures_dir / "four_point.pact").read_text()
+    assert calls == [text]
+    # one more split for the structure file, none for the action text beyond the first
+    assert bodies == [text, (fixtures_dir / "eight_arrow.isgd").read_text()]
 
 
 def test_declared_inverse_mismatch_fails_loading(tmp_path, hybrid):
