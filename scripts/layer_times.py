@@ -13,7 +13,8 @@ from text.  Stages, each timed alone:
                    and their congruence closure (_congruence_labels)
     class maps     the rest of build_globalization: the generators' class maps,
                    the others composed along the right Cayley tree, the embedding
-    output checks  is_valid_global and is_embedding on the output
+    output checks  is_globalization_triple on the canonical map: is_embedding,
+                   then is_valid_global on the output
     JSON           the ``globalize --format json`` text
 
 Loading the structure is printed first, in three parts that are not
@@ -50,8 +51,7 @@ PROBED = (
     ("_seed_index", "index"),
     ("_generator_images", "closure"),
     ("_congruence_labels", "closure"),
-    ("is_valid_global", "output checks"),
-    ("is_embedding", "output checks"),
+    ("is_globalization_triple", "output checks"),
 )
 STAGES = ("parse", "input P scan", "index", "closure", "class maps", "output checks", "JSON")
 

@@ -117,17 +117,19 @@ def is_embedding(f: ActionMap) -> ValidationReport:
     return ValidationReport(tuple(v))
 
 
+def _target_violations(action: PartialAction) -> tuple[Violation, ...]:
+    """Why the action is not valid and global, the one home of that check: nothing, the full axiom scan, or globality."""
+    if is_valid_global(action):
+        return ()
+    report = validate_p_axioms(action)
+    if not report.ok:
+        return (Violation("target-invalid", "target fails the partial-action axioms", ()), *report.violations)
+    return (Violation("target-not-global", "target action is not global", ()),)
+
+
 def is_globalization_triple(f: ActionMap) -> ValidationReport:
-    """Embedding into a valid global action; the full axiom scan only reports a failing target."""
-    v = list(is_embedding(f).violations)
-    if not is_valid_global(f.target):
-        target_ok = validate_p_axioms(f.target)
-        if not target_ok.ok:
-            v.append(Violation("target-invalid", "target fails the partial-action axioms", ()))
-            v.extend(target_ok.violations)
-        else:
-            v.append(Violation("target-not-global", "target action is not global", ()))
-    return ValidationReport(tuple(v))
+    """Embedding into a valid global action: ``is_embedding``'s violations, then the target's."""
+    return ValidationReport(is_embedding(f).violations + _target_violations(f.target))
 
 
 class GlobalizationTriple:

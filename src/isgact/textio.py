@@ -28,10 +28,9 @@ from .core import (
 
 
 class ParseError(ValueError):
-    def __init__(self, line: int, col: int, message: str):
-        self.line = line
-        self.col = col
-        super().__init__(f"line {line}, col {col}: {message}")
+    def __init__(self, line: int, col: int, message: str, path: Path | None = None):
+        self.line, self.col, self.message, self.path = line, col, message, path  # a loader names the file it read
+        super().__init__(("" if path is None else f"{path}: ") + f"line {line}, col {col}: {message}")
 
 
 class ValidationFailure(Exception):
@@ -265,12 +264,11 @@ def _parse_sections(lines, isg: InverseSemigroupoid) -> PartialAction:
 
     for lineno, body in lines:
         stripped = body.strip()
-        if stripped.startswith("structure"):
-            toks = stripped.split(None, 2)
-            if len(toks) >= 2 and toks[0] == "structure" and toks[1] == "=":
-                raise ParseError(lineno, 1, "duplicate structure header")
         m = _INLINE.match(stripped)
         if not m:
+            toks = stripped.split(None, 2)  # a `structure = ...` line starts with no `[`, so it lands here
+            if len(toks) >= 2 and toks[0] == "structure" and toks[1] == "=":
+                raise ParseError(lineno, 1, "duplicate structure header")
             raise ParseError(lineno, 1, "expected [carrier], [domain s] or [map s] line")
         head = m.group(1).split()
         payload = m.group(2).split()
@@ -337,7 +335,7 @@ def format_action(action: PartialAction, ref: str) -> str:
 
 
 def _read_text(path: Path) -> str:
-    """The file's contents without a leading byte-order mark; a byte that is not UTF-8 is a positioned parse error naming the file.
+    """The file's contents without a leading byte-order mark; a byte that is not UTF-8 is a positioned parse error.
 
     The error's line and column count the file's bytes, the mark included.
     """
@@ -347,13 +345,16 @@ def _read_text(path: Path) -> str:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         col = exc.start - data.rfind(b"\n", 0, exc.start)
-        raise ParseError(line, col, f"{path} is not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
+        raise ParseError(line, col, f"not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
 
 
 def load_structure(path: str | Path) -> InverseSemigroupoid:
     """Read, parse, validate, and inverse-check a structure file."""
     path = Path(path)
-    doc = parse_structure(_read_text(path))
+    try:
+        doc = parse_structure(_read_text(path))
+    except ParseError as exc:
+        raise ParseError(exc.line, exc.col, exc.message, path) from None
     result = infer_inverses(doc.table)
     if isinstance(result, ValidationReport):
         raise ValidationFailure(str(path), result)
@@ -392,13 +393,16 @@ def _load_action(
 
     The structure goes through ``loaded`` when one is given, so a command
     that reads several files loads each structure once; otherwise it is
-    loaded directly.
+    loaded directly.  A parse error names the file it is in, this one or the structure file.
     """
-    lines = _content_lines(_read_text(path))
-    ref = _header(lines)  # a malformed header fails before any structure file is opened
-    where = path.parent / ref
-    isg = load_structure(where) if loaded is None else _load_structure_once(where, loaded)
-    return _parse_sections(lines, isg), isg, ref
+    try:
+        lines = _content_lines(_read_text(path))
+        ref = _header(lines)  # a malformed header fails before any structure file is opened
+        where = path.parent / ref
+        isg = load_structure(where) if loaded is None else _load_structure_once(where, loaded)
+        return _parse_sections(lines, isg), isg, ref
+    except ParseError as exc:
+        raise ParseError(exc.line, exc.col, exc.message, exc.path or path) from None
 
 
 def load_action(path: str | Path) -> tuple[PartialAction, InverseSemigroupoid]:

@@ -6,6 +6,7 @@ import pytest
 
 from isgact import actions, cli, core, format_action, globalization, morphisms, parse_action, parse_structure, restrict
 from isgact.catalog import _rotations, catalog, partial_bijections, random_partial_action, three_point_action
+from isgact.core import ValidationReport, Violation
 from isgact.cli import run_cli
 from isgact.morphisms import inclusion_map
 from isgact.textio import load_action
@@ -144,6 +145,34 @@ def test_mediate_with_an_explicit_embedding(capsys, fixtures_dir):
     )
     assert code == 0
     assert "fiber injectivity: ok" in out
+
+
+def test_mediate_refuses_a_target_that_is_not_global_with_its_report(capsys, fixtures_dir):
+    source, target = fixtures_dir / "three_point_restricted.pact", fixtures_dir / "four_point.pact"
+    code, out, err = run(capsys, "mediate", str(source), "--target", str(target))
+    assert (code, out) == (1, "")
+    action, target_action = load_action(source)[0], load_action(target)[0]
+    j = morphisms.ActionMap(action, target_action, {x: x for x in action.carrier})
+    not_global = Violation("target-not-global", "target action is not global", ())
+    report = ValidationReport(morphisms.is_action_map(j).violations + (not_global,))
+    assert err == "error: mediating requires an action map into a valid global action:\n" + report.render() + "\n"
+
+
+def test_mediate_refuses_a_plain_map_that_is_not_an_action_map_with_its_witnesses(capsys, fixtures_dir):
+    args = (
+        "mediate",
+        str(fixtures_dir / "three_point_restricted.pact"),
+        "--target", str(fixtures_dir / "three_point_global.pact"),
+        "--embedding", "1->1,2->1",
+    )
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (1, "")
+    code_strict, out_strict, err_strict = run(capsys, *args, "--strict")
+    assert (code_strict, out_strict) == (1, "")
+    equivariance = [line for line in err.splitlines() if line.startswith("  [equivariance]")]
+    assert len(equivariance) == 2
+    assert equivariance == [line for line in err_strict.splitlines() if line.startswith("  [equivariance]")]
+    assert err.startswith("error: mediating requires an action map into a valid global action:\nFAIL (2 violation(s))\n")
 
 
 def test_check_with_props(capsys, fixtures_dir):
@@ -320,7 +349,7 @@ def test_a_file_that_is_not_utf8_is_one_error_line(capsys, tmp_path, fixtures_di
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err == f"error: line 2, col 1: {bad} is not UTF-8 text (byte 0xff)\n"
+    assert err == f"error: {bad}: line 2, col 1: not UTF-8 text (byte 0xff)\n"
 
 
 def test_a_leading_byte_order_mark_is_dropped(capsys, tmp_path, fixtures_dir):
@@ -345,7 +374,7 @@ def test_a_byte_that_is_not_utf8_after_a_byte_order_mark_is_placed_by_file_bytes
     bad.write_bytes(b"\xef\xbb\xbf" + data)
     code, out, err = run(capsys, "validate", str(bad))
     assert (code, out) == (2, "")
-    assert err == f"error: line {line}, col {col}: {bad} is not UTF-8 text (byte 0xff)\n"
+    assert err == f"error: {bad}: line {line}, col {col}: not UTF-8 text (byte 0xff)\n"
 
 
 @pytest.mark.parametrize(
@@ -371,7 +400,26 @@ def test_a_parse_error_is_one_positioned_error_line(capsys, tmp_path, fixtures_d
     code, out, err = run(capsys, "validate", str(tmp_path / name))
     assert code == 2
     assert out == ""
-    assert err == f"error: {error}\n"
+    assert err == f"error: {tmp_path / name}: {error}\n"
+
+
+def test_a_parse_error_in_a_referenced_structure_names_the_structure_file(capsys, tmp_path, fixtures_dir):
+    lines = (fixtures_dir / "eight_arrow.isgd").read_text().splitlines()
+    lines[6] = "a : u -> w"
+    (tmp_path / "eight_arrow.isgd").write_text("\n".join(lines) + "\n")
+    (tmp_path / "four_point.pact").write_text((fixtures_dir / "four_point.pact").read_text())
+    for argv in (["validate"], ["globalize"], ["mediate", "--target", str(tmp_path / "four_point.pact")]):
+        code, out, err = run(capsys, argv[0], str(tmp_path / "four_point.pact"), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == f"error: {tmp_path / 'eight_arrow.isgd'}: line 7, col 10: unknown object w\n"
+
+
+def test_an_action_file_referencing_an_action_file_names_the_referenced_file(capsys, tmp_path, fixtures_dir):
+    (tmp_path / "inner.pact").write_text((fixtures_dir / "four_point.pact").read_text())
+    (tmp_path / "outer.pact").write_text("structure = inner.pact\n")
+    code, out, err = run(capsys, "validate", str(tmp_path / "outer.pact"))
+    assert (code, out) == (2, "")
+    assert err == f"error: {tmp_path / 'inner.pact'}: line 2, col 1: content before any section header\n"
 
 
 def test_a_partial_inverse_section_names_each_arrow_without_a_declared_inverse(capsys, tmp_path, fixtures_dir):

@@ -19,14 +19,14 @@ from isgact import (
     infer_inverses,
     is_embedding,
     is_global,
+    is_globalization_triple,
     is_valid_global,
     mediating,
     restrict,
     validate_e_axioms,
-    validate_p_axioms,
     verify_universal,
 )
-from isgact.core import SemigroupoidTable, Violation
+from isgact.core import SemigroupoidTable, ValidationReport, Violation
 from isgact.catalog import catalog_entry
 
 from pairwise_oracle import seed_domain, seeds_related
@@ -191,8 +191,12 @@ def test_mediating_accepts_a_plain_action_map_target(three_point, two_point):
 
 def test_mediating_rejects_foreign_or_non_global_targets(three_point, two_point, four_point):
     glob = build_globalization(two_point)
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError) as refused:
         mediating(glob, identity_map(two_point))  # target is not global
+    assert str(refused.value) == (
+        "mediating requires an action map into a valid global action:\n"
+        + ValidationReport((Violation("target-not-global", "target action is not global", ()),)).render()
+    )
     other = build_globalization(four_point)
     with pytest.raises(StructuralError):
         mediating(glob, other.canonical_embedding)  # built over a different action
@@ -293,6 +297,7 @@ def test_lemma_audits_on_the_fixtures(four_point, three_point):
 
 @pytest.mark.parametrize("planted", ["moved", "dropped"])
 def test_a_wrong_class_map_entry_trips_the_output_check(monkeypatch, two_point, planted):
+    home = build_globalization(two_point).canonical_embedding._image  # the classes the points embed into
     built = []
 
     from_rows = PartialAction._from_rows.__func__
@@ -311,5 +316,7 @@ def test_a_wrong_class_map_entry_trips_the_output_check(monkeypatch, two_point, 
     monkeypatch.setattr(PartialAction, "_from_rows", classmethod(with_a_wrong_entry))
     with pytest.raises(RuntimeError) as failure:
         build_globalization(two_point)
-    # the report is the full scan's, as if the output had been scanned in full
-    assert str(failure.value) == "constructed action fails the axioms:\n" + validate_p_axioms(built[0]).render()
+    # the report is the globalization check's on the canonical map into the planted output
+    report = is_globalization_triple(ActionMap._from_image(two_point, built[0], home))
+    assert any(v.tag == "target-invalid" for v in report.violations)
+    assert str(failure.value) == "constructed output is not a globalization of the input:\n" + report.render()

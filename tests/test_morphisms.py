@@ -14,7 +14,9 @@ from isgact import (
     is_isomorphism,
     mediating,
     restrict,
+    validate_p_axioms,
 )
+from isgact.core import Violation
 
 from dual_route_oracles import embedding_by_points
 
@@ -72,6 +74,15 @@ def test_non_global_target_is_not_a_globalization_triple(four_point):
     assert any(v.tag == "target-not-global" for v in report.violations)
     with pytest.raises(StructuralError):
         GlobalizationTriple(identity_map(four_point))
+
+
+def test_a_target_failing_the_axioms_is_reported_with_the_full_scan(four_point_bad_range):
+    f = identity_map(four_point_bad_range)
+    scan = validate_p_axioms(four_point_bad_range)
+    assert not scan.ok
+    # the embedding's violations, then the header and every violation of the full scan, in order
+    header = Violation("target-invalid", "target fails the partial-action axioms", ())
+    assert is_globalization_triple(f).violations == is_embedding(f).violations + (header, *scan.violations)
 
 
 def test_compose_identity_and_mismatch(two_point, three_point):

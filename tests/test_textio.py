@@ -171,7 +171,7 @@ def test_a_second_structure_header_is_a_parse_error_on_its_line(tmp_path, fixtur
     (tmp_path / "eight_arrow.isgd").write_text((fixtures_dir / "eight_arrow.isgd").read_text())
     (tmp_path / "twice.pact").write_text(text)
     assert run_cli(["validate", str(tmp_path / "twice.pact")]) == 2
-    assert capsys.readouterr().err == f"error: line {line}, col 1: duplicate structure header\n"
+    assert capsys.readouterr().err == f"error: {tmp_path / 'twice.pact'}: line {line}, col 1: duplicate structure header\n"
 
 
 def test_load_action_splits_the_action_text_into_lines_once(monkeypatch, fixtures_dir):
