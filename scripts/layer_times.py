@@ -14,7 +14,8 @@ from text.  Stages, each timed alone:
     class maps     the rest of build_globalization: the generators' class maps,
                    the others composed along the right Cayley tree, the embedding
     output checks  is_globalization_triple on the canonical map: is_embedding,
-                   then is_valid_global on the output
+                   then validate_p_axioms (the generator-edge route) and
+                   is_global on the output
     JSON           the ``globalize --format json`` text
 
 Loading the structure is printed first, in three parts that are not

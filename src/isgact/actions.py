@@ -2,7 +2,8 @@
 
 Both axiom systems are validated by direct scan: the definitional one
 (identity on idempotent domains, containment in the idempotent hull,
-composition compatibility) and the equivalent bijection-based one.  Actions
+composition compatibility) and the equivalent bijection-based one; only
+on a global action is composition decided along the generators.  Actions
 store arrows and points by position, and the scans read those rows in
 carrier order, with arrows through the structure's integer tables, so
 witnesses come out sorted and names appear only in the violations they report.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain, compress
-from operator import itemgetter, le
+from operator import le
 from typing import Iterable, Mapping
 
 from .core import InverseSemigroupoid, StructuralError, ValidationReport, Violation
@@ -198,15 +199,34 @@ def _p3_violations(action: PartialAction, s: int, t: int, st: int) -> list[Viola
     return v
 
 
-def _picker(keys: list[int]):
-    """A function from a row to its entries at the keys, in order: a tuple, or a list for fewer than two keys."""
-    if len(keys) > 1:
-        return itemgetter(*keys)
-    return itemgetter(slice(keys[0], keys[0] + 1) if keys else slice(0))
+def _generator_edges_hold(action: PartialAction) -> bool:
+    """theta[s g] = theta[s] o theta[g] as partial maps on every right Cayley edge (s, g), g a generator.
+
+    Once the linear checks pass and the action is global, P3 for a pair
+    (s, t) is the partial-map equation theta[s t] = theta[s] o theta[t]
+    (its domain half because dom_of[inv(s t)] lies in dom_of[inv(t)] for a
+    valid global action).  If the equation holds on every edge (s, g), it
+    holds for every t = g1 ... gk by induction on k:
+    theta[s t' g] = theta[s t'] o theta[g] = theta[s] o theta[t'] o theta[g]
+    = theta[s] o theta[t' g].  So one comparison of rows per edge replaces
+    the scan over all composable pairs; the edges (s, g) run over the arrows
+    s leaving cod(g), whose products s g are all defined in an inverse
+    semigroupoid.  With the linear checks, edges that all hold give P3 and,
+    at t = inv(s), globality, so asking ``is_global`` first only spares a
+    pass that must fail.
+    """
+    isg, rows = action.semigroupoid, action.rows
+    mul, cod, leaving = isg.table._mul, isg.table._cod, isg.table._leaving
+    return all(rows[mul[s][g]] == [rows[s][j] if j >= 0 else -1 for j in rows[g]] for g in isg._generators for s in leaving[cod[g]])
 
 
 def validate_p_axioms(action: PartialAction) -> ValidationReport:
     """Check the definitional axiom system, with a witness per violation.
+
+    When the linear checks find nothing and the action is global, as the
+    construction's outputs and mediating targets are, P3 is decided along
+    the generators (``_generator_edges_hold``): the report is ok when every
+    edge holds, and otherwise the scan below builds it.
 
     P3 for a composable pair (s, t) compares two lists read at the points
     where the row of t is defined: the row of s at each value, the row of
@@ -227,19 +247,21 @@ def validate_p_axioms(action: PartialAction) -> ValidationReport:
     isg = action.semigroupoid
     rows, masks, inv = action.rows, action.masks, isg._inv
     v = _linear_violations(action)
+    if not v and is_global(action) and _generator_edges_hold(action):
+        return ValidationReport()
     # per arrow, the positions where its row is defined, the row there, and whether it is shaped
     keys = [[i for i, j in enumerate(row) if j >= 0] for row in rows]
     values = [list(map(row.__getitem__, at)) for row, at in zip(rows, keys)]
     shaped = [[j >= 0 for j in row] == masks[i] and all(map(image.__getitem__, vals)) for row, i, image, vals in zip(rows, inv, masks, values)]
     table = isg.table
-    # per object: a picker of the values of all arrows into it, in order, or None if one is not shaped
-    through = [_picker(list(chain.from_iterable(map(values.__getitem__, ts)))) if all(map(shaped.__getitem__, ts)) else None for ts in table._into]
+    # per object: the values of all arrows into it, concatenated in order, or None if one is not shaped
+    through = [list(chain.from_iterable(map(values.__getitem__, ts))) if all(map(shaped.__getitem__, ts)) else None for ts in table._into]
     for s, (d, products) in enumerate(zip(table._dom, table._mul)):
         ts = table._into[d]  # the right partners t of s, in declaration order, and the products s t
         sts = list(map(products.__getitem__, ts))
         row_s = rows[s]
         if through[d] is not None and shaped[s] and all(map(shaped.__getitem__, sts)):
-            if list(through[d](row_s)) == [row[i] for t, row in zip(ts, map(rows.__getitem__, sts)) for i in keys[t]]:
+            if list(map(row_s.__getitem__, through[d])) == [row[i] for t, row in zip(ts, map(rows.__getitem__, sts)) for i in keys[t]]:
                 continue
         for t, st in zip(ts, sts):
             if shaped[s] and shaped[t] and shaped[st]:
@@ -247,33 +269,6 @@ def validate_p_axioms(action: PartialAction) -> ValidationReport:
                     continue
             v.extend(_p3_violations(action, s, t, st))
     return ValidationReport(tuple(v))
-
-
-def is_valid_global(action: PartialAction) -> bool:
-    """validate_p_axioms(action).ok and is_global(action), decided along the generators.
-
-    Once the linear checks pass and the action is global, P3 for a pair
-    (s, t) is the partial-map equation theta[s t] = theta[s] o theta[t]
-    (its domain half because dom_of[inv(s t)] lies in dom_of[inv(t)] for a
-    valid global action).  If the equation holds on every right Cayley edge
-    (s, g), g a generator, it holds for every t = g1 ... gk by induction on
-    k: theta[s t' g] = theta[s t'] o theta[g] = theta[s] o theta[t'] o theta[g]
-    = theta[s] o theta[t' g].  So one comparison of rows per edge replaces
-    the scan over all composable pairs; the edges (s, g) run over the arrows
-    s leaving cod(g), whose products s g are all defined in an inverse
-    semigroupoid.  The full scan is left to build a report.
-    """
-    if _linear_violations(action) or not is_global(action):
-        return False
-    isg = action.semigroupoid
-    rows, mul, cod, leaving = action.rows, isg.table._mul, isg.table._cod, isg.table._leaving
-    for g in isg._generators:
-        row_g = rows[g]
-        for s in leaving[cod[g]]:
-            row_s = rows[s]
-            if rows[mul[s][g]] != [row_s[j] if j >= 0 else -1 for j in row_g]:
-                return False
-    return True
 
 
 def validate_e_axioms(action: PartialAction) -> ValidationReport:
@@ -326,7 +321,7 @@ def validate_e_axioms(action: PartialAction) -> ValidationReport:
 
 
 def is_global(action: PartialAction) -> bool:
-    """True when every dom_of[s] equals dom_of[s inv(s)] (the action is valid beforehand)."""
+    """True when every dom_of[s] equals dom_of[s inv(s)]; it reads the masks alone, so any action may be asked."""
     isg, masks = action.semigroupoid, action.masks
     return all(mask == masks[e] for mask, e in zip(masks, map(list.__getitem__, isg.table._mul, isg._inv)))
 

@@ -244,8 +244,8 @@ def _cmd_mediate(args) -> int:
             raise UsageError("the default embedding x->x maps to points outside the target carrier: " + ", ".join(outside))
         mapping = {x: x for x in action.carrier}
     j = ActionMap(action, target_action, mapping)
+    glob = build_globalization(action)  # a bad input is refused by its own report, before the target
     target = GlobalizationTriple(j) if args.strict else j
-    glob = build_globalization(action)
     sigma = mediating(glob, target)
     body = ", ".join(f"{c} -> {sigma.mapping[c]}" for c in glob.global_action.carrier)
     print(f"sigma: {body}")

@@ -452,6 +452,10 @@ def verify_universal(glob: Globalization, target, sigma: ActionMap, exhaustive_b
     audit is skipped with a note when that count exceeds it.
     """
     j = _target_map(glob, target)
+    if sigma.source != glob.global_action:
+        raise StructuralError("sigma must start at the global action of the globalization")
+    if sigma.target != j.target:
+        raise StructuralError("sigma must land in the target action of j")
     v: list[Violation] = []
     notes: list[str] = []
 
@@ -502,6 +506,8 @@ def fiber_classes(glob: Globalization, u: str) -> frozenset[int]:
 
 def check_fiber_injectivity(sigma: ActionMap, glob: Globalization) -> ValidationReport:
     """The mediating map must be injective on every codomain fiber."""
+    if sigma.source != glob.global_action:
+        raise StructuralError("sigma must start at the global action of the globalization")
     isg = glob.action.semigroupoid
     v: list[Violation] = []
     for u in isg.objects:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .actions import PartialAction, _name, is_valid_global, validate_p_axioms
+from .actions import PartialAction, _name, is_global, validate_p_axioms
 from .core import StructuralError, ValidationReport, Violation
 
 
@@ -118,13 +118,13 @@ def is_embedding(f: ActionMap) -> ValidationReport:
 
 
 def _target_violations(action: PartialAction) -> tuple[Violation, ...]:
-    """Why the action is not valid and global, the one home of that check: nothing, the full axiom scan, or globality."""
-    if is_valid_global(action):
-        return ()
+    """Why the action is not valid and global, the one home of that check: nothing, ``validate_p_axioms``'s report, or globality."""
     report = validate_p_axioms(action)
     if not report.ok:
         return (Violation("target-invalid", "target fails the partial-action axioms", ()), *report.violations)
-    return (Violation("target-not-global", "target action is not global", ()),)
+    if not is_global(action):
+        return (Violation("target-not-global", "target action is not global", ()),)
+    return ()
 
 
 def is_globalization_triple(f: ActionMap) -> ValidationReport:

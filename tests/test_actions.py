@@ -4,6 +4,7 @@ from isgact import (
     CoverageError,
     PartialAction,
     SemigroupoidTable,
+    actions,
     check_derived_propositions,
     infer_inverses,
     is_global,
@@ -39,6 +40,19 @@ def test_three_point_action_is_global(three_point):
 def test_four_point_action_is_not_global(four_point):
     # dom_of[a] = {4} sits strictly inside dom_of[aa*] = {3, 4}
     assert not is_global_diagnostic(four_point)
+
+
+def test_the_generator_edges_are_tried_only_on_a_global_action_that_passes_the_linear_checks(monkeypatch, three_point, four_point):
+    # edges that all hold already make the action global, so is_global only spares a pass that must fail
+    tried = []
+    edges = actions._generator_edges_hold
+    monkeypatch.setattr(actions, "_generator_edges_hold", lambda action: tried.append(action) or edges(action))
+    swapped = {**three_point.theta, "aa*": {"1": "2", "2": "1", "3": "3"}}  # global, but P1 fails
+    not_identity = PartialAction(three_point.semigroupoid, three_point.carrier, three_point.dom_of, swapped)
+    assert is_global(not_identity) and not is_global(four_point)
+    assert validate_p_axioms(three_point).ok and validate_p_axioms(four_point).ok
+    assert "P1" in validate_p_axioms(not_identity).tags()
+    assert tried == [three_point]
 
 
 def test_shrunken_domain_breaks_bijectivity(hybrid, four_point):

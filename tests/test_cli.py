@@ -36,6 +36,26 @@ def count_calls(monkeypatch, name, *owners):
     return calls
 
 
+def p_axiom_routes(monkeypatch, *owners):
+    """A function listing each validate_p_axioms call through the owners' bindings, in order.
+
+    Each call is its action's carrier with "edges" when the generator edges
+    decided it ok, or "scan" when it went on to scan every composable pair.
+    """
+    calls = count_calls(monkeypatch, "validate_p_axioms", *owners)
+    decided = set()  # the calls whose edges all held
+    edges = actions._generator_edges_hold
+
+    def logged(action):
+        held = edges(action)
+        if held:
+            decided.add(len(calls) - 1)
+        return held
+
+    monkeypatch.setattr(actions, "_generator_edges_hold", logged)
+    return lambda: [(a.carrier, "edges" if k in decided else "scan") for k, (a,) in enumerate(calls)]
+
+
 def test_validate_structure_and_actions(capsys, fixtures_dir):
     code, out, _ = run(
         capsys,
@@ -156,6 +176,17 @@ def test_mediate_refuses_a_target_that_is_not_global_with_its_report(capsys, fix
     not_global = Violation("target-not-global", "target action is not global", ())
     report = ValidationReport(morphisms.is_action_map(j).violations + (not_global,))
     assert err == "error: mediating requires an action map into a valid global action:\n" + report.render() + "\n"
+
+
+def test_mediate_refuses_an_input_failing_the_axioms_by_its_report_with_or_without_strict(capsys, fixtures_dir):
+    # the input is judged before the target triple, so --strict does not report the map instead
+    source, target = fixtures_dir / "four_point_bad_range.pact", fixtures_dir / "four_point.pact"
+    report = actions.validate_p_axioms(load_action(source)[0])
+    assert len(report.violations) == 24
+    for strict in ((), ("--strict",)):
+        code, out, err = run(capsys, "mediate", str(source), "--target", str(target), *strict)
+        assert (code, out) == (1, "")
+        assert err == "error: input fails the partial-action axioms:\n" + report.render() + "\n"
 
 
 def test_mediate_refuses_a_plain_map_that_is_not_an_action_map_with_its_witnesses(capsys, fixtures_dir):
@@ -635,17 +666,17 @@ def test_globalize_json_and_mediate_build_no_seed_view(capsys, monkeypatch, fixt
 
 
 def test_globalize_runs_the_full_p_scan_once_for_the_input(capsys, monkeypatch, fixtures_dir):
-    # the output is checked along generator edges; the full scan only builds a failure report
-    calls = count_calls(monkeypatch, "validate_p_axioms", globalization, actions)
+    # the output is decided along generator edges; the full scan only builds a failure report
+    routes = p_axiom_routes(monkeypatch, globalization, morphisms, actions)
     code, _, _ = run(capsys, "globalize", str(fixtures_dir / "three_point_restricted.pact"))
     assert code == 0
-    assert [action.carrier for action, in calls] == [("1", "2")]
+    assert routes() == [(("1", "2"), "scan"), ((0, 1, 2, 3), "edges")]
 
 
 @pytest.mark.parametrize("strict", [(), ("--strict",)], ids=["plain", "strict"])
 def test_mediate_runs_the_full_p_scan_once_for_the_input(capsys, monkeypatch, fixtures_dir, strict):
-    # the global target is decided along generator edges; the full scan only builds a failure report
-    calls = count_calls(monkeypatch, "validate_p_axioms", globalization, morphisms, actions)
+    # the output and the global target are decided along generator edges; the full scan only builds a failure report
+    routes = p_axiom_routes(monkeypatch, globalization, morphisms, actions)
     code, out, _ = run(
         capsys,
         "mediate",
@@ -655,12 +686,12 @@ def test_mediate_runs_the_full_p_scan_once_for_the_input(capsys, monkeypatch, fi
         *strict,
     )
     assert code == 0 and out.startswith("sigma: ")
-    assert [action.carrier for action, in calls] == [("1", "2")]
+    assert routes() == [(("1", "2"), "scan"), ((0, 1, 2, 3), "edges"), (("1", "2", "3"), "edges")]
 
 
 @pytest.mark.parametrize("wrap", [False, True], ids=["action-map", "triple"])
 def test_the_universal_property_chain_runs_the_full_p_scan_once_for_the_input(monkeypatch, hybrid, wrap):
-    calls = count_calls(monkeypatch, "validate_p_axioms", globalization, morphisms, actions)
+    routes = p_axiom_routes(monkeypatch, globalization, morphisms, actions)
     base = three_point_action(hybrid)
     action = restrict(base, {"1", "2"})
     glob = globalization.build_globalization(action)
@@ -668,7 +699,9 @@ def test_the_universal_property_chain_runs_the_full_p_scan_once_for_the_input(mo
     target = morphisms.GlobalizationTriple(j) if wrap else j
     sigma = globalization.mediating(glob, target)
     assert globalization.verify_universal(glob, target, sigma).ok
-    assert [a.carrier for a, in calls] == [("1", "2")]
+    # the target once, when the triple is built or when mediating and the audit each take a plain map
+    targets = [(base.carrier, "edges")] * (1 if wrap else 2)
+    assert routes() == [(("1", "2"), "scan"), (glob.global_action.carrier, "edges"), *targets]
 
 
 @pytest.mark.parametrize("n", [6, 7])

@@ -8,9 +8,11 @@ construction's partition must be the pairwise oracle's and that of
 ``close_equivalence``, which closes the enumerated one-step relation, its
 class maps those read off every seed and every left multiplier, and
 ``mediating`` into the orbit union the map that ``mediating_by_seeds`` reads
-class by class.  On each drawn orbit union, and on one seeded single-entry
-corruption of it, the generator edge check ``is_valid_global`` must agree
-with the full scans, on structures with more generators than the catalog's.
+class by class.  On each drawn orbit union, which ``validate_p_axioms``
+decides along the generator edges, and on one seeded single-entry
+corruption of it, its report must be that of the set-based scan
+``validate_p_axioms_by_scan``, on structures with more generators than the
+catalog's.
 The seed count is capped so that the quadratic oracles stay quick.
 """
 
@@ -27,7 +29,6 @@ from isgact import (
     close_equivalence,
     infer_inverses,
     is_global,
-    is_valid_global,
     mediating,
     parse_action,
     parse_structure,
@@ -35,6 +36,7 @@ from isgact import (
 )
 from isgact.morphisms import inclusion_map
 from corruptions import changes, corrupted
+from p_scan_oracle import validate_p_axioms_by_scan
 from pairwise_oracle import class_maps_by_left_multipliers, pairwise_closure
 from universal_oracle import mediating_by_seeds
 
@@ -84,9 +86,10 @@ def assert_the_oracles_agree(action, union):
 
 
 def assert_the_generator_edge_check_agrees(union, rng):
+    assert validate_p_axioms(union).ok and is_global(union)
     _, bad = corrupted(union, rng.choice(list(changes(union))))
     for action in (union, bad):
-        assert is_valid_global(action) == (validate_p_axioms(action).ok and is_global(action))
+        assert validate_p_axioms(action) == validate_p_axioms_by_scan(action)
 
 
 @given(restricted_unions(), st.randoms(use_true_random=False))

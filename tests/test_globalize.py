@@ -20,14 +20,14 @@ from isgact import (
     is_embedding,
     is_global,
     is_globalization_triple,
-    is_valid_global,
     mediating,
     restrict,
     validate_e_axioms,
+    validate_p_axioms,
     verify_universal,
 )
 from isgact.core import SemigroupoidTable, ValidationReport, Violation
-from isgact.catalog import catalog_entry
+from isgact.catalog import catalog_entry, three_point_action
 
 from pairwise_oracle import seed_domain, seeds_related
 from universal_oracle import verify_universal_by_enumeration
@@ -202,6 +202,27 @@ def test_mediating_rejects_foreign_or_non_global_targets(three_point, two_point,
         mediating(glob, other.canonical_embedding)  # built over a different action
 
 
+def test_verify_universal_refuses_a_sigma_between_other_actions_by_name(hybrid, three_point, two_point):
+    glob = build_globalization(two_point)
+    j = inclusion_map(two_point, three_point)
+    with pytest.raises(StructuralError, match="^sigma must start at the global action of the globalization$"):
+        verify_universal(glob, j, identity_map(three_point))
+    with pytest.raises(StructuralError, match="^sigma must land in the target action of j$"):
+        verify_universal(glob, j, identity_map(glob.global_action))
+    # equal actions built apart are accepted at both ends
+    sigma = mediating(glob, j)
+    assert verify_universal(build_globalization(two_point), inclusion_map(two_point, three_point_action(hybrid)), sigma).ok
+
+
+def test_check_fiber_injectivity_refuses_a_sigma_from_another_action_by_name(three_point, two_point):
+    glob = build_globalization(two_point)
+    with pytest.raises(StructuralError, match="^sigma must start at the global action of the globalization$"):
+        check_fiber_injectivity(identity_map(three_point), glob)
+    # an equal global action built apart is accepted
+    sigma = mediating(glob, inclusion_map(two_point, three_point))
+    assert check_fiber_injectivity(sigma, build_globalization(two_point)).ok
+
+
 def test_mediating_flags_an_unusable_target(three_point, two_point):
     # a constant map into the global action is not equivariant; smuggle it past
     # the constructor checks to exercise the well-definedness audit
@@ -245,7 +266,7 @@ def test_uniqueness_reports_a_class_off_the_embedding():
     n = len(built.global_action.carrier)
     rows = [row + [d + n if d >= 0 else -1 for d in row] for row in built.global_action.rows]
     doubled = PartialAction._from_rows(action.semigroupoid, tuple(range(2 * n)), rows, [m + m for m in built.global_action.masks])
-    assert is_valid_global(doubled)
+    assert validate_p_axioms(doubled).ok and is_global(doubled)
     glob = globalization.Globalization(action, built.quotient, doubled, ActionMap(action, doubled, built.canonical_embedding.mapping))
     j = inclusion_map(action, base)
     first = mediating(built, j).mapping

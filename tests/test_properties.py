@@ -23,7 +23,6 @@ from isgact import (
     is_action_map,
     is_embedding,
     is_global,
-    is_valid_global,
     load_action,
     mediating,
     natural_leq,
@@ -188,12 +187,14 @@ def _single_entry_corruptions(action):
     ids=[f"{entry.name}/{ca.name}" for entry in GROWN for ca in entry.actions if ca.global_tag],
 )
 def test_the_generator_edge_check_agrees_with_the_full_scan(action):
-    assert is_valid_global(action)
+    # validate_p_axioms decides a global action along the generator edges; the set-based oracle scans every pair
+    report = validate_p_axioms(action)
+    assert report.ok and is_global(action) and report == validate_p_axioms_by_scan(action)
     outcomes = []
     for corrupted in _single_entry_corruptions(action):
-        full = validate_p_axioms(corrupted).ok and is_global(corrupted)
-        assert is_valid_global(corrupted) == full
-        outcomes.append(full)
+        report = validate_p_axioms(corrupted)
+        assert report == validate_p_axioms_by_scan(corrupted)
+        outcomes.append(report.ok and is_global(corrupted))
     assert outcomes and not all(outcomes)
 
 
