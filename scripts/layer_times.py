@@ -7,7 +7,8 @@ classes.  The inputs are written by ``perfbench/generate.py`` and parsed
 from text.  Stages, each timed alone:
 
     parse          parse_action on the .pact text (after the structure is loaded)
-    input P scan   validate_p_axioms on the input
+    linear checks  _linear_violations on the input: theta-domain, theta-range,
+                   P1 and P2 (P3 of the input is certified by the output checks)
     index          the integer seed index (_seed_index)
     closure        each seed's images under the generators (_generator_images)
                    and their congruence closure (_congruence_labels)
@@ -15,7 +16,7 @@ from text.  Stages, each timed alone:
                    the others composed along the right Cayley tree, the embedding
     output checks  is_globalization_triple on the canonical map: is_embedding,
                    then validate_p_axioms (the generator-edge route) and
-                   is_global on the output
+                   is_global on the output; passing, they prove the input valid
     JSON           the ``globalize --format json`` text
 
 Loading the structure is printed first, in three parts that are not
@@ -48,13 +49,13 @@ from isgact.cli import _globalization_json  # noqa: E402
 
 # the names build_globalization looks up in its module, and the stage each one is
 PROBED = (
-    ("validate_p_axioms", "input P scan"),
+    ("_linear_violations", "linear checks"),
     ("_seed_index", "index"),
     ("_generator_images", "closure"),
     ("_congruence_labels", "closure"),
     ("is_globalization_triple", "output checks"),
 )
-STAGES = ("parse", "input P scan", "index", "closure", "class maps", "output checks", "JSON")
+STAGES = ("parse", "linear checks", "index", "closure", "class maps", "output checks", "JSON")
 
 
 def _timed(fn, stage, spent):

@@ -239,10 +239,9 @@ def validate_p_axioms(action: PartialAction) -> ValidationReport:
     is decided with one comparison per arrow s.  Only a row that fails, or
     that involves an arrow that is not shaped, compares pair by pair and
     runs the full check on each pair that fails, so witnesses keep their
-    (s, t) order.  ``build_globalization`` closes its seeds by congruence
-    along the generators only once this report is ok: that closure gives
-    the partition of the one-step relation only for an action that
-    satisfies the P axioms.
+    (s, t) order.  ``build_globalization`` calls it only to refuse an
+    input: it runs only the linear checks on its input, and its output
+    check proves P3.
     """
     isg = action.semigroupoid
     rows, masks, inv = action.rows, action.masks, isg._inv

@@ -8,10 +8,12 @@ embedding, and every map into a global action factors through it uniquely.
 
 ``close_equivalence`` enumerates the relation (``_related_pairs``) and
 closes it by union-find; that holds for any action, and ``Quotient.edges``,
-the DOT edge list, reads the same enumeration.  ``build_globalization`` runs
-only on an action that passes the P axioms, and there the same partition is
-a congruence closure along the generators (``_congruence_labels``): about
-seeds times generators instead of seeds times arrows.  Both close their
+the DOT edge list, reads the same enumeration.  On an action that passes the
+P axioms the same partition is a congruence closure along the generators
+(``_congruence_labels``): about seeds times generators instead of seeds
+times arrows.  ``build_globalization`` runs it once the input passes the
+linear checks, and its output check certifies P3 of the input; the full P
+scan runs only to write the report of an input it refuses.  Both close their
 pairs with one union step (``_merge``).  The class maps are read off the
 seeds for the generators only and composed along the right Cayley tree that
 the generator search keeps for the other arrows.
@@ -24,7 +26,7 @@ from itertools import chain, combinations, compress
 from operator import lt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .actions import PartialAction, validate_p_axioms
+from .actions import PartialAction, _linear_violations, validate_p_axioms
 from .core import StructuralError, ValidationReport, Violation
 from .morphisms import ActionMap, GlobalizationTriple, _target_violations, is_action_map, is_globalization_triple
 from .morphisms import is_embedding  # noqa: F401  (the benchmark's layer probes rebind it here)
@@ -245,7 +247,9 @@ def _congruence_labels(blocks: list, action: PartialAction, images: list[list[in
     monotonicity, which is why the P axioms must hold.  After the base
     pass, each generator's image row is read once, and each later merge
     costs a union-find step per generator (``_merge``), so the closure costs
-    about seeds times generators.
+    about seeds times generators.  ``build_globalization`` runs it once the
+    linear checks pass, before P3 is known, and trusts the partition only
+    once its output check has certified the input.
     """
     # the base pairs: the seeds (u, x) with theta[u](x) = y, the idempotent seeds (e, y) among them, join the first
     first: dict[int, int] = {}
@@ -276,6 +280,13 @@ def close_equivalence(seeds: list[Seed], action: PartialAction) -> Quotient:
     return Quotient(action, blocks, *_number(parent))
 
 
+def _refuse(action: PartialAction) -> None:
+    """Raise the input's own P-axiom report when it fails the axioms; return when it passes them."""
+    report = validate_p_axioms(action)
+    if not report.ok:
+        raise StructuralError("input fails the partial-action axioms:\n" + report.render())
+
+
 class Globalization:
     """Quotient classes, the induced global action, and the canonical embedding."""
 
@@ -292,10 +303,10 @@ class Globalization:
 def build_globalization(action: PartialAction) -> Globalization:
     """Run the whole construction and verify the promised properties.
 
-    Once the input passes the P axioms, the seed index (``_seed_index``) is
-    partitioned by congruence closure along the generators
-    (``_congruence_labels``), which gives the classes of the one-step
-    relation without enumerating it.  Arrow s sends the class of (p, x) to
+    Once the input passes the linear checks, the seed index
+    (``_seed_index``) is partitioned by congruence closure along the
+    generators (``_congruence_labels``), which on a valid input gives the
+    classes of the one-step relation without enumerating it.  Arrow s sends the class of (p, x) to
     the class of (s p, x), and is defined there exactly when (s p, x) is a
     seed, since inv(s p) s p equals inv(p) inv(s) s p.  Only the
     generators' maps are read off the seeds: every seed is checked against
@@ -311,10 +322,7 @@ def build_globalization(action: PartialAction) -> Globalization:
     would pass a well-definedness audit against every left multiplier, and
     none is run.  The class maps are the output's rows over class ids; the
     family of s is where the map of inv(s) is defined, and the idempotent
-    seeds (e, x) give the class that x embeds into.  The canonical map is
-    judged by the one globalization check, ``is_globalization_triple``: an
-    embedding into an action valid and global along every right Cayley
-    edge, with the full axiom scan run only to report a failure.
+    seeds (e, x) give the class that x embeds into.
 
     The composed map of u g is defined exactly where the seeds define it.
     The induction shows "at least".  Conversely, "(u q, y) is a seed" is
@@ -325,11 +333,35 @@ def build_globalization(action: PartialAction) -> Globalization:
     that leaves that codomain leaves and returns through idempotent seeds,
     at one point since the embedding is injective.  So where g sends the
     class of (p, x) to that of (g p, x), and u is defined on it, (u g p, x)
-    is a seed.  Every output returned has passed the globalization check.
+    is a seed.
+
+    The input is judged once.  Before the construction it must pass the
+    linear checks (``_linear_violations``: theta-domain, theta-range, P1
+    and P2); P3 is left to the output check, the one globalization check
+    ``is_globalization_triple`` on the canonical map i: an embedding into
+    an action beta that is valid and global.  That check passes only when
+    the input is valid.  The family check puts i(X_{inv s}) in
+    Y_{inv s}, and the preimage equation for inv(s) makes X_{inv s}
+    exactly the points x with i(x) in Y_{inv s} and beta[s](i(x)) in
+    i(X).  There theta[s] is defined, by the theta-domain check, and
+    equivariance makes it beta[s] read through i; off X_{inv s} the
+    theta-domain check leaves it undefined, which ``is_action_map`` never
+    sees.  So the input is the restriction of beta to i(X).  P3 for (s, t)
+    follows: since beta[s t] = beta[s] o beta[t] as partial maps, theta[s]
+    o theta[t] is defined at x exactly when i(x) lies in Y_{inv(s t)} n
+    Y_{inv t} and beta[t] and beta[s t] send it into i(X), which is
+    X_{inv(s t)} n X_{inv t}, and there it is i^-1 beta[s t] i(x) =
+    theta[s t](x).  The linear checks also make the embedding total and
+    well defined: every point x lies in some dom_of[e] (P1), and theta[e]
+    fixes it there, so the base pass of ``_congruence_labels`` joins every
+    idempotent seed (e, x) to one class.  So the full P scan runs only to
+    write a refusal (``_refuse``): after a linear failure, and before each
+    ``RuntimeError``, which is then left to mean a fault of the
+    construction on a valid input.  Every output returned has passed the
+    globalization check.
     """
-    pre = validate_p_axioms(action)
-    if not pre.ok:
-        raise StructuralError("input fails the partial-action axioms:\n" + pre.render())
+    if _linear_violations(action):
+        _refuse(action)  # always raises: the report holds these violations
 
     isg, n = action.semigroupoid, len(action.carrier)
     gens, tree = isg._generator_walk
@@ -340,12 +372,14 @@ def build_globalization(action: PartialAction) -> Globalization:
 
     # per arrow s, a row over class ids: the class s sends it to, or -1
     moves_of: list = [None] * len(blocks)
-    # g sends the class of (p, x) to that of (g p, x), defined exactly when (g p, x) is a seed
+    # g sends the class of (p, x) to that of (g p, x), defined exactly when (g p, x) is a seed;
+    # a self-audit of ``_merge``, which hands each class's image on: it fires on no input
     for g, image in zip(gens, images):
         moves = moves_of[g] = [-1] * n_classes
         for src, j in zip(label, image):
             if j >= 0 and moves[src] != label[j]:
                 if moves[src] >= 0:
+                    _refuse(action)
                     raise RuntimeError(f"class map for arrow {isg.arrows[g]} is not well defined: class {src} sent to both {moves[src]} and {label[j]}")
                 moves[src] = label[j]
     for u, g, ug in tree:
@@ -353,19 +387,14 @@ def build_globalization(action: PartialAction) -> Globalization:
         moves_of[ug] = [moves[d] if d >= 0 else -1 for d in moves_of[g]]
     # the family of s is where the map of inv(s) is defined
     families = [[d >= 0 for d in moves_of[si]] for si in isg._inv]
-
-    landing = set(chain.from_iterable(zip(pts, label[ids.start:ids.stop]) for ids, pts in compress(blocks, isg._idem)))
-    home = dict(landing)  # carrier position -> class; P1 puts each point in a dom_of[e], so in a seed (e, x)
-    if len(landing) != n:
-        for k, x in enumerate(action.carrier):
-            targets = sorted(c for i, c in landing if i == k)
-            if len(targets) > 1:
-                raise RuntimeError(f"canonical embedding of {x} is not well defined: classes {targets}")
+    # carrier position -> class: the idempotent seeds at one point share a class
+    home = dict(chain.from_iterable(zip(pts, label[ids.start:ids.stop]) for ids, pts in compress(blocks, isg._idem)))
 
     global_action = PartialAction._from_rows(isg, tuple(range(n_classes)), moves_of, families)
     canonical = ActionMap._from_image(action, global_action, [home[k] for k in range(n)])
     report = is_globalization_triple(canonical)
     if not report.ok:
+        _refuse(action)
         raise RuntimeError("constructed output is not a globalization of the input:\n" + report.render())
     return Globalization(action, quotient, global_action, canonical)
 

@@ -10,9 +10,13 @@ reports: tags, messages, witnesses and order.
 ``_composite_domain`` and ``_linear_violations`` are the name-keyed
 versions the library ran before it read integer rows, kept here so that the
 oracle shares no code with the scan it checks.
+
+``build_globalization`` runs only the linear checks on its input and leaves
+P3 to its output check; ``refused_as_the_scan_rejects`` requires that it
+refuses exactly the actions this scan rejects, with this scan's report.
 """
 
-from isgact import PartialAction, ValidationReport, Violation
+from isgact import PartialAction, StructuralError, ValidationReport, Violation, build_globalization
 
 
 def _composite_domain(action: PartialAction, s: str, t: str) -> set:
@@ -108,3 +112,19 @@ def validate_p_axioms_by_scan(action: PartialAction) -> ValidationReport:
                 )
             )
     return ValidationReport(tuple(v))
+
+
+def refused_as_the_scan_rejects(action: PartialAction) -> str:
+    """Assert that ``build_globalization`` refuses the action exactly when the scan rejects it, by the scan's report.
+
+    Returns "built", "refused", or "refused for P3 alone" when the action
+    passes the linear checks, so that only the output check catches it.
+    """
+    report = validate_p_axioms_by_scan(action)
+    try:
+        build_globalization(action)
+    except StructuralError as exc:
+        assert str(exc) == "input fails the partial-action axioms:\n" + report.render()
+        return "refused" if _linear_violations(action) else "refused for P3 alone"
+    assert report.ok, report.render()
+    return "built"

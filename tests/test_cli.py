@@ -13,6 +13,8 @@ from isgact.textio import load_action
 
 from worked_data import CLASSES_B
 
+GOLDENS = Path(__file__).resolve().parent / "goldens"
+
 
 def run(capsys, *argv):
     code = run_cli(list(argv))
@@ -187,6 +189,26 @@ def test_mediate_refuses_an_input_failing_the_axioms_by_its_report_with_or_witho
         code, out, err = run(capsys, "mediate", str(source), "--target", str(target), *strict)
         assert (code, out) == (1, "")
         assert err == "error: input fails the partial-action axioms:\n" + report.render() + "\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("globalize",), ("mediate", "--target", "three_point_global.pact"), ("mediate", "--target", "three_point_global.pact", "--strict")],
+    ids=["globalize", "mediate", "mediate-strict"],
+)
+def test_an_input_failing_p3_alone_is_refused_by_its_own_report(capsys, fixtures_dir, command):
+    # it passes the linear checks, so only the output check stands between it and an output
+    source = fixtures_dir / "three_point_swapped.pact"
+    action = load_action(source)[0]
+    assert actions._linear_violations(action) == []
+    report = actions.validate_p_axioms(action)
+    assert len(report.violations) == 24 and report.tags() == {"P3-domain", "P3-value"}
+    name, *rest = command
+    argv = [str(fixtures_dir / a) if a.endswith(".pact") else a for a in rest]
+    code, out, err = run(capsys, name, str(source), *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: input fails the partial-action axioms:\n" + report.render() + "\n"
+    assert err == (GOLDENS / "three_point_swapped.err").read_text()
 
 
 def test_mediate_refuses_a_plain_map_that_is_not_an_action_map_with_its_witnesses(capsys, fixtures_dir):
@@ -665,17 +687,26 @@ def test_globalize_json_and_mediate_build_no_seed_view(capsys, monkeypatch, fixt
     assert reads
 
 
-def test_globalize_runs_the_full_p_scan_once_for_the_input(capsys, monkeypatch, fixtures_dir):
-    # the output is decided along generator edges; the full scan only builds a failure report
+def test_globalize_runs_no_full_p_scan_on_a_valid_input(capsys, monkeypatch, fixtures_dir):
+    # the input passes the linear checks and the output check certifies P3; the output is decided along generator edges
     routes = p_axiom_routes(monkeypatch, globalization, morphisms, actions)
     code, _, _ = run(capsys, "globalize", str(fixtures_dir / "three_point_restricted.pact"))
     assert code == 0
-    assert routes() == [(("1", "2"), "scan"), ((0, 1, 2, 3), "edges")]
+    assert routes() == [((0, 1, 2, 3), "edges")]
+
+
+def test_globalize_scans_an_input_failing_p3_alone_once_to_write_its_refusal(capsys, monkeypatch, fixtures_dir):
+    # the construction runs and its one-class output is decided along generator edges; the embedding
+    # fails the output check, and only then is the input scanned
+    routes = p_axiom_routes(monkeypatch, globalization, morphisms, actions)
+    code, _, _ = run(capsys, "globalize", str(fixtures_dir / "three_point_swapped.pact"))
+    assert code == 1
+    assert routes() == [((0,), "edges"), (("1", "2"), "scan")]
 
 
 @pytest.mark.parametrize("strict", [(), ("--strict",)], ids=["plain", "strict"])
-def test_mediate_runs_the_full_p_scan_once_for_the_input(capsys, monkeypatch, fixtures_dir, strict):
-    # the output and the global target are decided along generator edges; the full scan only builds a failure report
+def test_mediate_runs_no_full_p_scan_on_a_valid_input(capsys, monkeypatch, fixtures_dir, strict):
+    # the output check certifies the input; the output and the global target are decided along generator edges
     routes = p_axiom_routes(monkeypatch, globalization, morphisms, actions)
     code, out, _ = run(
         capsys,
@@ -686,11 +717,11 @@ def test_mediate_runs_the_full_p_scan_once_for_the_input(capsys, monkeypatch, fi
         *strict,
     )
     assert code == 0 and out.startswith("sigma: ")
-    assert routes() == [(("1", "2"), "scan"), ((0, 1, 2, 3), "edges"), (("1", "2", "3"), "edges")]
+    assert routes() == [((0, 1, 2, 3), "edges"), (("1", "2", "3"), "edges")]
 
 
 @pytest.mark.parametrize("wrap", [False, True], ids=["action-map", "triple"])
-def test_the_universal_property_chain_runs_the_full_p_scan_once_for_the_input(monkeypatch, hybrid, wrap):
+def test_the_universal_property_chain_runs_no_full_p_scan_on_a_valid_input(monkeypatch, hybrid, wrap):
     routes = p_axiom_routes(monkeypatch, globalization, morphisms, actions)
     base = three_point_action(hybrid)
     action = restrict(base, {"1", "2"})
@@ -701,7 +732,7 @@ def test_the_universal_property_chain_runs_the_full_p_scan_once_for_the_input(mo
     assert globalization.verify_universal(glob, target, sigma).ok
     # the target once, when the triple is built or when mediating and the audit each take a plain map
     targets = [(base.carrier, "edges")] * (1 if wrap else 2)
-    assert routes() == [(("1", "2"), "scan"), (glob.global_action.carrier, "edges"), *targets]
+    assert routes() == [(glob.global_action.carrier, "edges"), *targets]
 
 
 @pytest.mark.parametrize("n", [6, 7])

@@ -12,7 +12,9 @@ class by class.  On each drawn orbit union, which ``validate_p_axioms``
 decides along the generator edges, and on one seeded single-entry
 corruption of it, its report must be that of the set-based scan
 ``validate_p_axioms_by_scan``, on structures with more generators than the
-catalog's.
+catalog's.  ``build_globalization`` must refuse, with the scan's report,
+exactly those of the restriction, the orbit union, one seeded single-entry
+corruption and one seeded coherent swap of each that the scan rejects.
 The seed count is capped so that the quadratic oracles stay quick.
 """
 
@@ -35,8 +37,8 @@ from isgact import (
     validate_p_axioms,
 )
 from isgact.morphisms import inclusion_map
-from corruptions import changes, corrupted
-from p_scan_oracle import validate_p_axioms_by_scan
+from corruptions import changes, corrupted, swapped, swaps
+from p_scan_oracle import refused_as_the_scan_rejects, validate_p_axioms_by_scan
 from pairwise_oracle import class_maps_by_left_multipliers, pairwise_closure
 from universal_oracle import mediating_by_seeds
 
@@ -92,11 +94,20 @@ def assert_the_generator_edge_check_agrees(union, rng):
         assert validate_p_axioms(action) == validate_p_axioms_by_scan(action)
 
 
+def assert_the_construction_refuses_what_the_scan_rejects(pair, rng):
+    for action in pair:
+        refused_as_the_scan_rejects(action)
+        for listed, build in ((list(changes(action)), corrupted), (list(swaps(action)), swapped)):
+            if listed:
+                refused_as_the_scan_rejects(build(action, rng.choice(listed))[1])
+
+
 @given(restricted_unions(), st.randoms(use_true_random=False))
 @settings(max_examples=300, deadline=None)
 def test_the_construction_matches_its_oracles_on_restricted_orbit_unions(pair, rng):
     assert_the_oracles_agree(*pair)
     assert_the_generator_edge_check_agrees(pair[1], rng)
+    assert_the_construction_refuses_what_the_scan_rejects(pair, rng)
 
 
 def test_the_construction_matches_its_oracles_on_full_orbit_unions():

@@ -34,10 +34,10 @@ from isgact import (
 )
 from isgact.catalog import catalog, grow_catalog, partial_bijections, random_partial_action
 
-from corruptions import labeled_corruptions
+from corruptions import coherent_swaps, labeled_corruptions
 from dual_route_oracles import is_action_map as is_action_map_by_names
 from dual_route_oracles import is_embedding_by_names, natural_leq_diagnostic
-from p_scan_oracle import validate_p_axioms_by_scan
+from p_scan_oracle import refused_as_the_scan_rejects, validate_p_axioms_by_scan
 from pairwise_oracle import pairwise_closure, pairwise_edges, seed_domain, seeds_related
 from universal_oracle import mediating_by_seeds, verify_universal_by_enumeration
 from worked_data import audit_equivalence_lemmas
@@ -182,20 +182,29 @@ def _single_entry_corruptions(action):
 
 
 @pytest.mark.parametrize(
-    "action",
-    [ca.action for entry in GROWN for ca in entry.actions if ca.global_tag],
-    ids=[f"{entry.name}/{ca.name}" for entry in GROWN for ca in entry.actions if ca.global_tag],
+    "ca",
+    [ca for entry in GROWN for ca in entry.actions],
+    ids=[f"{entry.name}/{ca.name}" for entry in GROWN for ca in entry.actions],
 )
-def test_the_generator_edge_check_agrees_with_the_full_scan(action):
-    # validate_p_axioms decides a global action along the generator edges; the set-based oracle scans every pair
+def test_the_p_scan_matches_the_set_based_oracle_on_single_entry_corruptions(ca):
+    # a global action is decided along the generator edges, and a corruption may be too; the oracle scans every pair
+    action = ca.action
     report = validate_p_axioms(action)
-    assert report.ok and is_global(action) and report == validate_p_axioms_by_scan(action)
-    outcomes = []
+    assert report == validate_p_axioms_by_scan(action)
+    if ca.global_tag:
+        assert report.ok and is_global(action)
+    tags, outcomes = set(), []
     for corrupted in _single_entry_corruptions(action):
         report = validate_p_axioms(corrupted)
         assert report == validate_p_axioms_by_scan(corrupted)
+        tags |= report.tags()
         outcomes.append(report.ok and is_global(corrupted))
+    assert tags & {"P3-domain", "P3-value"}
     assert outcomes and not all(outcomes)
+
+
+def _corruptions_and_swaps(action):
+    return [action, *_single_entry_corruptions(action), *(swapped for _, swapped in coherent_swaps(action))]
 
 
 @pytest.mark.parametrize(
@@ -203,14 +212,30 @@ def test_the_generator_edge_check_agrees_with_the_full_scan(action):
     [ca.action for entry in GROWN for ca in entry.actions],
     ids=[f"{entry.name}/{ca.name}" for entry in GROWN for ca in entry.actions],
 )
-def test_the_p_scan_matches_the_set_based_oracle_on_single_entry_corruptions(action):
-    assert validate_p_axioms(action) == validate_p_axioms_by_scan(action)
-    tags = set()
-    for corrupted in _single_entry_corruptions(action):
-        report = validate_p_axioms(corrupted)
-        assert report == validate_p_axioms_by_scan(corrupted)
-        tags |= report.tags()
-    assert tags & {"P3-domain", "P3-value"}
+def test_the_construction_refuses_what_the_scan_rejects_on_corruptions_and_swaps(action):
+    outcomes = {refused_as_the_scan_rejects(a) for a in _corruptions_and_swaps(action)}
+    assert "built" in outcomes and "refused" in outcomes
+
+
+@pytest.mark.parametrize("slot", GROWN_SLOTS, ids=[f"{entry.name}/{entry.actions[i].name}" for entry, i in GROWN_SLOTS])
+def test_the_construction_refuses_what_the_scan_rejects_on_seeded_restrictions(slot):
+    entry, index = slot
+    for seed in range(4):
+        for action in _corruptions_and_swaps(random_partial_action(entry, index, seed)):
+            refused_as_the_scan_rejects(action)
+
+
+def test_coherent_swaps_keep_the_linear_checks_so_the_output_check_alone_refuses_some():
+    tags, outcomes = set(), set()
+    for entry in GROWN:
+        for ca in entry.actions:
+            for _, swapped in coherent_swaps(ca.action):
+                report = validate_p_axioms_by_scan(swapped)
+                assert report.tags() <= {"P3-domain", "P3-value"}
+                tags |= report.tags()
+                outcomes.add(refused_as_the_scan_rejects(swapped))
+    assert tags == {"P3-domain", "P3-value"}
+    assert outcomes == {"built", "refused for P3 alone"}
 
 
 @given(slot=st.sampled_from(GROWN_SLOTS), pick=st.integers(min_value=0, max_value=10**6))
