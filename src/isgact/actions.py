@@ -1,12 +1,14 @@
 """Partial actions of an inverse semigroupoid on a finite carrier.
 
-Both axiom systems are validated by direct scan: the definitional one
-(identity on idempotent domains, containment in the idempotent hull,
-composition compatibility) and the equivalent bijection-based one; only
-on a global action is composition decided along the generators.  Actions
-store arrows and points by position, and the scans read those rows in
-carrier order, with arrows through the structure's integer tables, so
-witnesses come out sorted and names appear only in the violations they report.
+Two axiom systems are validated: the definitional one (identity on
+idempotent domains, containment in the idempotent hull, composition
+compatibility) and the equivalent bijection-based one.  The composition law
+is decided once, for both: one row comparison per arrow, or along the
+generators on a global action, leaves the pairs that may break it, and P3
+and E2 each run their pointwise check on those pairs alone.  Actions store
+arrows and points by position, and the scans read those rows in carrier
+order, with arrows through the structure's integer tables, so witnesses
+come out sorted and names appear only in the violations they report.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain, compress
 from operator import le
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .core import InverseSemigroupoid, StructuralError, ValidationReport, Violation
 
@@ -220,39 +222,37 @@ def _generator_edges_hold(action: PartialAction) -> bool:
     return all(rows[mul[s][g]] == [rows[s][j] if j >= 0 else -1 for j in rows[g]] for g in isg._generators for s in leaving[cod[g]])
 
 
-def validate_p_axioms(action: PartialAction) -> ValidationReport:
-    """Check the definitional axiom system, with a witness per violation.
+def _unsettled_pairs(action: PartialAction, clean: bool) -> Iterator[tuple[int, int, int]]:
+    """The composable pairs (s, t, s t) of arrow positions whose rows may break the composition law, in (s, t) order.
 
-    When the linear checks find nothing and the action is global, as the
-    construction's outputs and mediating targets are, P3 is decided along
-    the generators (``_generator_edges_hold``): the report is ok when every
-    edge holds, and otherwise the scan below builds it.
+    ``clean`` says the linear checks found nothing.  Then, on a global
+    action, as the construction's outputs and mediating targets are, the law
+    is decided along the generators (``_generator_edges_hold``), and no pair
+    is left when every edge holds: P3 then holds for every pair, and P3 for a
+    pair gives E2 for it.
 
-    P3 for a composable pair (s, t) compares two lists read at the points
-    where the row of t is defined: the row of s at each value, the row of
-    s t at each point.  For arrows whose row is defined exactly on
-    dom_of[inv] and lands in their own domain ("shaped"), they are equal
-    exactly when P3 holds for the pair: both sides are undefined off
-    dom_of[inv(s t)] n dom_of[inv t] and agree on it.  The two lists of a
-    pair have the same length, so the concatenations over all right
-    partners t of s are equal exactly when every pair's lists are, and P3
-    is decided with one comparison per arrow s.  Only a row that fails, or
-    that involves an arrow that is not shaped, compares pair by pair and
-    runs the full check on each pair that fails, so witnesses keep their
-    (s, t) order.  ``build_globalization`` calls it only to refuse an
-    input: it runs only the linear checks on its input, and its output
-    check proves P3.
+    Otherwise a pair (s, t) compares two lists read at the points where the
+    row of t is defined: the row of s at each value, the row of s t at each
+    point.  For arrows whose row is defined exactly on dom_of[inv] and lands
+    in their own domain ("shaped"), they are equal exactly when P3 holds for
+    the pair: both sides are undefined off dom_of[inv(s t)] n dom_of[inv t]
+    and agree on it.  The two lists of a pair have the same length, so the
+    concatenations over all right partners t of s are equal exactly when
+    every pair's lists are, and the law is decided with one comparison per
+    arrow s.  Only a row that fails, or that involves an arrow that is not
+    shaped, compares pair by pair, and each pair that fails is left.  A pair
+    that is not left satisfies E2 as well: theta[s] is defined exactly on
+    dom_of[inv s], so wherever theta[s](theta[t](x)) is defined, theta[s t](x)
+    equals it.
     """
     isg = action.semigroupoid
-    rows, masks, inv = action.rows, action.masks, isg._inv
-    v = _linear_violations(action)
-    if not v and is_global(action) and _generator_edges_hold(action):
-        return ValidationReport()
+    rows, masks, inv, table = action.rows, action.masks, isg._inv, isg.table
+    if clean and is_global(action) and _generator_edges_hold(action):
+        return
     # per arrow, the positions where its row is defined, the row there, and whether it is shaped
     keys = [[i for i, j in enumerate(row) if j >= 0] for row in rows]
     values = [list(map(row.__getitem__, at)) for row, at in zip(rows, keys)]
     shaped = [[j >= 0 for j in row] == masks[i] and all(map(image.__getitem__, vals)) for row, i, image, vals in zip(rows, inv, masks, values)]
-    table = isg.table
     # per object: the values of all arrows into it, concatenated in order, or None if one is not shaped
     through = [list(chain.from_iterable(map(values.__getitem__, ts))) if all(map(shaped.__getitem__, ts)) else None for ts in table._into]
     for s, (d, products) in enumerate(zip(table._dom, table._mul)):
@@ -266,12 +266,31 @@ def validate_p_axioms(action: PartialAction) -> ValidationReport:
             if shaped[s] and shaped[t] and shaped[st]:
                 if list(map(row_s.__getitem__, values[t])) == list(map(rows[st].__getitem__, keys[t])):
                     continue
-            v.extend(_p3_violations(action, s, t, st))
+            yield s, t, st
+
+
+def validate_p_axioms(action: PartialAction) -> ValidationReport:
+    """Check the definitional axiom system, with a witness per violation.
+
+    The linear checks, then the full P3 check on each pair that
+    ``_unsettled_pairs`` leaves, so witnesses keep their (s, t) order.
+    ``build_globalization`` calls it only to refuse an input: it runs only
+    the linear checks on its input, and its output check proves P3.
+    """
+    v = _linear_violations(action)
+    for s, t, st in _unsettled_pairs(action, not v):
+        v += _p3_violations(action, s, t, st)
     return ValidationReport(tuple(v))
 
 
 def validate_e_axioms(action: PartialAction) -> ValidationReport:
-    """Check the equivalent bijection-based axiom system."""
+    """Check the equivalent bijection-based axiom system.
+
+    E1 and E3 read each arrow's row and each order pair once.  E2 checks
+    theta[s t] against theta[s] o theta[t] pointwise only on the pairs that
+    ``_unsettled_pairs`` leaves: every other pair satisfies it, so the
+    report is that of the scan over every composable pair.
+    """
     isg = action.semigroupoid
     arrows, inv = isg.arrows, isg._inv
     rows, masks, name = action.rows, action.masks, action.carrier
@@ -300,8 +319,8 @@ def validate_e_axioms(action: PartialAction) -> ValidationReport:
         if not inside:
             v.append(Violation("E1", f"carrier element {x} lies in no arrow domain", (x,)))
 
-    # E2: theta[st] extends theta[s] o theta[t] on the composite domain.
-    for s, t, st in isg._products:
+    # E2: theta[st] extends theta[s] o theta[t] on the composite domain; the pairs P3 settles satisfy it.
+    for s, t, st in _unsettled_pairs(action, not _linear_violations(action)):
         row_s, row_st = rows[s], rows[st]
         image_t, window_s = masks[t], masks[inv[s]]
         for i, j in enumerate(rows[t]):

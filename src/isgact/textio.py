@@ -219,7 +219,7 @@ def format_structure(structure: SemigroupoidTable | InverseSemigroupoid) -> str:
     return "\n".join(lines) + "\n"
 
 
-_INLINE = re.compile(r"^\[([^\]]*)\]\s*=(.*)$")
+_INLINE = re.compile(r"^\[(.*?)\]\s*=(.*)$")  # the header runs to the `]` before the `=`, so an arrow name may hold a `]`
 
 
 def _header(lines) -> str:
@@ -279,6 +279,9 @@ def _parse_sections(lines, isg: InverseSemigroupoid) -> PartialAction:
             if len(points) != len(payload):
                 repeated = next(x for i, x in enumerate(payload) if points[x] != i)
                 raise ParseError(lineno, 1, f"duplicate carrier element {repeated}")
+            if "->" in m.group(2):
+                x = next(x for x in payload if "->" in x)
+                raise ParseError(lineno, body.index(x, body.index("=")) + 1, f"carrier element {x} contains '->', so no map entry can name it")
             carrier = payload
             continue
         if len(head) != 2 or head[0] not in ("domain", "map"):

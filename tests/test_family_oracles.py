@@ -12,12 +12,16 @@ class by class.  On each drawn orbit union, which ``validate_p_axioms``
 decides along the generator edges, and on one seeded single-entry
 corruption of it, its report must be that of the set-based scan
 ``validate_p_axioms_by_scan``, on structures with more generators than the
-catalog's.  ``build_globalization`` must refuse, with the scan's report,
-exactly those of the restriction, the orbit union, one seeded single-entry
-corruption and one seeded coherent swap of each that the scan rejects.
+catalog's.  On the restriction, the orbit union and a ``gen.bad_range`` of
+each, the E report must be that of ``validate_e_axioms_by_scan``, which
+checks E2 at every point of every composable pair.  ``build_globalization``
+must refuse, with the scan's report, exactly those of the restriction, the
+orbit union, one seeded single-entry corruption and one seeded coherent
+swap of each that the scan rejects.
 The seed count is capped so that the quadratic oracles stay quick.
 """
 
+import dataclasses
 import random
 import sys
 from pathlib import Path
@@ -34,10 +38,12 @@ from isgact import (
     mediating,
     parse_action,
     parse_structure,
+    validate_e_axioms,
     validate_p_axioms,
 )
 from isgact.morphisms import inclusion_map
 from corruptions import changes, corrupted, swapped, swaps
+from e_scan_oracle import validate_e_axioms_by_scan
 from p_scan_oracle import refused_as_the_scan_rejects, validate_p_axioms_by_scan
 from pairwise_oracle import class_maps_by_left_multipliers, pairwise_closure
 from universal_oracle import mediating_by_seeds
@@ -57,7 +63,8 @@ def parsed(structure, *actions):
 
 @st.composite
 def restricted_unions(draw):
-    """A seeded restriction of an orbit union with at most SEED_CAP seeds, and the orbit union, both parsed."""
+    """A seeded restriction of an orbit union with at most SEED_CAP seeds and the orbit union, then a
+    ``gen.bad_range`` of each that maps a point, all parsed."""
     kind, size = draw(st.sampled_from(FAMILIES))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     structure, action = gen.family(kind, size, rng)
@@ -67,7 +74,9 @@ def restricted_unions(draw):
     while len(sub.seeds()) > SEED_CAP:
         kept.pop()
         sub = gen.restrict(union, kept)
-    return parsed(structure, sub, union)
+    broken = [dataclasses.replace(a, dom_of=gen.bad_range(a, rng)) for a in (sub, union) if any(a.theta.values())]
+    sub, union, *broken = parsed(structure, sub, union, *broken)
+    return (sub, union), broken
 
 
 def assert_the_oracles_agree(action, union):
@@ -94,6 +103,11 @@ def assert_the_generator_edge_check_agrees(union, rng):
         assert validate_p_axioms(action) == validate_p_axioms_by_scan(action)
 
 
+def assert_the_e_scan_agrees(actions):
+    for action in actions:
+        assert validate_e_axioms(action) == validate_e_axioms_by_scan(action)
+
+
 def assert_the_construction_refuses_what_the_scan_rejects(pair, rng):
     for action in pair:
         refused_as_the_scan_rejects(action)
@@ -104,9 +118,11 @@ def assert_the_construction_refuses_what_the_scan_rejects(pair, rng):
 
 @given(restricted_unions(), st.randoms(use_true_random=False))
 @settings(max_examples=300, deadline=None)
-def test_the_construction_matches_its_oracles_on_restricted_orbit_unions(pair, rng):
+def test_the_construction_matches_its_oracles_on_restricted_orbit_unions(drawn, rng):
+    pair, broken = drawn
     assert_the_oracles_agree(*pair)
     assert_the_generator_edge_check_agrees(pair[1], rng)
+    assert_the_e_scan_agrees([*pair, *broken])
     assert_the_construction_refuses_what_the_scan_rejects(pair, rng)
 
 

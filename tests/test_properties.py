@@ -37,6 +37,7 @@ from isgact.catalog import catalog, grow_catalog, partial_bijections, random_par
 from corruptions import coherent_swaps, labeled_corruptions
 from dual_route_oracles import is_action_map as is_action_map_by_names
 from dual_route_oracles import is_embedding_by_names, natural_leq_diagnostic
+from e_scan_oracle import validate_e_axioms_by_scan
 from p_scan_oracle import refused_as_the_scan_rejects, validate_p_axioms_by_scan
 from pairwise_oracle import pairwise_closure, pairwise_edges, seed_domain, seeds_related
 from universal_oracle import mediating_by_seeds, verify_universal_by_enumeration
@@ -223,6 +224,29 @@ def test_the_construction_refuses_what_the_scan_rejects_on_seeded_restrictions(s
     for seed in range(4):
         for action in _corruptions_and_swaps(random_partial_action(entry, index, seed)):
             refused_as_the_scan_rejects(action)
+
+
+@pytest.mark.parametrize(
+    "action",
+    [ca.action for entry in GROWN for ca in entry.actions],
+    ids=[f"{entry.name}/{ca.name}" for entry in GROWN for ca in entry.actions],
+)
+def test_the_e_scan_matches_the_every_pair_oracle_on_corruptions_and_swaps(action):
+    # E2 runs only on the pairs that the P3 row comparison leaves; the oracle checks every pair pointwise
+    tags = set()
+    for a in _corruptions_and_swaps(action):
+        report = validate_e_axioms(a)
+        assert report == validate_e_axioms_by_scan(a)
+        tags |= report.tags()
+    assert "E2" in tags
+
+
+@pytest.mark.parametrize("slot", GROWN_SLOTS, ids=[f"{entry.name}/{entry.actions[i].name}" for entry, i in GROWN_SLOTS])
+def test_the_e_scan_matches_the_every_pair_oracle_on_seeded_restrictions(slot):
+    entry, index = slot
+    for seed in range(4):
+        for action in _corruptions_and_swaps(random_partial_action(entry, index, seed)):
+            assert validate_e_axioms(action) == validate_e_axioms_by_scan(action)
 
 
 def test_coherent_swaps_keep_the_linear_checks_so_the_output_check_alone_refuses_some():

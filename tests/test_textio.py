@@ -4,16 +4,20 @@ import pytest
 
 from isgact import (
     ParseError,
+    PartialAction,
     ValidationFailure,
     Violation,
     format_action,
     format_structure,
+    infer_inverses,
     load_action,
     load_structure,
     parse_action,
     parse_structure,
     structure_ref,
     textio,
+    validate_e_axioms,
+    validate_p_axioms,
 )
 from isgact.catalog import catalog, four_point_action, three_point_action
 from isgact.cli import run_cli
@@ -48,6 +52,19 @@ def test_action_round_trip_on_every_catalog_action():
             back = parse_action(text, entry.structure)
             assert back == ca.action
             assert format_action(back, "ref.isgd") == text
+
+
+def test_an_action_over_arrow_names_holding_a_bracket_round_trips():
+    # a section header runs to the `]` before its `=`, so `[domain e]] = ...` names the arrow e]
+    text = "[objects]\nu\n\n[arrows]\ne] : u -> u\ng]] : u -> u\n\n[mul]\ne] e] = e]\ne] g]] = g]]\ng]] e] = g]]\ng]] g]] = e]\n"
+    isg = infer_inverses(parse_structure(text).table)
+    action = PartialAction(isg, ["x", "y"], {"e]": ["x", "y"], "g]]": ["x", "y"]}, {"e]": {"x": "x", "y": "y"}, "g]]": {"x": "y", "y": "x"}})
+    printed = format_action(action, "z2.isgd")
+    assert "[domain g]]] = x y" in printed
+    back = parse_action(printed, isg)
+    assert back == action
+    assert format_action(back, "z2.isgd") == printed
+    assert validate_p_axioms(back).ok and validate_e_axioms(back).ok
 
 
 def test_structure_with_empty_mul_parses():
