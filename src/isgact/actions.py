@@ -382,38 +382,3 @@ def restrict(source: PartialAction, subset: Iterable, trim: bool = False) -> Par
         rows.append([new[row[i]] if window[i] and row[i] >= 0 and image[row[i]] else -1 for i in kept])
     masks = [[mask[i] for i in kept] for mask in masks]
     return PartialAction._from_rows(isg, tuple(source.carrier[i] for i in kept), rows, masks)
-
-
-def check_derived_propositions(action: PartialAction) -> ValidationReport:
-    """Re-verify consequences of the axioms; any failure marks an implementation bug.
-
-    Covered: the image equation theta[s](X_{inv s} n X_t) = X_s n X_{st} for
-    composable pairs, graph monotonicity along the natural order, and
-    intersection domains for composable idempotent pairs.  Domain
-    monotonicity along the order is axiom E3 of validate_e_axioms.
-    """
-    isg = action.semigroupoid
-    arrows, inv, idem = isg.arrows, isg._inv, isg._idem
-    rows, masks, name = action.rows, action.masks, action.carrier
-    v: list[Violation] = []
-
-    for s, t, st in isg._products:
-        reached = [False] * len(name)
-        for j, inside, within in zip(rows[s], masks[inv[s]], masks[t]):
-            if inside and within and j >= 0:
-                reached[j] = True
-        for x, y_in, a, b in zip(name, reached, masks[s], masks[st]):
-            if y_in != (a and b):
-                v.append(Violation("range-composition", f"image equation fails for ({arrows[s]},{arrows[t]}) at {x}", (arrows[s], arrows[t], x)))
-
-    for s, t in isg._order:
-        for x, inside, j, k in zip(name, masks[inv[s]], rows[s], rows[t]):
-            if inside and j != k:
-                v.append(Violation("order-extension", f"{arrows[s]} <= {arrows[t]} but theta[{arrows[t]}] does not extend theta[{arrows[s]}] at {x}", (arrows[s], arrows[t], x)))
-
-    for e, f, ef in isg._products:
-        if idem[e] and idem[f]:
-            for x, inside, a, b in zip(name, masks[ef], masks[e], masks[f]):
-                if inside != (a and b):
-                    v.append(Violation("idempotent-domains", f"dom_of[{arrows[ef]}] differs from dom_of[{arrows[e]}] n dom_of[{arrows[f]}] at {x}", (arrows[e], arrows[f], x)))
-    return ValidationReport(tuple(v))

@@ -8,9 +8,8 @@ pseudo-inverse search, idempotents, products and the natural order visit
 each arrow's composable or parallel partners only, and keep their results
 by position too.  The greedy generator search keeps the right Cayley tree it
 walks, so the globalization composes its class maps along it without a second
-walk.  ``pseudo_inverses``, ``inv``, ``inverse_map``, ``idempotent_set``,
-``products``, ``strict_order`` and ``generators`` are name views of those
-integers.
+walk.  ``inv``, ``inverse_map``, ``idempotent_set``, ``products``,
+``strict_order`` and ``generators`` are name views of those integers.
 Associativity is checked by an exhaustive scan that visits the composable
 triples only, walking each arrow's right partners from the per-object index.
 It reads each product s t once per composable pair, before the walk, and
@@ -286,11 +285,6 @@ def _pseudo_inverses(table: SemigroupoidTable, i: int) -> list[int]:
     return out
 
 
-def pseudo_inverses(table: SemigroupoidTable, s: str) -> list[str]:
-    """All arrows t with s t s = s and t s t = t, in declaration order."""
-    return [table.arrows[t] for t in _pseudo_inverses(table, table._aidx[s])]
-
-
 class InverseSemigroupoid:
     """A semigroupoid in which every arrow has a unique pseudo-inverse.
 
@@ -445,11 +439,3 @@ def infer_inverses(table: SemigroupoidTable) -> InverseSemigroupoid | Validation
         return InverseSemigroupoid(table)
     except StructuralError as exc:
         return exc.report
-
-
-def natural_leq(isg: InverseSemigroupoid, s: str, t: str) -> bool:
-    """The natural partial order: endpoints agree and s = t (s* s)."""
-    if isg.dom(s) != isg.dom(t) or isg.cod(s) != isg.cod(t):
-        return False
-    return isg.mul(t, isg.mul(isg.inv(s), s)) == s
-

@@ -21,6 +21,7 @@ from .core import (
     UNDEF,
     InverseSemigroupoid,
     SemigroupoidTable,
+    StructuralError,
     ValidationReport,
     Violation,
     infer_inverses,
@@ -194,8 +195,24 @@ def parse_structure(text: str) -> StructureDoc:
     return StructureDoc(table, inverse)
 
 
+def _refuse_unreadable(kind: str, names, *banned: str) -> None:
+    """Raise StructuralError naming the first of ``names`` that its parser would not read back.
+
+    A name is read as one token: it must be non-empty, hold no whitespace
+    (line breaks included), no `#`, which starts a comment, and none of
+    ``banned``.
+    """
+    for x in names:
+        if x.split() != [x] or any(b in x for b in ("#", *banned)):
+            raise StructuralError(f"{kind} {x!r} cannot be written: it would not read back as one name")
+
+
 def format_structure(structure: SemigroupoidTable | InverseSemigroupoid) -> str:
-    """Canonical text for a structure; inverse section only when one is known."""
+    """Canonical text for a structure; inverse section only when one is known.
+
+    A name that would not read back, or that starts a line reading as a
+    section header (an object `[u]`, say), raises StructuralError.
+    """
     if isinstance(structure, InverseSemigroupoid):
         table = structure.table
         inverse = structure._inv
@@ -203,20 +220,20 @@ def format_structure(structure: SemigroupoidTable | InverseSemigroupoid) -> str:
         table = structure
         inverse = None
     objects, arrows = table.objects, table.arrows
-    lines = ["[objects]"]
-    lines.extend(objects)
-    lines.append("")
-    lines.append("[arrows]")
-    lines.extend(f"{a} : {objects[d]} -> {objects[c]}" for a, d, c in zip(arrows, table._dom, table._cod))
-    lines.append("")
-    lines.append("[mul]")
-    for s, row in zip(arrows, table._mul):
-        lines.extend(f"{s} {arrows[t]} = {arrows[u]}" for t, u in enumerate(row) if u != UNDEF)
+    _refuse_unreadable("object", objects)
+    _refuse_unreadable("arrow", arrows)
+    sections = {
+        "objects": list(objects),
+        "arrows": [f"{a} : {objects[d]} -> {objects[c]}" for a, d, c in zip(arrows, table._dom, table._cod)],
+        "mul": [f"{s} {arrows[t]} = {arrows[u]}" for s, row in zip(arrows, table._mul) for t, u in enumerate(row) if u != UNDEF],
+    }
     if inverse is not None:
-        lines.append("")
-        lines.append("[inverse]")
-        lines.extend(f"{a} = {arrows[i]}" for a, i in zip(arrows, inverse))
-    return "\n".join(lines) + "\n"
+        sections["inverse"] = [f"{a} = {arrows[i]}" for a, i in zip(arrows, inverse)]
+    for lines in sections.values():
+        for line in lines:
+            if line[0] == "[" and _SECTION.match(line):
+                raise StructuralError(f"name {line.split()[0]!r} cannot be written: its line {line} reads as a section header")
+    return "\n\n".join("\n".join([f"[{name}]", *lines]) for name, lines in sections.items()) + "\n"
 
 
 _INLINE = re.compile(r"^\[(.*?)\]\s*=(.*)$")  # the header runs to the `]` before the `=`, so an arrow name may hold a `]`
@@ -328,7 +345,14 @@ def _parse_sections(lines, isg: InverseSemigroupoid) -> PartialAction:
 
 
 def format_action(action: PartialAction, ref: str) -> str:
-    """Canonical text for an action over the structure referenced by ``ref``."""
+    """Canonical text for an action over the structure referenced by ``ref``.
+
+    A carrier element or arrow name that would not read back raises
+    StructuralError: a carrier element may not contain `->`, and an arrow
+    name may not contain `]=`, which would end its section header early.
+    """
+    _refuse_unreadable("carrier element", map(str, action.carrier), "->")
+    _refuse_unreadable("arrow", action.semigroupoid.arrows, "]=")
     name = action.carrier
     lines = [f"structure = {ref}", "", "[carrier] = " + " ".join(str(x) for x in name)]
     for s, mask, row in zip(action.semigroupoid.arrows, action.masks, action.rows):

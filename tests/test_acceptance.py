@@ -20,7 +20,6 @@ from isgact import (
     PartialAction,
     Seed,
     build_globalization,
-    check_derived_propositions,
     check_fiber_injectivity,
     compose,
     format_action,
@@ -42,6 +41,7 @@ from isgact import (
 )
 from isgact.catalog import catalog, random_partial_action
 
+from derived_oracle import check_derived_propositions
 from pairwise_oracle import seeds_related
 from worked_data import (
     CLASSES_A,

@@ -5,7 +5,6 @@ from isgact import (
     PartialAction,
     SemigroupoidTable,
     actions,
-    check_derived_propositions,
     infer_inverses,
     is_global,
     restrict,
@@ -14,6 +13,7 @@ from isgact import (
 )
 from isgact.catalog import semilattice_2
 
+from derived_oracle import check_derived_propositions
 from dual_route_oracles import is_global_diagnostic
 
 

@@ -228,11 +228,19 @@ def test_mediate_refuses_a_plain_map_that_is_not_an_action_map_with_its_witnesse
     assert err.startswith("error: mediating requires an action map into a valid global action:\nFAIL (2 violation(s))\n")
 
 
-def test_check_with_props(capsys, fixtures_dir):
-    code, out, _ = run(capsys, "check", str(fixtures_dir / "four_point.pact"), "--props")
+def test_check_passes_on_the_four_point_fixture(capsys, fixtures_dir):
+    code, out, _ = run(capsys, "check", str(fixtures_dir / "four_point.pact"))
     assert code == 0
-    assert "equivalence audit: agree" in out
-    assert "derived propositions: ok" in out
+    assert out == "definitional axioms: ok\nbijection axioms: ok\nequivalence audit: agree\n"
+
+
+def test_check_has_no_props_option(capsys, fixtures_dir):
+    # the derived propositions are a test oracle (tests/derived_oracle.py), not a check option
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(["check", str(fixtures_dir / "four_point.pact"), "--props"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --props" in captured.err
 
 
 def test_check_fails_on_the_bad_fixture(capsys, fixtures_dir):
@@ -240,20 +248,19 @@ def test_check_fails_on_the_bad_fixture(capsys, fixtures_dir):
     assert code == 1
 
 
-def test_check_props_reports_an_order_domain_violation_under_e3_only(capsys, tmp_path, fixtures_dir):
+def test_check_reports_an_order_domain_violation_under_e3_only(capsys, tmp_path, fixtures_dir):
     # a*a lies below b, b*, b*b and bb*, so a*a's extra point 3 breaks E3 against all four
     (tmp_path / "eight_arrow.isgd").write_text((fixtures_dir / "eight_arrow.isgd").read_text())
     text = (fixtures_dir / "four_point.pact").read_text()
     text = text.replace("[domain a*a] = 1\n", "[domain a*a] = 1 3\n").replace("[map a*a] = 1->1\n", "[map a*a] = 1->1 3->3\n")
     path = tmp_path / "bad_e3.pact"
     path.write_text(text)
-    code, out, _ = run(capsys, "check", str(path), "--props")
+    code, out, _ = run(capsys, "check", str(path))
     assert code == 1
     e3 = [line for line in out.splitlines() if line.startswith("  [E3]")]
     assert [line.split("witness=")[1] for line in e3] == [
         "('a*a', 'b', '3')", "('a*a', 'b*', '3')", "('a*a', 'b*b', '3')", "('a*a', 'bb*', '3')",
     ]
-    assert "derived propositions: FAIL (14 violation(s))" in out
     assert "[order-domain]" not in out
 
 
@@ -539,23 +546,22 @@ def test_restrict_reads_each_input_file_once(capsys, monkeypatch, fixtures_dir):
 
 
 @pytest.mark.parametrize(
-    ("argv", "lists"),
+    "argv",
     [
-        (["validate", "eight_arrow.isgd", "four_point.pact"], 0),
-        (["globalize", "three_point_restricted.pact"], 0),
-        (["check", "four_point.pact", "--props"], 1),
+        ["validate", "eight_arrow.isgd", "four_point.pact"],
+        ["globalize", "three_point_restricted.pact"],
+        ["check", "four_point.pact"],
     ],
     ids=["validate", "globalize", "check"],
 )
-def test_each_command_lists_the_composable_pairs_once(capsys, monkeypatch, fixtures_dir, argv, lists):
-    # the products view enumerates the composable pairs as integers, once, for check --props; validate
-    # walks each arrow's right partners from the per-object index, and globalize's output check walks
-    # the generators' columns of the product table, so neither builds it
+def test_no_command_lists_the_composable_pairs(capsys, monkeypatch, fixtures_dir, argv):
+    # validate and check walk each arrow's right partners from the per-object index, and globalize's
+    # output check walks the generators' columns of the product table, so none builds the pair list
     calls = count_calls(monkeypatch, "_composable", core.SemigroupoidTable)
     argv = [str(fixtures_dir / a) if a.endswith((".isgd", ".pact")) else a for a in argv]
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert len(calls) == lists
+    assert calls == []
 
 
 def pair_groupoid_table(k):
@@ -586,14 +592,12 @@ def test_the_axiom_scan_asks_no_composability_question(monkeypatch, fixtures_dir
     assert len(reads) == 2 * pairs + triples
 
 
-def test_check_props_decides_each_natural_order_pair_once(capsys, monkeypatch, fixtures_dir):
-    # the strict order is decided on the integer table over the pairs of parallel arrows, listed once
+def test_check_decides_each_natural_order_pair_once(capsys, monkeypatch, fixtures_dir):
+    # E3 reads the strict order, decided on the integer table over the pairs of parallel arrows, listed once
     calls = count_calls(monkeypatch, "_parallel", core.SemigroupoidTable)
-    per_pair = count_calls(monkeypatch, "natural_leq", core, actions)
-    code, _, _ = run(capsys, "check", str(fixtures_dir / "four_point.pact"), "--props")
+    code, _, _ = run(capsys, "check", str(fixtures_dir / "four_point.pact"))
     assert code == 0
     assert len(calls) == 1
-    assert per_pair == []
 
 
 def test_globalize_dot_enumerates_the_relation_only_for_the_edge_list(capsys, monkeypatch, fixtures_dir):
@@ -631,7 +635,6 @@ def _audited(action, j):
     reports = (
         actions.validate_p_axioms(action),
         actions.validate_e_axioms(action),
-        actions.check_derived_propositions(action),
         globalization.verify_universal(glob, j, sigma),
         globalization.check_fiber_injectivity(sigma, glob),
     )

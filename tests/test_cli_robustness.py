@@ -30,7 +30,7 @@ COMMANDS = [
     ["globalize", "{action}", "--format", "dot"],
     ["mediate", "{action}", "--target", "three_point_global.pact"],
     ["mediate", "{action}", "--target", "three_point_global.pact", "--strict"],
-    ["check", "{action}", "--props"],
+    ["check", "{action}"],
 ]
 
 positions = st.integers(min_value=0, max_value=10_000)

@@ -8,8 +8,6 @@ from isgact import (
     ValidationReport,
     infer_inverses,
     load_structure,
-    natural_leq,
-    pseudo_inverses,
     validate_semigroupoid,
 )
 from isgact.catalog import (
@@ -103,7 +101,8 @@ def test_semilattice_elements_are_self_inverse():
     lattice = semilattice_2()
     assert all(lattice.inv(s) == s for s in lattice.arrows)
     # uniqueness really was exhaustive: no other candidates exist
-    assert pseudo_inverses(lattice.table, "bot") == ["bot"]
+    bot = lattice.arrows.index("bot")
+    assert core._pseudo_inverses(lattice.table, bot) == [bot]
 
 
 def test_no_inverse_is_reported():
@@ -126,8 +125,8 @@ def test_non_unique_inverse_is_reported():
 
 
 def test_loading_runs_each_check_once(monkeypatch, fixtures_dir):
-    # the inverse search runs on positions, once per arrow; its name view is not called
-    calls = {"validate_semigroupoid": 0, "_pseudo_inverses": 0, "pseudo_inverses": 0}
+    # the inverse search runs on positions, once per arrow
+    calls = {"validate_semigroupoid": 0, "_pseudo_inverses": 0}
 
     def counted(name):
         original = getattr(core, name)
@@ -141,7 +140,7 @@ def test_loading_runs_each_check_once(monkeypatch, fixtures_dir):
     for name in calls:
         monkeypatch.setattr(core, name, counted(name))
     isg = load_structure(fixtures_dir / "eight_arrow.isgd")
-    assert calls == {"validate_semigroupoid": 1, "_pseudo_inverses": len(isg.arrows), "pseudo_inverses": 0}
+    assert calls == {"validate_semigroupoid": 1, "_pseudo_inverses": len(isg.arrows)}
 
 
 def test_idempotents(hybrid):
@@ -151,14 +150,14 @@ def test_idempotents(hybrid):
         assert hybrid.mul(s, hybrid.inv(s)) in hybrid.idempotent_set()
 
 
-def test_natural_leq_examples(hybrid):
-    for s in hybrid.arrows:
-        assert natural_leq(hybrid, s, s)
+def test_natural_order_examples(hybrid):
+    order = hybrid.strict_order
+    assert all(s != t for s, t in order)
     # a*a = (b*b)(bb*) realizes the order against b*b
     assert hybrid.mul("b*b", "bb*") == "a*a"
-    assert natural_leq(hybrid, "a*a", "b*b")
+    assert ("a*a", "b*b") in order
     # a crosses objects while b is a loop, so they are incomparable
-    assert not natural_leq(hybrid, "a", "b")
+    assert ("a", "b") not in order and ("b", "a") not in order
 
 
 def test_natural_leq_diagnostic_agrees_everywhere(hybrid):
@@ -166,7 +165,7 @@ def test_natural_leq_diagnostic_agrees_everywhere(hybrid):
         for t in hybrid.arrows:
             diag = natural_leq_diagnostic(hybrid, s, t)
             assert diag.agree, (s, t)
-            assert diag.holds == natural_leq(hybrid, s, t)
+            assert diag.holds == (s == t or (s, t) in hybrid.strict_order)
 
 
 def is_identity(table: SemigroupoidTable, e: str) -> bool:

@@ -14,10 +14,11 @@ corruption of it, its report must be that of the set-based scan
 ``validate_p_axioms_by_scan``, on structures with more generators than the
 catalog's.  On the restriction, the orbit union and a ``gen.bad_range`` of
 each, the E report must be that of ``validate_e_axioms_by_scan``, which
-checks E2 at every point of every composable pair.  ``build_globalization``
-must refuse, with the scan's report, exactly those of the restriction, the
-orbit union, one seeded single-entry corruption and one seeded coherent
-swap of each that the scan rejects.
+checks E2 at every point of every composable pair, and the derived
+propositions (``derived_oracle.py``) may fail only where P or E fails.
+``build_globalization`` must refuse, with the scan's report, exactly those
+of the restriction, the orbit union, one seeded single-entry corruption and
+one seeded coherent swap of each that the scan rejects.
 The seed count is capped so that the quadratic oracles stay quick.
 """
 
@@ -43,6 +44,7 @@ from isgact import (
 )
 from isgact.morphisms import inclusion_map
 from corruptions import changes, corrupted, swapped, swaps
+from derived_oracle import fails_alone
 from e_scan_oracle import validate_e_axioms_by_scan
 from p_scan_oracle import refused_as_the_scan_rejects, validate_p_axioms_by_scan
 from pairwise_oracle import class_maps_by_left_multipliers, pairwise_closure
@@ -123,6 +125,7 @@ def test_the_construction_matches_its_oracles_on_restricted_orbit_unions(drawn, 
     assert_the_oracles_agree(*pair)
     assert_the_generator_edge_check_agrees(pair[1], rng)
     assert_the_e_scan_agrees([*pair, *broken])
+    assert not any(map(fails_alone, [*pair, *broken]))
     assert_the_construction_refuses_what_the_scan_rejects(pair, rng)
 
 

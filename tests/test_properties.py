@@ -15,7 +15,6 @@ from isgact import (
     WellDefinednessError,
     build_globalization,
     build_seed_set,
-    check_derived_propositions,
     close_equivalence,
     format_action,
     format_structure,
@@ -25,7 +24,6 @@ from isgact import (
     is_global,
     load_action,
     mediating,
-    natural_leq,
     parse_action,
     parse_structure,
     validate_e_axioms,
@@ -35,6 +33,7 @@ from isgact import (
 from isgact.catalog import catalog, grow_catalog, partial_bijections, random_partial_action
 
 from corruptions import coherent_swaps, labeled_corruptions
+from derived_oracle import check_derived_propositions
 from dual_route_oracles import is_action_map as is_action_map_by_names
 from dual_route_oracles import is_embedding_by_names, natural_leq_diagnostic
 from e_scan_oracle import validate_e_axioms_by_scan
@@ -62,6 +61,11 @@ slots = st.sampled_from(GLOBAL_SLOTS)
 # algebra laws, scanned exhaustively per structure
 
 
+def _order(isg):
+    """The natural partial order as a set of name pairs: the library's strict order plus the diagonal."""
+    return set(isg.strict_order) | {(s, s) for s in isg.arrows}
+
+
 @pytest.mark.parametrize("isg", STRUCTURES, ids=[e.name for e in CATALOG])
 def test_inverse_laws(isg):
     for s in isg.arrows:
@@ -73,7 +77,7 @@ def test_inverse_laws(isg):
 
 @pytest.mark.parametrize("isg", STRUCTURES, ids=[e.name for e in CATALOG])
 def test_idempotents_commute_and_sit_below_their_factors(isg):
-    idem = isg.idempotent_set()
+    idem, leq = isg.idempotent_set(), _order(isg)
     for e in idem:
         for f in idem:
             if not isg.composable(e, f):
@@ -81,30 +85,31 @@ def test_idempotents_commute_and_sit_below_their_factors(isg):
             assert isg.composable(f, e)
             ef = isg.mul(e, f)
             assert ef == isg.mul(f, e)
-            assert natural_leq(isg, ef, e) and natural_leq(isg, ef, f)
+            assert (ef, e) in leq and (ef, f) in leq
 
 
 @pytest.mark.parametrize("isg", STRUCTURES, ids=[e.name for e in CATALOG])
 def test_conjugated_idempotents(isg):
-    idem = isg.idempotent_set()
+    idem, leq = isg.idempotent_set(), _order(isg)
     for s in isg.arrows:
         for e in idem:
             if not isg.composable(s, e):
                 continue
             conj = isg.mul(isg.mul(s, e), isg.inv(s))
             assert conj in idem
-            assert natural_leq(isg, conj, isg.mul(s, isg.inv(s)))
+            assert (conj, isg.mul(s, isg.inv(s))) in leq
 
 
 @pytest.mark.parametrize("isg", STRUCTURES, ids=[e.name for e in CATALOG])
 def test_natural_order_laws(isg):
-    arrows = isg.arrows
+    arrows, leq = isg.arrows, _order(isg)
     for s in arrows:
         for t in arrows:
-            assert natural_leq_diagnostic(isg, s, t).agree, (s, t)
-            assert natural_leq(isg, s, t) == natural_leq(isg, isg.inv(s), isg.inv(t))
+            diagnostic = natural_leq_diagnostic(isg, s, t)
+            assert diagnostic.agree and diagnostic.holds == ((s, t) in leq), (s, t)
+            assert ((s, t) in leq) == ((isg.inv(s), isg.inv(t)) in leq)
     # compatibility with composition
-    below = {t: [s for s in arrows if natural_leq(isg, s, t)] for t in arrows}
+    below = {t: [s for s in arrows if (s, t) in leq] for t in arrows}
     for t1 in arrows:
         for t2 in arrows:
             if not isg.composable(t1, t2):
@@ -113,7 +118,7 @@ def test_natural_order_laws(isg):
                 for s2 in below[t2]:
                     if not isg.composable(s1, s2):
                         continue
-                    assert natural_leq(isg, isg.mul(s1, s2), isg.mul(t1, t2))
+                    assert (isg.mul(s1, s2), isg.mul(t1, t2)) in leq
 
 
 @pytest.mark.parametrize(
@@ -128,7 +133,7 @@ def test_derived_tables_match_the_brute_force_filters(isg):
         (s, t, isg.mul(s, t)) for s in arrows for t in arrows if isg.composable(s, t)
     )
     assert isg.strict_order == tuple(
-        (s, t) for s in arrows for t in arrows if s != t and natural_leq(isg, s, t)
+        (s, t) for s in arrows for t in arrows if s != t and natural_leq_diagnostic(isg, s, t).holds
     )
 
 

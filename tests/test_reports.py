@@ -1,21 +1,22 @@
-"""Byte-for-byte goldens of the E-axiom and derived-proposition reports, which have no second oracle.
+"""Byte-for-byte goldens of the E-axiom and derived-proposition reports.
 
 Each file under ``goldens/reports/`` holds, for every single-entry
 corruption of one valid action, its label and the rendered reports of
-``validate_p_axioms``, ``validate_e_axioms`` and
-``check_derived_propositions``: tags, messages, witnesses and their order.
-The files were written by the name-keyed scans that the row-based ones
-replaced.
+``validate_p_axioms``, ``validate_e_axioms`` and the test oracle
+``check_derived_propositions`` (``derived_oracle.py``): tags, messages,
+witnesses and their order.  The files were written by the name-keyed scans
+that the row-based ones replaced.
 """
 
 from pathlib import Path
 
 import pytest
 
-from isgact import check_derived_propositions, load_action, validate_e_axioms, validate_p_axioms
+from isgact import load_action, validate_e_axioms, validate_p_axioms
 from isgact.catalog import catalog_entry
 
 from corruptions import labeled_corruptions
+from derived_oracle import check_derived_propositions
 
 REPORTS = Path(__file__).resolve().parent / "goldens" / "reports"
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

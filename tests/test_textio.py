@@ -1,10 +1,14 @@
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isgact import (
+    InverseSemigroupoid,
     ParseError,
     PartialAction,
+    SemigroupoidTable,
+    StructuralError,
     ValidationFailure,
     Violation,
     format_action,
@@ -19,7 +23,7 @@ from isgact import (
     validate_e_axioms,
     validate_p_axioms,
 )
-from isgact.catalog import catalog, four_point_action, three_point_action
+from isgact.catalog import catalog, four_point_action, grow_catalog, three_point_action
 from isgact.cli import run_cli
 
 
@@ -52,6 +56,106 @@ def test_action_round_trip_on_every_catalog_action():
             back = parse_action(text, entry.structure)
             assert back == ca.action
             assert format_action(back, "ref.isgd") == text
+
+
+def renamed(ca, objects, arrows, points):
+    """A catalog action and its structure with every object, arrow and carrier element renamed, in declaration order."""
+    isg, action = ca.action.semigroupoid, ca.action
+    o, a, p = dict(zip(isg.objects, objects)), dict(zip(isg.arrows, arrows)), dict(zip(action.carrier, points))
+    table = SemigroupoidTable(
+        objects, arrows,
+        {a[s]: o[isg.dom(s)] for s in isg.arrows},
+        {a[s]: o[isg.cod(s)] for s in isg.arrows},
+        {(a[s], a[t]): a[u] for s, t, u in isg.products},
+    )
+    structure = InverseSemigroupoid(table)
+    dom_of = {a[s]: [p[x] for x in xs] for s, xs in action.dom_of.items()}
+    theta = {a[s]: {p[x]: p[y] for x, y in moves.items()} for s, moves in action.theta.items()}
+    return structure, PartialAction(structure, points, dom_of, theta)
+
+
+def assert_reads_back(isg, action):
+    """Each formatter either refuses, naming one of the names, or writes text that parses to the same names, rows and masks."""
+    names = {*isg.objects, *isg.arrows, *map(str, action.carrier)}
+    try:
+        doc = parse_structure(format_structure(isg))
+    except StructuralError as err:
+        assert any(repr(x) in str(err) for x in names), err
+    else:
+        assert doc.table == isg.table and doc.inverse == isg.inverse_map()
+    try:
+        back = parse_action(format_action(action, "ref.isgd"), isg)
+    except StructuralError as err:
+        assert any(repr(x) in str(err) for x in names), err
+    else:
+        assert (back.carrier, back.rows, back.masks) == (tuple(map(str, action.carrier)), action.rows, action.masks)
+
+
+GROWN_ACTIONS = [ca for entry in map(grow_catalog, catalog()) for ca in entry.actions]
+
+
+@st.composite
+def renamed_actions(draw):
+    """A grown catalog action renamed with names joined from `a`, `b` and up to two pieces the formats give a meaning to.
+
+    Two pieces at a time, so that the names which break only one rule (`->`
+    in a carrier element, `]=` in an arrow, an object `[u]`) are drawn often
+    without a space or `#` in another name hiding them.
+    """
+    ca = draw(st.sampled_from(GROWN_ACTIONS))
+    isg = ca.action.semigroupoid
+    specials = draw(st.sets(st.sampled_from([" ", "#", "-", ">", "->", "[", "]", "=", "]=", ":", "\n"]), max_size=2))
+    name = st.lists(st.sampled_from(["a", "b", *sorted(specials)]), min_size=1, max_size=4).map("".join)
+
+    def names(n):
+        return draw(st.lists(name, min_size=n, max_size=n, unique=True))
+
+    return renamed(ca, names(len(isg.objects)), names(len(isg.arrows)), names(len(ca.action.carrier)))
+
+
+@given(renamed_actions())
+@settings(max_examples=300, deadline=None)
+def test_a_formatter_refuses_a_name_or_writes_text_that_reads_back(drawn):
+    assert_reads_back(*drawn)
+
+
+@pytest.mark.parametrize(
+    ("objects", "arrows", "points"),
+    [
+        (["[a", "b["], ["->", ":", "=", "[", "[[", "a[", "[b", "*"], ["=", "]", "[x]", "a-"]),
+        (["->", "a]"], ["a]]", "]", "b->", "-", ">", "]]", "a*a", "e"], ["]=", "[", "-", ">"]),
+    ],
+    ids=["opening-brackets", "closing-brackets"],
+)
+def test_names_that_hold_format_characters_but_read_back_are_written(objects, arrows, points):
+    # the two-object hybrid with its four-point action: no line that starts with `[` ends with `]`
+    isg, action = renamed(catalog()[0].actions[0], objects, arrows, points)
+    assert parse_structure(format_structure(isg)).table == isg.table
+    assert parse_action(format_action(action, "ref.isgd"), isg) == action
+
+
+@pytest.mark.parametrize(
+    ("kind", "name", "writer", "message"),
+    [
+        ("point", "p->q", "action", "carrier element 'p->q' cannot be written: it would not read back as one name"),
+        ("point", "x y", "action", "carrier element 'x y' cannot be written: it would not read back as one name"),
+        ("point", "x#y", "action", "carrier element 'x#y' cannot be written: it would not read back as one name"),
+        ("point", "", "action", "carrier element '' cannot be written: it would not read back as one name"),
+        ("arrow", "a b", "structure", "arrow 'a b' cannot be written: it would not read back as one name"),
+        ("arrow", "a]=b", "action", "arrow 'a]=b' cannot be written: it would not read back as one name"),
+        ("object", "[u]", "structure", "name '[u]' cannot be written: its line [u] reads as a section header"),
+    ],
+    ids=["point p->q", "point x y", "point x#y", "empty point", "arrow a b", "arrow a]=b", "object [u]"],
+)
+def test_a_name_that_would_not_read_back_is_refused_before_anything_is_written(kind, name, writer, message):
+    ca = catalog()[0].actions[0]
+    isg, action = ca.action.semigroupoid, ca.action
+    objects, arrows, points = list(isg.objects), list(isg.arrows), list(action.carrier)
+    {"object": objects, "arrow": arrows, "point": points}[kind][0] = name
+    isg, action = renamed(ca, objects, arrows, points)
+    with pytest.raises(StructuralError) as err:
+        format_structure(isg) if writer == "structure" else format_action(action, "ref.isgd")
+    assert str(err.value) == message
 
 
 def test_an_action_over_arrow_names_holding_a_bracket_round_trips():
