@@ -2,10 +2,13 @@
 
 Two axiom systems are validated: the definitional one (identity on
 idempotent domains, containment in the idempotent hull, composition
-compatibility) and the equivalent bijection-based one.  The composition law
-is decided once, for both: one row comparison per arrow, or along the
-generators on a global action, leaves the pairs that may break it, and P3
-and E2 each run their pointwise check on those pairs alone.  Actions store
+compatibility) and the equivalent bijection-based one.  Each judgement of an
+action is made once and held on it: the linear checks
+(``PartialAction._linear``) and the composition law
+(``PartialAction._unsettled``, the pairs that may break it, left by one row
+comparison per arrow, or along the generators on a global action).  P3 and
+E2 each run their pointwise check on those pairs alone, so P and E, in either
+order, and the construction's refusal share one decision.  Actions store
 arrows and points by position, and the scans read those rows in carrier
 order, with arrows through the structure's integer tables, so witnesses
 come out sorted and names appear only in the violations they report.
@@ -38,7 +41,8 @@ class PartialAction:
     marks the positions of dom_of[s].  theta[s] is intended to be a bijection from
     dom_of[inv(s)] onto dom_of[s].  ``theta`` and ``dom_of`` are read-only
     name views of that store, built on first read, so the store is not to be
-    changed after construction.
+    changed after construction.  The judgements read off the store,
+    ``_linear`` and ``_unsettled``, are held the same way.
 
     The constructor takes names and only checks that they refer to declared
     arrows and carrier elements; everything else is left to the validators
@@ -46,8 +50,10 @@ class PartialAction:
     ``_from_rows`` takes rows and masks that are in range by construction.
     """
 
-    _theta: dict | None = None  # the name views, until first read
+    _theta: dict | None = None  # the name views and the judgements, until first read
     _dom_of: dict | None = None
+    _linear_found: tuple | None = None
+    _unsettled_found: tuple | None = None
 
     def __init__(self, semigroupoid: InverseSemigroupoid, carrier: Iterable, dom_of: Mapping[str, Iterable], theta: Mapping[str, Mapping]):
         carrier = tuple(carrier)
@@ -105,6 +111,20 @@ class PartialAction:
             self._dom_of = {s: frozenset(compress(self.carrier, mask)) for s, mask in zip(self.semigroupoid.arrows, self.masks)}
         return self._dom_of
 
+    @property
+    def _linear(self) -> tuple[Violation, ...]:
+        """The violations of the linear checks, ``_linear_violations``'s one call."""
+        if self._linear_found is None:
+            self._linear_found = tuple(_linear_violations(self))
+        return self._linear_found
+
+    @property
+    def _unsettled(self) -> tuple[tuple[int, int, int], ...]:
+        """The pairs that may break the composition law, ``_unsettled_pairs``'s one call."""
+        if self._unsettled_found is None:
+            self._unsettled_found = tuple(_unsettled_pairs(self))
+        return self._unsettled_found
+
     def sorted_elements(self, xs: Iterable) -> list:
         return sorted(xs, key=self._pos.__getitem__)
 
@@ -143,7 +163,7 @@ def _union(masks: Iterable[list[bool]], n: int) -> list[bool]:
 
 
 def _linear_violations(action: PartialAction) -> list[Violation]:
-    """theta-domain, theta-range, P1 and P2: the checks that read each arrow's row and mask once."""
+    """theta-domain, theta-range, P1 and P2: the checks that read each arrow's row and mask once; ``PartialAction._linear`` holds them."""
     isg = action.semigroupoid
     arrows, inv, idem, mul = isg.arrows, isg._inv, isg._idem, isg.table._mul
     rows, masks, name = action.rows, action.masks, action.carrier
@@ -222,10 +242,10 @@ def _generator_edges_hold(action: PartialAction) -> bool:
     return all(rows[mul[s][g]] == [rows[s][j] if j >= 0 else -1 for j in rows[g]] for g in isg._generators for s in leaving[cod[g]])
 
 
-def _unsettled_pairs(action: PartialAction, clean: bool) -> Iterator[tuple[int, int, int]]:
+def _unsettled_pairs(action: PartialAction) -> Iterator[tuple[int, int, int]]:
     """The composable pairs (s, t, s t) of arrow positions whose rows may break the composition law, in (s, t) order.
 
-    ``clean`` says the linear checks found nothing.  Then, on a global
+    When the linear checks found nothing (``action._linear``), on a global
     action, as the construction's outputs and mediating targets are, the law
     is decided along the generators (``_generator_edges_hold``), and no pair
     is left when every edge holds: P3 then holds for every pair, and P3 for a
@@ -243,11 +263,11 @@ def _unsettled_pairs(action: PartialAction, clean: bool) -> Iterator[tuple[int, 
     shaped, compares pair by pair, and each pair that fails is left.  A pair
     that is not left satisfies E2 as well: theta[s] is defined exactly on
     dom_of[inv s], so wherever theta[s](theta[t](x)) is defined, theta[s t](x)
-    equals it.
+    equals it.  ``PartialAction._unsettled`` holds the pairs.
     """
     isg = action.semigroupoid
     rows, masks, inv, table = action.rows, action.masks, isg._inv, isg.table
-    if clean and is_global(action) and _generator_edges_hold(action):
+    if not action._linear and is_global(action) and _generator_edges_hold(action):
         return
     # per arrow, the positions where its row is defined, the row there, and whether it is shaped
     keys = [[i for i, j in enumerate(row) if j >= 0] for row in rows]
@@ -272,13 +292,15 @@ def _unsettled_pairs(action: PartialAction, clean: bool) -> Iterator[tuple[int, 
 def validate_p_axioms(action: PartialAction) -> ValidationReport:
     """Check the definitional axiom system, with a witness per violation.
 
-    The linear checks, then the full P3 check on each pair that
-    ``_unsettled_pairs`` leaves, so witnesses keep their (s, t) order.
-    ``build_globalization`` calls it only to refuse an input: it runs only
-    the linear checks on its input, and its output check proves P3.
+    The linear checks (``action._linear``), then the full P3 check on each
+    pair that ``action._unsettled`` leaves, so witnesses keep their (s, t)
+    order.  Both are held on the action, so a second call, or E after P,
+    decides nothing again.  ``build_globalization`` calls it only to refuse
+    an input: it reads only the linear checks of its input, and its output
+    check proves P3.
     """
-    v = _linear_violations(action)
-    for s, t, st in _unsettled_pairs(action, not v):
+    v = list(action._linear)
+    for s, t, st in action._unsettled:
         v += _p3_violations(action, s, t, st)
     return ValidationReport(tuple(v))
 
@@ -286,10 +308,12 @@ def validate_p_axioms(action: PartialAction) -> ValidationReport:
 def validate_e_axioms(action: PartialAction) -> ValidationReport:
     """Check the equivalent bijection-based axiom system.
 
-    E1 and E3 read each arrow's row and each order pair once.  E2 checks
+    E1 reads each arrow's row once, and E3 compares each order pair's
+    masks, looping over points only for a pair that fails.  E2 checks
     theta[s t] against theta[s] o theta[t] pointwise only on the pairs that
-    ``_unsettled_pairs`` leaves: every other pair satisfies it, so the
-    report is that of the scan over every composable pair.
+    ``action._unsettled`` leaves, the decision P reads too: every other pair
+    satisfies it, so the report is that of the scan over every composable
+    pair.
     """
     isg = action.semigroupoid
     arrows, inv = isg.arrows, isg._inv
@@ -320,7 +344,7 @@ def validate_e_axioms(action: PartialAction) -> ValidationReport:
             v.append(Violation("E1", f"carrier element {x} lies in no arrow domain", (x,)))
 
     # E2: theta[st] extends theta[s] o theta[t] on the composite domain; the pairs P3 settles satisfy it.
-    for s, t, st in _unsettled_pairs(action, not _linear_violations(action)):
+    for s, t, st in action._unsettled:
         row_s, row_st = rows[s], rows[st]
         image_t, window_s = masks[t], masks[inv[s]]
         for i, j in enumerate(rows[t]):
@@ -332,9 +356,8 @@ def validate_e_axioms(action: PartialAction) -> ValidationReport:
 
     # E3: domains are monotone for the natural order.
     for s, t in isg._order:
-        for x, inside, within in zip(name, masks[s], masks[t]):
-            if inside and not within:
-                v.append(Violation("E3", f"{arrows[s]} <= {arrows[t]} but dom_of[{arrows[s]}] element {x} misses dom_of[{arrows[t]}]", (arrows[s], arrows[t], x)))
+        if not all(map(le, masks[s], masks[t])):
+            v += [Violation("E3", f"{arrows[s]} <= {arrows[t]} but dom_of[{arrows[s]}] element {x} misses dom_of[{arrows[t]}]", (arrows[s], arrows[t], x)) for x, inside, within in zip(name, masks[s], masks[t]) if inside > within]
     return ValidationReport(tuple(v))
 
 

@@ -26,7 +26,7 @@ from itertools import chain, combinations, compress
 from operator import lt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .actions import PartialAction, _linear_violations, validate_p_axioms
+from .actions import PartialAction, validate_p_axioms
 from .core import StructuralError, ValidationReport, Violation
 from .morphisms import ActionMap, GlobalizationTriple, _target_violations, is_action_map, is_globalization_triple
 from .morphisms import is_embedding  # noqa: F401  (the benchmark's layer probes rebind it here)
@@ -336,8 +336,8 @@ def build_globalization(action: PartialAction) -> Globalization:
     is a seed.
 
     The input is judged once.  Before the construction it must pass the
-    linear checks (``_linear_violations``: theta-domain, theta-range, P1
-    and P2); P3 is left to the output check, the one globalization check
+    linear checks (``action._linear``: theta-domain, theta-range, P1 and
+    P2); P3 is left to the output check, the one globalization check
     ``is_globalization_triple`` on the canonical map i: an embedding into
     an action beta that is valid and global.  That check passes only when
     the input is valid.  The family check puts i(X_{inv s}) in
@@ -357,10 +357,11 @@ def build_globalization(action: PartialAction) -> Globalization:
     idempotent seed (e, x) to one class.  So the full P scan runs only to
     write a refusal (``_refuse``): after a linear failure, and before each
     ``RuntimeError``, which is then left to mean a fault of the
-    construction on a valid input.  Every output returned has passed the
-    globalization check.
+    construction on a valid input.  The report reads the linear checks held
+    on the action, so they run once, refused or not.  Every output returned
+    has passed the globalization check.
     """
-    if _linear_violations(action):
+    if action._linear:
         _refuse(action)  # always raises: the report holds these violations
 
     isg, n = action.semigroupoid, len(action.carrier)

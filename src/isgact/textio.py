@@ -350,11 +350,27 @@ def format_action(action: PartialAction, ref: str) -> str:
     A carrier element or arrow name that would not read back raises
     StructuralError: a carrier element may not contain `->`, and an arrow
     name may not contain `]=`, which would end its section header early.
+    So do two carrier elements written as one name, and a ``ref`` that the
+    header would not read back unchanged: an empty one, or one with outer
+    whitespace, a line break, a `#` or a NUL.  Inner spaces are kept.
     """
-    _refuse_unreadable("carrier element", map(str, action.carrier), "->")
+    header = f"structure = {ref}"
+    try:
+        back = structure_ref(header)
+    except ParseError:
+        back = None
+    if back != ref:
+        raise StructuralError(f"structure reference {ref!r} cannot be written: it would not read back unchanged")
+    written = list(map(str, action.carrier))
+    _refuse_unreadable("carrier element", written, "->")
     _refuse_unreadable("arrow", action.semigroupoid.arrows, "]=")
+    first: dict[str, object] = {}
+    for x, text in zip(action.carrier, written):
+        y = first.setdefault(text, x)
+        if y is not x:
+            raise StructuralError(f"carrier elements {y!r} and {x!r} cannot both be written: each reads back as {text}")
     name = action.carrier
-    lines = [f"structure = {ref}", "", "[carrier] = " + " ".join(str(x) for x in name)]
+    lines = [header, "", "[carrier] = " + " ".join(written)]
     for s, mask, row in zip(action.semigroupoid.arrows, action.masks, action.rows):
         lines.append(f"[domain {s}] = " + " ".join(str(x) for x, inside in zip(name, mask) if inside))
         lines.append(f"[map {s}] = " + " ".join(f"{x}->{name[j]}" for x, j in zip(name, row) if j >= 0))

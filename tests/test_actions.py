@@ -11,7 +11,7 @@ from isgact import (
     validate_e_axioms,
     validate_p_axioms,
 )
-from isgact.catalog import semilattice_2
+from isgact.catalog import four_point_action, semilattice_2, three_point_action
 
 from derived_oracle import check_derived_propositions
 from dual_route_oracles import is_global_diagnostic
@@ -42,8 +42,10 @@ def test_four_point_action_is_not_global(four_point):
     assert not is_global_diagnostic(four_point)
 
 
-def test_the_generator_edges_are_tried_only_on_a_global_action_that_passes_the_linear_checks(monkeypatch, three_point, four_point):
-    # edges that all hold already make the action global, so is_global only spares a pass that must fail
+def test_the_generator_edges_are_tried_only_on_a_global_action_that_passes_the_linear_checks(monkeypatch, hybrid):
+    # edges that all hold already make the action global, so is_global only spares a pass that must fail;
+    # fresh actions, since the session fixtures hold the decisions of earlier tests
+    three_point, four_point = three_point_action(hybrid), four_point_action(hybrid)
     tried = []
     edges = actions._generator_edges_hold
     monkeypatch.setattr(actions, "_generator_edges_hold", lambda action: tried.append(action) or edges(action))

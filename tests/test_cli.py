@@ -38,24 +38,28 @@ def count_calls(monkeypatch, name, *owners):
     return calls
 
 
-def p_axiom_routes(monkeypatch, *owners):
-    """A function listing each validate_p_axioms call through the owners' bindings, in order.
+def p_axiom_routes(monkeypatch):
+    """A function listing each decision of the composition law, in order, however many validators read it.
 
-    Each call is its action's carrier with "edges" when the generator edges
-    decided it ok, or "scan" when it went on to scan every composable pair.
+    Each decision is its action's carrier with "edges" when the generator
+    edges settled every pair, or "scan" when it went on to compare the rows.
     """
-    calls = count_calls(monkeypatch, "validate_p_axioms", *owners)
-    decided = set()  # the calls whose edges all held
-    edges = actions._generator_edges_hold
+    decisions = []
+    unsettled, edges = actions._unsettled_pairs, actions._generator_edges_hold
+
+    def decided(action):
+        decisions.append((action.carrier, "scan"))
+        return unsettled(action)
 
     def logged(action):
         held = edges(action)
         if held:
-            decided.add(len(calls) - 1)
+            decisions[-1] = (action.carrier, "edges")
         return held
 
+    monkeypatch.setattr(actions, "_unsettled_pairs", decided)
     monkeypatch.setattr(actions, "_generator_edges_hold", logged)
-    return lambda: [(a.carrier, "edges" if k in decided else "scan") for k, (a,) in enumerate(calls)]
+    return lambda: decisions
 
 
 def test_validate_structure_and_actions(capsys, fixtures_dir):
@@ -677,6 +681,26 @@ def test_globalize_and_mediate_read_no_name_view(capsys, monkeypatch, fixtures_d
     assert reads == []
 
 
+@pytest.mark.parametrize("command", ["validate", "check"])
+def test_p_then_e_decide_the_linear_checks_and_the_composition_law_once(capsys, monkeypatch, fixtures_dir, command):
+    # the swapped fixture passes the linear checks and leaves pairs for both P3 and E2
+    linear = count_calls(monkeypatch, "_linear_violations", actions)
+    unsettled = count_calls(monkeypatch, "_unsettled_pairs", actions)
+    code, out, _ = run(capsys, command, str(fixtures_dir / "three_point_swapped.pact"))
+    assert code == 1
+    assert out.count("\n  [P3") == 24 and out.count("\n  [E2]") == 20
+    assert (len(linear), len(unsettled)) == (1, 1)
+
+
+def test_globalize_runs_the_linear_checks_once_on_an_input_it_refuses_for_them(capsys, monkeypatch, fixtures_dir):
+    # the refusal's report reads the linear checks the construction's first test found
+    linear = count_calls(monkeypatch, "_linear_violations", actions, globalization)
+    code, out, err = run(capsys, "globalize", str(fixtures_dir / "four_point_bad_range.pact"))
+    assert (code, out) == (1, "")
+    assert "[theta-range]" in err
+    assert len(linear) == 1
+
+
 def test_globalize_json_and_mediate_build_no_seed_view(capsys, monkeypatch, fixtures_dir):
     # the construction, the JSON writer and mediating read the seed index and the class labels
     reads = []
@@ -695,7 +719,7 @@ def test_globalize_json_and_mediate_build_no_seed_view(capsys, monkeypatch, fixt
 
 def test_globalize_runs_no_full_p_scan_on_a_valid_input(capsys, monkeypatch, fixtures_dir):
     # the input passes the linear checks and the output check certifies P3; the output is decided along generator edges
-    routes = p_axiom_routes(monkeypatch, globalization, morphisms, actions)
+    routes = p_axiom_routes(monkeypatch)
     code, _, _ = run(capsys, "globalize", str(fixtures_dir / "three_point_restricted.pact"))
     assert code == 0
     assert routes() == [((0, 1, 2, 3), "edges")]
@@ -704,7 +728,7 @@ def test_globalize_runs_no_full_p_scan_on_a_valid_input(capsys, monkeypatch, fix
 def test_globalize_scans_an_input_failing_p3_alone_once_to_write_its_refusal(capsys, monkeypatch, fixtures_dir):
     # the construction runs and its one-class output is decided along generator edges; the embedding
     # fails the output check, and only then is the input scanned
-    routes = p_axiom_routes(monkeypatch, globalization, morphisms, actions)
+    routes = p_axiom_routes(monkeypatch)
     code, _, _ = run(capsys, "globalize", str(fixtures_dir / "three_point_swapped.pact"))
     assert code == 1
     assert routes() == [((0,), "edges"), (("1", "2"), "scan")]
@@ -713,7 +737,7 @@ def test_globalize_scans_an_input_failing_p3_alone_once_to_write_its_refusal(cap
 @pytest.mark.parametrize("strict", [(), ("--strict",)], ids=["plain", "strict"])
 def test_mediate_runs_no_full_p_scan_on_a_valid_input(capsys, monkeypatch, fixtures_dir, strict):
     # the output check certifies the input; the output and the global target are decided along generator edges
-    routes = p_axiom_routes(monkeypatch, globalization, morphisms, actions)
+    routes = p_axiom_routes(monkeypatch)
     code, out, _ = run(
         capsys,
         "mediate",
@@ -728,7 +752,7 @@ def test_mediate_runs_no_full_p_scan_on_a_valid_input(capsys, monkeypatch, fixtu
 
 @pytest.mark.parametrize("wrap", [False, True], ids=["action-map", "triple"])
 def test_the_universal_property_chain_runs_no_full_p_scan_on_a_valid_input(monkeypatch, hybrid, wrap):
-    routes = p_axiom_routes(monkeypatch, globalization, morphisms, actions)
+    routes = p_axiom_routes(monkeypatch)
     base = three_point_action(hybrid)
     action = restrict(base, {"1", "2"})
     glob = globalization.build_globalization(action)
@@ -736,9 +760,8 @@ def test_the_universal_property_chain_runs_no_full_p_scan_on_a_valid_input(monke
     target = morphisms.GlobalizationTriple(j) if wrap else j
     sigma = globalization.mediating(glob, target)
     assert globalization.verify_universal(glob, target, sigma).ok
-    # the target once, when the triple is built or when mediating and the audit each take a plain map
-    targets = [(base.carrier, "edges")] * (1 if wrap else 2)
-    assert routes() == [(glob.global_action.carrier, "edges"), *targets]
+    # the target once, when the triple is built, or when mediating first judges the plain map the audit takes again
+    assert routes() == [(glob.global_action.carrier, "edges"), (base.carrier, "edges")]
 
 
 @pytest.mark.parametrize("n", [6, 7])

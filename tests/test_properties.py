@@ -3,6 +3,7 @@
 import contextlib
 import itertools
 import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -42,6 +43,7 @@ from pairwise_oracle import pairwise_closure, pairwise_edges, seed_domain, seeds
 from universal_oracle import mediating_by_seeds, verify_universal_by_enumeration
 from worked_data import audit_equivalence_lemmas
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CATALOG = catalog()
 STRUCTURES = [entry.structure for entry in CATALOG]
 ACTIONS = [ca.action for entry in CATALOG for ca in entry.actions]
@@ -52,6 +54,9 @@ GROWN = [grow_catalog(entry) for entry in CATALOG]
 GROWN_SLOTS = [
     (entry, i) for entry in GROWN for i, ca in enumerate(entry.actions) if ca.global_tag
 ]
+# the fixtures' actions and the grown catalog's, by name
+SUBJECTS = {path.name: load_action(path)[0] for path in sorted(FIXTURES.glob("*.pact"))}
+SUBJECTS.update({f"{entry.name}/{ca.name}": ca.action for entry in GROWN for ca in entry.actions})
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 slots = st.sampled_from(GLOBAL_SLOTS)
@@ -244,6 +249,20 @@ def test_the_e_scan_matches_the_every_pair_oracle_on_corruptions_and_swaps(actio
         assert report == validate_e_axioms_by_scan(a)
         tags |= report.tags()
     assert "E2" in tags
+
+
+@pytest.mark.parametrize("name", sorted(SUBJECTS))
+def test_the_reports_do_not_depend_on_what_the_action_was_asked_before(name):
+    # the action holds its linear checks and its unsettled pairs; no report may change them or read them twice
+    def fresh(a):
+        return PartialAction._from_rows(a.semigroupoid, a.carrier, a.rows, a.masks)
+
+    for a in _corruptions_and_swaps(SUBJECTS[name]):
+        p, e = validate_p_axioms(fresh(a)), validate_e_axioms(fresh(a))
+        p_then_e, e_then_p, twice = fresh(a), fresh(a), fresh(a)
+        assert (validate_p_axioms(p_then_e), validate_e_axioms(p_then_e)) == (p, e)
+        assert (validate_e_axioms(e_then_p), validate_p_axioms(e_then_p)) == (e, p)
+        assert (validate_p_axioms(twice), validate_p_axioms(twice)) == (p, p)
 
 
 @pytest.mark.parametrize("slot", GROWN_SLOTS, ids=[f"{entry.name}/{entry.actions[i].name}" for entry, i in GROWN_SLOTS])

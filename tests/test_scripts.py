@@ -27,6 +27,10 @@ ROOT = Path(__file__).resolve().parent.parent
                 "P_3 structure inverse search",
                 # and so is the load of the largest symmetric inverse monoid with at most as many arrows
                 "I_2 structure axiom scan",
+                # the input's linear checks are timed where the action first reads them
+                "linear checks ",
+                # and what isgact validate runs on the half: P, then E on the same decision
+                "validate (P then E) ",
             ],
         ),
     ],

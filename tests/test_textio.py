@@ -158,6 +158,39 @@ def test_a_name_that_would_not_read_back_is_refused_before_anything_is_written(k
     assert str(err.value) == message
 
 
+@given(st.lists(st.sampled_from(["a", ".isgd", " ", "  ", "#", "\n", "\r", "\t", "\x00", "\u2028", "="]), max_size=5).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_format_action_refuses_a_structure_reference_or_writes_one_that_reads_back(ref):
+    action = catalog()[0].actions[0].action
+    try:
+        text = format_action(action, ref)
+    except StructuralError as err:
+        assert str(err) == f"structure reference {ref!r} cannot be written: it would not read back unchanged"
+    else:
+        assert structure_ref(text) == ref
+
+
+@pytest.mark.parametrize("ref", ["a#b.isgd", "a\nb", "", " x.isgd", "x.isgd ", "a\x00b"])
+def test_format_action_refuses_a_structure_reference_that_would_not_read_back(ref):
+    with pytest.raises(StructuralError, match="cannot be written: it would not read back unchanged"):
+        format_action(catalog()[0].actions[0].action, ref)
+
+
+def test_format_action_keeps_inner_spaces_of_a_structure_reference():
+    text = format_action(catalog()[0].actions[0].action, "my  structures/eight arrow.isgd")
+    assert structure_ref(text) == "my  structures/eight arrow.isgd"
+
+
+def test_format_action_refuses_two_carrier_elements_written_as_one_name():
+    point = infer_inverses(SemigroupoidTable(("o",), ("e",), {"e": "o"}, {"e": "o"}, {("e", "e"): "e"}))
+    clash = PartialAction(point, (1, "1"), {"e": {1, "1"}}, {"e": {1: 1, "1": "1"}})
+    with pytest.raises(StructuralError) as err:
+        format_action(clash, "ref.isgd")
+    assert str(err.value) == "carrier elements 1 and '1' cannot both be written: each reads back as 1"
+    apart = PartialAction(point, (1, "2"), {"e": {1, "2"}}, {"e": {1: 1, "2": "2"}})
+    assert parse_action(format_action(apart, "ref.isgd"), point).carrier == ("1", "2")
+
+
 def test_an_action_over_arrow_names_holding_a_bracket_round_trips():
     # a section header runs to the `]` before its `=`, so `[domain e]] = ...` names the arrow e]
     text = "[objects]\nu\n\n[arrows]\ne] : u -> u\ng]] : u -> u\n\n[mul]\ne] e] = e]\ne] g]] = g]]\ng]] e] = g]]\ng]] g]] = e]\n"
