@@ -6,9 +6,11 @@ semigroupoid act on the classes by left multiplication of the arrow slot.
 The result is a global action receiving the input through a canonical
 embedding, and every map into a global action factors through it uniquely.
 
-``close_equivalence`` enumerates the relation (``_related_pairs``) and
-closes it by union-find; that holds for any action, and ``Quotient.edges``,
-the DOT edge list, reads the same enumeration.  On an action that passes the
+``close_equivalence`` enumerates the relation (``_related_pairs``: one pass
+over the composable products, reading each product's row at the seeds of
+its right factor, then the idempotent seeds at each point) and closes it by
+union-find; that holds for any action, and ``Quotient.edges``, the DOT edge
+list, reads the same enumeration.  On an action that passes the
 P axioms the same partition is a congruence closure along the generators
 (``_congruence_labels``): about seeds times generators instead of seeds
 times arrows.  ``build_globalization`` runs it once the input passes the
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain, combinations, compress
-from operator import lt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .actions import PartialAction, validate_p_axioms
@@ -166,50 +167,28 @@ def build_seed_set(action: PartialAction) -> list[Seed]:
 
 
 def _related_pairs(blocks: list, action: PartialAction) -> Iterator[tuple[int, int]]:
-    """Every one-step related pair (i, j) of a seed index with i < j, seen from seed i; pairs may repeat.
+    """Every pair (i, j) of a seed index with i < j and seed i one-step related to seed j; pairs may repeat.
 
     (s, x) relates to (t, y) when either inv(t) composes with s, x lies in
     dom_of[inv(s) t] and theta[inv(t) s] carries x to y, or both arrows are
-    idempotent and x equals y.  So the only candidate partner of (s, x) in
-    the block of t is (t, theta[inv(t) s](x)), read off the row of inv(t) s
-    cut to dom_of[inv(s) t] = dom_of[inv(inv(t) s)], then off t's id row:
-    each seed's id at its carrier position, or -1, and one more -1 at the
-    end so that ``row[-1]`` reads "no seed".  The pairs (s, t) come from the
-    products inv(t) s, skipping t when all its ids come before those of s,
-    and one list comprehension per arrow s reads its whole block.  The cost
-    is about seeds times arrows per codomain, not seeds squared.
-    ``close_equivalence`` closes these pairs for any action, on or off the
-    axioms, and ``Quotient.edges`` lists them; ``build_globalization`` never
-    enumerates them, since on an action that passes the P axioms the
-    congruence closure of ``_congruence_labels`` gives the same partition.
+    idempotent and x equals y.  ``close_equivalence`` closes these pairs for
+    any action, on or off the axioms, and ``Quotient.edges`` lists them.
     """
     isg = action.semigroupoid
-    n, inv, idem = len(action.carrier), isg._inv, isg._idem
-    rows: list = [None] * len(blocks)  # each arrow's id row, None for an arrow without seeds
+    n, inv, rows, masks = len(action.carrier), isg._inv, action.rows, action.masks
+    id_rows = [_scatter(n, pts, ids) for ids, pts in blocks]  # per arrow, its seed id at each carrier position, or -1
+    for a, s, u in isg._products:  # u = inv(t) s, with t = inv(a); dom_of[inv(s) t] = dom_of[inv u]
+        row, window, own, partners = rows[u], masks[inv[u]], id_rows[s], id_rows[inv[a]]
+        for k in blocks[s][1]:
+            y = row[k]
+            if window[k] and y >= 0 and partners[y] > own[k]:
+                yield own[k], partners[y]
     idempotent_at: list[list[int]] = [[] for _ in range(n)]  # ids of the idempotent seeds at each carrier position
-    for t, (ids, pts) in enumerate(blocks):
-        if ids:
-            rows[t] = _scatter(n + 1, pts, ids)
-            if idem[t]:
-                for k, i in zip(pts, ids):
-                    idempotent_at[k].append(i)
-
-    hops: dict[int, list[int]] = {}  # per arrow u, its row cut to dom_of[inv u]; the cut only bites off the axioms
-    lookups: dict[int, list] = {s: [] for s, row in enumerate(rows) if row}  # per arrow s: (id row of t, hop of inv(t) s) per partner t
-    for a, s, u in isg._products:  # a = inv(t) composes with s
-        t = inv[a]
-        if rows[s] and rows[t] and blocks[t][0][-1] >= blocks[s][0][0]:  # else every partner would come first
-            if u not in hops:
-                hops[u] = [j if inside else -1 for j, inside in zip(action.rows[u], action.masks[inv[u]])]
-            lookups[s].append((rows[t], hops[u]))
-    found: list[Iterable[tuple[int, int]]] = []
-    for s, partners in lookups.items():
-        ids, pts = blocks[s]
-        ids = list(ids) * len(partners)
-        js = [row[hop[k]] for row, hop in partners for k in pts]
-        found.append(compress(zip(ids, js), map(lt, ids, js)))
-    found.extend(combinations(sorted(g), 2) for g in idempotent_at if len(g) > 1)
-    return chain.from_iterable(found)
+    for ids, pts in compress(blocks, isg._idem):
+        for i, k in zip(ids, pts):
+            idempotent_at[k].append(i)
+    for g in idempotent_at:
+        yield from combinations(sorted(g), 2)
 
 
 def _generator_images(blocks: list, action: PartialAction) -> list[list[int]]:

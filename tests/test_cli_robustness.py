@@ -26,6 +26,7 @@ COMMANDS = [
     ["validate", STRUCTURE],
     ["restrict", "{action}", "--subset", "1,2"],
     ["restrict", "{action}", "--subset", "1,2", "--trim"],
+    ["globalize", "{action}", "--format", "json"],
     ["globalize", "{action}", "--format", "table"],
     ["globalize", "{action}", "--format", "dot"],
     ["mediate", "{action}", "--target", "three_point_global.pact"],

@@ -395,6 +395,21 @@ def test_closure_matches_the_pairwise_oracle_off_the_axioms(four_point_bad_range
     _assert_closure_matches_the_pairwise_oracle(four_point_bad_range)
 
 
+@pytest.mark.parametrize(
+    "action",
+    [ca.action for entry in GROWN for ca in entry.actions],
+    ids=[f"{entry.name}/{ca.name}" for entry in GROWN for ca in entry.actions],
+)
+def test_closure_matches_the_pairwise_oracle_on_corruptions_and_swaps_with_shuffled_seeds(action):
+    # off the axioms the relation's domain test is not implied by theta being defined, nor is the relation symmetric
+    for index, broken in enumerate(_corruptions_and_swaps(action)):
+        seed_list = build_seed_set(broken)
+        random.Random(index).shuffle(seed_list)
+        quotient = close_equivalence(seed_list, broken)
+        assert list(quotient.edges) == pairwise_edges(seed_list, broken)
+        assert quotient.classes == pairwise_closure(seed_list, broken).classes
+
+
 @given(slot=st.sampled_from(GROWN_SLOTS), seed=seeds)
 @settings(max_examples=60, deadline=None)
 def test_closure_matches_the_pairwise_oracle_on_seeded_restrictions(slot, seed):

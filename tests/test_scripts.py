@@ -1,5 +1,6 @@
 """The shipped scripts run to completion against the library in src/."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -44,3 +45,16 @@ def test_script_exits_cleanly(argv, expected):
     assert done.returncode == 0, done.stderr
     for line in expected:
         assert line in done.stdout
+
+
+def test_every_mutant_patch_applies_exactly_once():
+    # the mutants themselves run in CI (scripts/mutants.py); here only their patches are checked against the source
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    names = [mutant.name for mutant in mutants.MUTANTS]
+    assert names and len(set(names)) == len(names)
+    for mutant in mutants.MUTANTS:
+        assert mutant.path.startswith("src/"), mutant.name
+        assert mutant.old != mutant.new, mutant.name
+        assert mutants.occurrences(ROOT, mutant) == 1, mutant.name
