@@ -52,9 +52,9 @@ def test_every_mutant_patch_applies_exactly_once():
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
-    names = [mutant.name for mutant in mutants.MUTANTS]
-    assert names and len(set(names)) == len(names)
-    for mutant in mutants.MUTANTS:
+    names = [mutant.name for mutant in [mutants.CONTROL, *mutants.MUTANTS]]
+    assert mutants.MUTANTS and len(set(names)) == len(names)
+    for mutant in [mutants.CONTROL, *mutants.MUTANTS]:
         assert mutant.path.startswith("src/"), mutant.name
         assert mutant.old != mutant.new, mutant.name
         assert mutants.occurrences(ROOT, mutant) == 1, mutant.name
