@@ -24,6 +24,8 @@ A probed call made inside another counts to the outer stage alone, so the
 output's own linear checks count to the output checks.  Then ``validate``
 times what ``isgact validate`` runs on the parsed half: validate_p_axioms
 then validate_e_axioms, which share one decision of the composition law.
+The half is not global, so that decision is its certificate: the
+construction above, run again, whose output check passes.
 
 Loading the structure is printed first, in three parts that are not
 stages: the parse into the integer table, the semigroupoid axiom scan (it

@@ -106,12 +106,27 @@ MUTANTS = [
         "if z < 0 or values[d] not in (-1, z):",
         "if z < 0:",
     ),
-    # the construction's output check certifies P3 of its input; without it an input failing P3 alone is built
+    # the construction's output check certifies P3 of its input; without it an input failing P3 alone is built,
+    # and validate takes the construction for its certificate and reports no P3 violation
     Mutant(
         "construction-without-the-output-check",
         "src/isgact/globalization.py",
         "    report = is_globalization_triple(canonical)\n    if not report.ok:\n",
         "    report = is_globalization_triple(canonical)\n    if False:\n",
+    ),
+    # the certificate route assumes the linear checks passed: the construction reads every point's idempotent seed
+    Mutant(
+        "certificate-taken-off-the-linear-checks",
+        "src/isgact/actions.py",
+        "elif not action._linear and not isinstance(_construct(action), str):",
+        "elif not isinstance(_construct(action), str):",
+    ),
+    # an action is certified only by a construction that passed its self-audits, not by the message of one that failed
+    Mutant(
+        "construction-outcome-not-read",
+        "src/isgact/actions.py",
+        "elif not action._linear and not isinstance(_construct(action), str):",
+        "elif not action._linear and _construct(action):",
     ),
     # a plain mediating target is judged as an action map before its factoring map is read
     Mutant(

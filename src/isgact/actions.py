@@ -5,10 +5,13 @@ idempotent domains, containment in the idempotent hull, composition
 compatibility) and the equivalent bijection-based one.  Each judgement of an
 action is made once and held on it: the linear checks
 (``PartialAction._linear``) and the composition law
-(``PartialAction._unsettled``, the pairs that may break it, left by one row
-comparison per arrow, or along the generators on a global action).  P3 and
-E2 each run their pointwise check on those pairs alone, so P and E, in either
-order, and the construction's refusal share one decision.  Actions store
+(``PartialAction._unsettled``, the pairs that may break it).  The law is
+decided along the generators: on the right Cayley edges of a global action,
+and by a passing construction of its globalization (the certificate)
+otherwise.  Only an action that fails the law, or the linear checks, has
+its pairs compared one by one, to write its report.  P3 and E2 each run
+their pointwise check on the pairs left alone, so P and E, in either order,
+and the construction's refusal share one decision.  Actions store
 arrows and points by position, and the scans read those rows in carrier
 order, with arrows through the structure's integer tables, so witnesses
 come out sorted and names appear only in the violations they report.
@@ -17,7 +20,7 @@ come out sorted and names appear only in the violations they report.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, compress
+from itertools import compress
 from operator import le
 from typing import Iterable, Iterator, Mapping
 
@@ -245,44 +248,47 @@ def _generator_edges_hold(action: PartialAction) -> bool:
 def _unsettled_pairs(action: PartialAction) -> Iterator[tuple[int, int, int]]:
     """The composable pairs (s, t, s t) of arrow positions whose rows may break the composition law, in (s, t) order.
 
-    When the linear checks found nothing (``action._linear``), on a global
-    action, as the construction's outputs and mediating targets are, the law
-    is decided along the generators (``_generator_edges_hold``), and no pair
-    is left when every edge holds: P3 then holds for every pair, and P3 for a
-    pair gives E2 for it.
+    When the linear checks found nothing (``action._linear``), the law is
+    decided along the generators, and no pair is left when it holds: P3 then
+    holds for every pair, and P3 for a pair gives E2 for it.  A global
+    action, as the construction's outputs and mediating targets are, is
+    decided on its right Cayley edges (``_generator_edges_hold``).  Any
+    other action is decided by its globalization: the construction
+    (``globalization._construct``) closes its seeds along the generators,
+    and its output check passes only when the input satisfies P3 (the proof
+    is in ``build_globalization``), so a built globalization is the
+    certificate.  On a valid input the check passes unless the construction
+    is at fault.
 
-    Otherwise a pair (s, t) compares two lists read at the points where the
-    row of t is defined: the row of s at each value, the row of s t at each
-    point.  For arrows whose row is defined exactly on dom_of[inv] and lands
-    in their own domain ("shaped"), they are equal exactly when P3 holds for
-    the pair: both sides are undefined off dom_of[inv(s t)] n dom_of[inv t]
-    and agree on it.  The two lists of a pair have the same length, so the
-    concatenations over all right partners t of s are equal exactly when
-    every pair's lists are, and the law is decided with one comparison per
-    arrow s.  Only a row that fails, or that involves an arrow that is not
-    shaped, compares pair by pair, and each pair that fails is left.  A pair
-    that is not left satisfies E2 as well: theta[s] is defined exactly on
-    dom_of[inv s], so wherever theta[s](theta[t](x)) is defined, theta[s t](x)
-    equals it.  ``PartialAction._unsettled`` holds the pairs.
+    Otherwise the law fails, or the linear checks do, and the pairs are
+    compared one by one to write the report.  A pair (s, t) compares two
+    lists read at the points where the row of t is defined: the row of s at
+    each value, the row of s t at each point.  For arrows whose row is
+    defined exactly on dom_of[inv] and lands in their own domain
+    ("shaped"), they are equal exactly when P3 holds for the pair: both
+    sides are undefined off dom_of[inv(s t)] n dom_of[inv t] and agree on
+    it.  A pair that fails, or that involves an arrow that is not shaped, is
+    left.  A pair that is not left satisfies E2 as well: theta[s] is defined
+    exactly on dom_of[inv s], so wherever theta[s](theta[t](x)) is defined,
+    theta[s t](x) equals it.  ``PartialAction._unsettled`` holds the pairs.
     """
+    from .globalization import _construct  # globalization imports this module
+
+    if is_global(action):
+        if not action._linear and _generator_edges_hold(action):
+            return
+    elif not action._linear and not isinstance(_construct(action), str):
+        return
     isg = action.semigroupoid
     rows, masks, inv, table = action.rows, action.masks, isg._inv, isg.table
-    if not action._linear and is_global(action) and _generator_edges_hold(action):
-        return
     # per arrow, the positions where its row is defined, the row there, and whether it is shaped
     keys = [[i for i, j in enumerate(row) if j >= 0] for row in rows]
     values = [list(map(row.__getitem__, at)) for row, at in zip(rows, keys)]
     shaped = [[j >= 0 for j in row] == masks[i] and all(map(image.__getitem__, vals)) for row, i, image, vals in zip(rows, inv, masks, values)]
-    # per object: the values of all arrows into it, concatenated in order, or None if one is not shaped
-    through = [list(chain.from_iterable(map(values.__getitem__, ts))) if all(map(shaped.__getitem__, ts)) else None for ts in table._into]
     for s, (d, products) in enumerate(zip(table._dom, table._mul)):
-        ts = table._into[d]  # the right partners t of s, in declaration order, and the products s t
-        sts = list(map(products.__getitem__, ts))
         row_s = rows[s]
-        if through[d] is not None and shaped[s] and all(map(shaped.__getitem__, sts)):
-            if list(map(row_s.__getitem__, through[d])) == [row[i] for t, row in zip(ts, map(rows.__getitem__, sts)) for i in keys[t]]:
-                continue
-        for t, st in zip(ts, sts):
+        for t in table._into[d]:  # the right partners t of s, in declaration order, and the products s t
+            st = products[t]
             if shaped[s] and shaped[t] and shaped[st]:
                 if list(map(row_s.__getitem__, values[t])) == list(map(rows[st].__getitem__, keys[t])):
                     continue

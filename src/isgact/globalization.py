@@ -13,10 +13,13 @@ union-find; that holds for any action, and ``Quotient.edges``, the DOT edge
 list, reads the same enumeration.  On an action that passes the
 P axioms the same partition is a congruence closure along the generators
 (``_congruence_labels``): about seeds times generators instead of seeds
-times arrows.  ``build_globalization`` runs it once the input passes the
-linear checks, and its output check certifies P3 of the input; the full P
-scan runs only to write the report of an input it refuses.  Both close their
-pairs with one union step (``_merge``).  The class maps are read off the
+times arrows.  The construction (``_construct``) runs it once the input
+passes the linear checks, and its output check certifies P3 of the input:
+``build_globalization`` returns a passing construction, and
+``validate_p_axioms`` takes one as the certificate of an action that is not
+global.  The full P scan runs only to write the report of an input the
+construction refuses.  Both closures close their pairs with one union step
+(``_merge``).  The class maps are read off the
 seeds for the generators only and composed along the right Cayley tree that
 the generator search keeps for the other arrows.
 """
@@ -226,9 +229,11 @@ def _congruence_labels(blocks: list, action: PartialAction, images: list[list[in
     monotonicity, which is why the P axioms must hold.  After the base
     pass, each generator's image row is read once, and each later merge
     costs a union-find step per generator (``_merge``), so the closure costs
-    about seeds times generators.  ``build_globalization`` runs it once the
-    linear checks pass, before P3 is known, and trusts the partition only
-    once its output check has certified the input.
+    about seeds times generators.  The construction (``_construct``) runs it
+    once the linear checks pass, before P3 is known, for
+    ``build_globalization`` and for the certificate of ``validate_p_axioms``,
+    and the partition is trusted only once its output check has certified
+    the input.
     """
     # the base pairs: the seeds (u, x) with theta[u](x) = y, the idempotent seeds (e, y) among them, join the first
     first: dict[int, int] = {}
@@ -257,13 +262,6 @@ def close_equivalence(seeds: list[Seed], action: PartialAction) -> Quotient:
     parent = list(range(len(seeds)))
     _merge(parent, list(_related_pairs(blocks, action)))
     return Quotient(action, blocks, *_number(parent))
-
-
-def _refuse(action: PartialAction) -> None:
-    """Raise the input's own P-axiom report when it fails the axioms; return when it passes them."""
-    report = validate_p_axioms(action)
-    if not report.ok:
-        raise StructuralError("input fails the partial-action axioms:\n" + report.render())
 
 
 class Globalization:
@@ -333,16 +331,31 @@ def build_globalization(action: PartialAction) -> Globalization:
     theta[s t](x).  The linear checks also make the embedding total and
     well defined: every point x lies in some dom_of[e] (P1), and theta[e]
     fixes it there, so the base pass of ``_congruence_labels`` joins every
-    idempotent seed (e, x) to one class.  So the full P scan runs only to
-    write a refusal (``_refuse``): after a linear failure, and before each
-    ``RuntimeError``, which is then left to mean a fault of the
-    construction on a valid input.  The report reads the linear checks held
-    on the action, so they run once, refused or not.  Every output returned
-    has passed the globalization check.
-    """
-    if action._linear:
-        _refuse(action)  # always raises: the report holds these violations
+    idempotent seed (e, x) to one class.
 
+    The construction (``_construct``) returns its output, or, in place of
+    raising, the message of the self-audit that refused it, and
+    ``validate_p_axioms`` reads the same outcome as the certificate of an
+    action that is not global.  So the full P scan runs only to write a
+    refusal, raised at one site: after a linear failure, or after the
+    construction refused the input, the input's own report is raised, and
+    a ``RuntimeError`` with the construction's message is left to mean a
+    fault of the construction on a valid input.  The report reads the
+    linear checks held on the action, so they run once, refused or not;
+    its decision of the composition law constructs the input a second
+    time.  Every output returned has passed the globalization check.
+    """
+    built = None if action._linear else _construct(action)
+    if isinstance(built, Globalization):
+        return built
+    report = validate_p_axioms(action)
+    if not report.ok:
+        raise StructuralError("input fails the partial-action axioms:\n" + report.render())
+    raise RuntimeError(built)
+
+
+def _construct(action: PartialAction) -> Globalization | str:
+    """The construction ``build_globalization`` describes, on an input that passes the linear checks: the ``Globalization``, or why a self-audit refuses it."""
     isg, n = action.semigroupoid, len(action.carrier)
     gens, tree = isg._generator_walk
     blocks = _seed_index(action)
@@ -359,8 +372,7 @@ def build_globalization(action: PartialAction) -> Globalization:
         for src, j in zip(label, image):
             if j >= 0 and moves[src] != label[j]:
                 if moves[src] >= 0:
-                    _refuse(action)
-                    raise RuntimeError(f"class map for arrow {isg.arrows[g]} is not well defined: class {src} sent to both {moves[src]} and {label[j]}")
+                    return f"class map for arrow {isg.arrows[g]} is not well defined: class {src} sent to both {moves[src]} and {label[j]}"
                 moves[src] = label[j]
     for u, g, ug in tree:
         moves = moves_of[u]
@@ -374,8 +386,7 @@ def build_globalization(action: PartialAction) -> Globalization:
     canonical = ActionMap._from_image(action, global_action, [home[k] for k in range(n)])
     report = is_globalization_triple(canonical)
     if not report.ok:
-        _refuse(action)
-        raise RuntimeError("constructed output is not a globalization of the input:\n" + report.render())
+        return "constructed output is not a globalization of the input:\n" + report.render()
     return Globalization(action, quotient, global_action, canonical)
 
 

@@ -42,23 +42,34 @@ def p_axiom_routes(monkeypatch):
     """A function listing each decision of the composition law, in order, however many validators read it.
 
     Each decision is its action's carrier with "edges" when the generator
-    edges settled every pair, or "scan" when it went on to compare the rows.
+    edges settled every pair, "certificate" when the action's construction
+    passed its output check, or "scan" when it went on to compare the rows.
+    A decision is listed when it starts, so one made inside another, on the
+    output of its construction, comes after it.
     """
-    decisions = []
-    unsettled, edges = actions._unsettled_pairs, actions._generator_edges_hold
+    decisions, deciding = [], []  # deciding: the indices of the decisions under way, innermost last
+    unsettled = actions._unsettled_pairs
 
     def decided(action):
+        deciding.append(len(decisions))
         decisions.append((action.carrier, "scan"))
-        return unsettled(action)
+        try:
+            return iter(tuple(unsettled(action)))  # run now, so the routes it takes are logged inside it
+        finally:
+            deciding.pop()
 
-    def logged(action):
-        held = edges(action)
-        if held:
-            decisions[-1] = (action.carrier, "edges")
-        return held
+    def logged(route, decide, settled):
+        def run(action):
+            outcome = decide(action)
+            if deciding and settled(outcome):
+                decisions[deciding[-1]] = (action.carrier, route)
+            return outcome
+
+        return run
 
     monkeypatch.setattr(actions, "_unsettled_pairs", decided)
-    monkeypatch.setattr(actions, "_generator_edges_hold", logged)
+    monkeypatch.setattr(actions, "_generator_edges_hold", logged("edges", actions._generator_edges_hold, bool))
+    monkeypatch.setattr(globalization, "_construct", logged("certificate", globalization._construct, lambda outcome: not isinstance(outcome, str)))
     return lambda: decisions
 
 
@@ -689,7 +700,17 @@ def test_p_then_e_decide_the_linear_checks_and_the_composition_law_once(capsys, 
     code, out, _ = run(capsys, command, str(fixtures_dir / "three_point_swapped.pact"))
     assert code == 1
     assert out.count("\n  [P3") == 24 and out.count("\n  [E2]") == 20
-    assert (len(linear), len(unsettled)) == (1, 1)
+    # the input once each; the certificate's attempt judges its one-class output once each too, and fails
+    assert [a.carrier for a, in linear] == [a.carrier for a, in unsettled] == [("1", "2"), (0,)]
+
+
+@pytest.mark.parametrize("command", ["validate", "check"])
+def test_validate_and_check_decide_a_valid_partial_action_by_its_certificate_and_scan_nothing(capsys, monkeypatch, fixtures_dir, command):
+    # the restricted fixture is not global: its construction passes the output check, whose output is decided along its edges
+    routes = p_axiom_routes(monkeypatch)
+    code, out, _ = run(capsys, command, str(fixtures_dir / "three_point_restricted.pact"))
+    assert code == 0 and "FAIL" not in out
+    assert routes() == [(("1", "2"), "certificate"), ((0, 1, 2, 3), "edges")]
 
 
 def test_globalize_runs_the_linear_checks_once_on_an_input_it_refuses_for_them(capsys, monkeypatch, fixtures_dir):
@@ -727,11 +748,12 @@ def test_globalize_runs_no_full_p_scan_on_a_valid_input(capsys, monkeypatch, fix
 
 def test_globalize_scans_an_input_failing_p3_alone_once_to_write_its_refusal(capsys, monkeypatch, fixtures_dir):
     # the construction runs and its one-class output is decided along generator edges; the embedding
-    # fails the output check, and only then is the input scanned
+    # fails the output check, and only then is the input decided, once: its certificate is the construction
+    # again, whose output is decided along its edges again, and fails, so the rows are scanned
     routes = p_axiom_routes(monkeypatch)
     code, _, _ = run(capsys, "globalize", str(fixtures_dir / "three_point_swapped.pact"))
     assert code == 1
-    assert routes() == [((0,), "edges"), (("1", "2"), "scan")]
+    assert routes() == [((0,), "edges"), (("1", "2"), "scan"), ((0,), "edges")]
 
 
 @pytest.mark.parametrize("strict", [(), ("--strict",)], ids=["plain", "strict"])

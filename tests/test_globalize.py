@@ -341,3 +341,20 @@ def test_a_wrong_class_map_entry_trips_the_output_check(monkeypatch, two_point, 
     report = is_globalization_triple(ActionMap._from_image(two_point, built[0], home))
     assert any(v.tag == "target-invalid" for v in report.violations)
     assert str(failure.value) == "constructed output is not a globalization of the input:\n" + report.render()
+
+
+def test_an_injective_canonical_map_does_not_certify_p3():
+    # semilattice-2 on three points, bot the identity on all three and top empty: the linear checks pass and P3 fails
+    isg = catalog_entry("semilattice-2").structure
+    action = PartialAction(isg, ("1", "2", "3"), {"top": (), "bot": ("1", "2", "3")}, {"top": {}, "bot": {x: x for x in "123"}})
+    assert action._linear == ()
+    # the canonical map is injective, so the output check fails on the preimage equation alone
+    refusal = globalization._construct(action)
+    head, count, *lines = refusal.splitlines()
+    assert (head, count) == ("constructed output is not a globalization of the input:", "FAIL (3 violation(s))")
+    assert [line.split("]")[0] for line in lines] == ["  [embedding-domain"] * 3
+    report = validate_p_axioms(action)
+    assert [v.tag for v in report.violations] == ["P3-domain"] * 3 + ["P3-value"] * 3
+    with pytest.raises(StructuralError) as refused:
+        build_globalization(action)
+    assert str(refused.value) == "input fails the partial-action axioms:\n" + report.render()
