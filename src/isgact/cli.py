@@ -32,10 +32,10 @@ from .textio import (
     ParseError,
     ValidationFailure,
     _load_action,
-    _load_structure_once,
     format_action,
     format_structure,
     load_action,
+    load_structure,
 )
 
 
@@ -171,16 +171,15 @@ def _parse_point_map(text: str) -> dict[str, str]:
 def _cmd_validate(args) -> int:
     all_ok = True
     structures = []
-    loaded: dict = {}  # each structure file is loaded once per command
     for name in args.files:
         path = Path(name)
         if path.suffix == ".isgd":
-            isg = _load_structure_once(path, loaded)  # raises ValidationFailure on axiom errors
+            isg = load_structure(path)  # raises ValidationFailure on axiom errors
             print(f"{name}: ok (inverse semigroupoid, {len(isg.arrows)} arrows, "
                   f"{sum(isg._idem)} idempotents)")
             structures.append(isg)
         elif path.suffix == ".pact":
-            action, isg, _ = _load_action(path, loaded)
+            action, isg = load_action(path)
             p_rep = validate_p_axioms(action)
             e_rep = validate_e_axioms(action)
             print(p_rep.render(f"{name} [definitional axioms]"))
@@ -220,9 +219,8 @@ def _cmd_globalize(args) -> int:
 
 
 def _cmd_mediate(args) -> int:
-    loaded: dict = {}  # the two files usually share their structure file
-    action, _, _ = _load_action(Path(args.action), loaded)
-    target_action, _, _ = _load_action(Path(args.target), loaded)
+    action, _ = load_action(args.action)
+    target_action, _ = load_action(args.target)  # the two files usually share their structure, loaded once
     if args.embedding is not None:
         raw = _parse_point_map(args.embedding)
         points = {str(x) for x in action.carrier}

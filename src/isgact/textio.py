@@ -7,12 +7,19 @@ Each file is split into lines once, and each line is cut at its `#` once
 (``_bodies``); every later pass reads those bodies.  An action file's
 header is read off its first content line, and the same line iterator then
 parses the rest, so loading an action splits its text once.
+
+A loaded structure is shared by its text while something holds it: a load
+whose file reads the same as that of a live structure an earlier load
+returned gets that same object, without parsing or checking it again.  The
+share holds its structures weakly, so one that nothing else holds is gone,
+and the next load of its text parses and checks it anew.  A file that
+fails is never shared: every load of it raises, naming its own path.
 """
 
 from __future__ import annotations
 
-import os
 import re
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -378,7 +385,7 @@ def format_action(action: PartialAction, ref: str) -> str:
 
 
 def _read_text(path: Path) -> str:
-    """The file's contents without a leading byte-order mark; a byte that is not UTF-8 is a positioned parse error.
+    """The file's contents without a leading byte-order mark; a byte that is not UTF-8 is a parse error naming the file.
 
     The error's line and column count the file's bytes, the mark included.
     """
@@ -388,14 +395,13 @@ def _read_text(path: Path) -> str:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         col = exc.start - data.rfind(b"\n", 0, exc.start)
-        raise ParseError(line, col, f"not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
+        raise ParseError(line, col, f"not UTF-8 text (byte 0x{data[exc.start]:02x})", path) from None
 
 
-def load_structure(path: str | Path) -> InverseSemigroupoid:
-    """Read, parse, validate, and inverse-check a structure file."""
-    path = Path(path)
+def _checked_structure(text: str, path: Path) -> InverseSemigroupoid:
+    """Parse, validate and inverse-check a structure file's text; every failure names the file."""
     try:
-        doc = parse_structure(_read_text(path))
+        doc = parse_structure(text)
     except ParseError as exc:
         raise ParseError(exc.line, exc.col, exc.message, path) from None
     result = infer_inverses(doc.table)
@@ -421,34 +427,47 @@ def load_structure(path: str | Path) -> InverseSemigroupoid:
     return result
 
 
-def _load_structure_once(path: Path, loaded: dict[str, InverseSemigroupoid]) -> InverseSemigroupoid:
-    """load_structure(path), unless ``loaded`` holds the file already; keys are resolved paths."""
-    key = os.path.realpath(path)
-    if key not in loaded:
-        loaded[key] = load_structure(path)
-    return loaded[key]
+# the live structures that loads returned, keyed by the text they were read from
+_shared: weakref.WeakValueDictionary[str, InverseSemigroupoid] = weakref.WeakValueDictionary()
 
 
-def _load_action(
-    path: Path, loaded: dict[str, InverseSemigroupoid] | None = None
-) -> tuple[PartialAction, InverseSemigroupoid, str]:
+def load_structure(path: str | Path) -> InverseSemigroupoid:
+    """Read, parse, validate, and inverse-check a structure file.
+
+    A file whose text is that of a structure an earlier load returned, while
+    something still holds that structure, gives that same structure without
+    checking it again: a structure is a pure function of its text.  Only a
+    structure that passed is shared, so a failing file raises on every load,
+    naming its own path.
+    """
+    path = Path(path)
+    text = _read_text(path)
+    shared = _shared.get(text)
+    if shared is None:
+        shared = _shared[text] = _checked_structure(text, path)
+    return shared
+
+
+def _load_action(path: Path) -> tuple[PartialAction, InverseSemigroupoid, str]:
     """The action file's action, its structure and its structure reference.
 
-    The structure goes through ``loaded`` when one is given, so a command
-    that reads several files loads each structure once; otherwise it is
-    loaded directly.  A parse error names the file it is in, this one or the structure file.
+    A parse error names the file it is in, this one or the structure file.
     """
     try:
         lines = _content_lines(_read_text(path))
         ref = _header(lines)  # a malformed header fails before any structure file is opened
-        where = path.parent / ref
-        isg = load_structure(where) if loaded is None else _load_structure_once(where, loaded)
+        isg = load_structure(path.parent / ref)
         return _parse_sections(lines, isg), isg, ref
     except ParseError as exc:
         raise ParseError(exc.line, exc.col, exc.message, exc.path or path) from None
 
 
 def load_action(path: str | Path) -> tuple[PartialAction, InverseSemigroupoid]:
-    """Read an action file, loading its structure relative to the file's directory."""
+    """Read an action file, loading its structure relative to the file's directory.
+
+    The structure comes through ``load_structure``, so actions loaded while
+    one of them is alive share the structure whenever their structure files
+    read the same, whatever their paths.
+    """
     action, isg, _ = _load_action(Path(path))
     return action, isg

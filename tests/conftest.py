@@ -33,3 +33,18 @@ def three_point(hybrid):
 @pytest.fixture(scope="session")
 def fixtures_dir():
     return FIXTURES
+
+
+@pytest.fixture
+def unshared_fixtures(tmp_path):
+    """A copy of the fixtures whose structure text no other load shares: a comment naming the copy heads it.
+
+    A session fixture and module-level subjects hold the structure of the
+    committed files for the whole run, so a load of those files checks nothing.
+    """
+    for path in FIXTURES.iterdir():
+        text = path.read_text()
+        if path.suffix == ".isgd":
+            text = f"# unshared copy in {tmp_path}\n" + text
+        (tmp_path / path.name).write_text(text)
+    return tmp_path

@@ -9,7 +9,7 @@ from isgact.catalog import _rotations, catalog, partial_bijections, random_parti
 from isgact.core import ValidationReport, Violation
 from isgact.cli import run_cli
 from isgact.morphisms import inclusion_map
-from isgact.textio import load_action
+from isgact.textio import load_action, load_structure
 
 from worked_data import CLASSES_B
 
@@ -520,7 +520,7 @@ def test_a_partial_inverse_section_names_each_arrow_without_a_declared_inverse(c
     ],
     ids=["validate", "mediate"],
 )
-def test_each_structure_file_is_validated_once_per_command(capsys, monkeypatch, fixtures_dir, argv):
+def test_each_structure_file_is_validated_once_per_command(capsys, monkeypatch, unshared_fixtures, argv):
     calls = []
     original = core.validate_semigroupoid
 
@@ -529,20 +529,23 @@ def test_each_structure_file_is_validated_once_per_command(capsys, monkeypatch, 
         return original(table)
 
     monkeypatch.setattr(core, "validate_semigroupoid", counted)
-    argv = [str(fixtures_dir / a) if a.endswith((".isgd", ".pact")) else a for a in argv]
+    argv = [str(unshared_fixtures / a) if a.endswith((".isgd", ".pact")) else a for a in argv]
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert len(calls) == 1
 
 
 def test_a_rewritten_structure_file_is_read_again(capsys, tmp_path, fixtures_dir):
-    # structures are shared within one command, never across commands
+    # structures are shared by their text while something holds them, so a file rewritten since is read
+    # again even while the structure of its old text is alive
     path = tmp_path / "s.isgd"
     path.write_text((fixtures_dir / "eight_arrow.isgd").read_text())
     _, first, _ = run(capsys, "validate", str(path))
+    held = load_structure(path)
     path.write_text("[objects]\no\n[arrows]\ne : o -> o\n[mul]\ne e = e\n")
     _, second, _ = run(capsys, "validate", str(path))
     assert "8 arrows" in first and "1 arrows" in second
+    assert len(held.arrows) == 8 and len(load_structure(path).arrows) == 1
 
 
 def test_restrict_reads_each_input_file_once(capsys, monkeypatch, fixtures_dir):
@@ -607,10 +610,10 @@ def test_the_axiom_scan_asks_no_composability_question(monkeypatch, fixtures_dir
     assert len(reads) == 2 * pairs + triples
 
 
-def test_check_decides_each_natural_order_pair_once(capsys, monkeypatch, fixtures_dir):
+def test_check_decides_each_natural_order_pair_once(capsys, monkeypatch, unshared_fixtures):
     # E3 reads the strict order, decided on the integer table over the pairs of parallel arrows, listed once
     calls = count_calls(monkeypatch, "_parallel", core.SemigroupoidTable)
-    code, _, _ = run(capsys, "check", str(fixtures_dir / "four_point.pact"))
+    code, _, _ = run(capsys, "check", str(unshared_fixtures / "four_point.pact"))
     assert code == 0
     assert len(calls) == 1
 

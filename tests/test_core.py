@@ -124,7 +124,7 @@ def test_non_unique_inverse_is_reported():
     assert any(v.tag == "non-unique-inverse" for v in result.violations)
 
 
-def test_loading_runs_each_check_once(monkeypatch, fixtures_dir):
+def test_loading_runs_each_check_once(monkeypatch, unshared_fixtures):
     # the inverse search runs on positions, once per arrow
     calls = {"validate_semigroupoid": 0, "_pseudo_inverses": 0}
 
@@ -139,7 +139,7 @@ def test_loading_runs_each_check_once(monkeypatch, fixtures_dir):
 
     for name in calls:
         monkeypatch.setattr(core, name, counted(name))
-    isg = load_structure(fixtures_dir / "eight_arrow.isgd")
+    isg = load_structure(unshared_fixtures / "eight_arrow.isgd")
     assert calls == {"validate_semigroupoid": 1, "_pseudo_inverses": len(isg.arrows)}
 
 

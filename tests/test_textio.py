@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -11,6 +13,7 @@ from isgact import (
     StructuralError,
     ValidationFailure,
     Violation,
+    core,
     format_action,
     format_structure,
     infer_inverses,
@@ -298,13 +301,105 @@ def test_points_outside_a_carrier_of_several_points_are_parse_errors_on_their_li
     assert (err.value.line, err.value.col) == (line, 1)
 
 
-def test_load_action_loads_its_structure_without_the_per_command_cache(monkeypatch, fixtures_dir):
-    # the cache of one command keys structures by resolved path; a single load has nothing to share
-    calls = []
-    monkeypatch.setattr(textio, "_load_structure_once", lambda *args: calls.append(args))
-    action, isg = load_action(fixtures_dir / "four_point.pact")
-    assert calls == []
+def test_load_action_loads_its_structure_through_load_structure(unshared_fixtures):
+    # one loader: while the action holds its structure, a load of the structure file gives that same object
+    action, isg = load_action(unshared_fixtures / "four_point.pact")
     assert action.semigroupoid is isg and len(isg.arrows) == 8
+    assert load_structure(unshared_fixtures / "eight_arrow.isgd") is isg
+
+
+def count_validations(monkeypatch):
+    calls = []
+    original = core.validate_semigroupoid
+    monkeypatch.setattr(core, "validate_semigroupoid", lambda table: calls.append(table) or original(table))
+    return calls
+
+
+def test_live_loads_of_one_text_share_one_structure_whatever_its_path(monkeypatch, unshared_fixtures):
+    calls = count_validations(monkeypatch)
+    other = unshared_fixtures / "other"
+    other.mkdir()
+    for name in ("eight_arrow.isgd", "three_point_global.pact"):
+        (other / name).write_text((unshared_fixtures / name).read_text())
+    isg = load_structure(unshared_fixtures / "eight_arrow.isgd")
+    assert load_structure(other / "eight_arrow.isgd") is isg
+    assert load_action(other / "three_point_global.pact")[0].semigroupoid is isg
+    assert len(calls) == 1
+
+
+def test_two_action_files_naming_one_structure_file_share_its_structure(monkeypatch, unshared_fixtures):
+    calls = count_validations(monkeypatch)
+    four, isg = load_action(unshared_fixtures / "four_point.pact")
+    three, shared = load_action(unshared_fixtures / "three_point_global.pact")
+    assert shared is isg and three.semigroupoid is four.semigroupoid
+    assert len(calls) == 1
+
+
+def test_a_structure_that_nothing_holds_is_checked_again(monkeypatch, unshared_fixtures):
+    calls = count_validations(monkeypatch)
+    path = unshared_fixtures / "eight_arrow.isgd"
+    isg = load_structure(path)
+    action = load_action(unshared_fixtures / "four_point.pact")[0]
+    assert action.semigroupoid is isg and len(calls) == 1
+    del isg, action
+    assert len(load_structure(path).arrows) == 8
+    assert len(calls) == 2
+
+
+def test_a_file_rewritten_while_its_structure_is_alive_loads_as_a_new_structure(unshared_fixtures):
+    path = unshared_fixtures / "eight_arrow.isgd"
+    old = load_structure(path)
+    path.write_text("[objects]\no\n[arrows]\ne : o -> o\n[mul]\ne e = e\n")
+    new = load_structure(path)
+    assert new is not old
+    assert (len(old.arrows), len(new.arrows)) == (8, 1)
+
+
+def test_a_failing_structure_file_raises_with_its_own_path_on_every_load(tmp_path, fixtures_dir):
+    text = (fixtures_dir / "eight_arrow.isgd").read_text()
+    assert text.count("a = a*\na* = a\n") == 1
+    failing = {
+        "parse": "[objects]\nu\n[arrows]\na : u -> w\n[mul]\n",
+        "no-inverse": "[objects]\nu\nv\n\n[arrows]\nf : u -> v\n\n[mul]\n",
+        "declared-inverse": text.replace("a = a*\na* = a\n", "a = a\na* = a*\n"),
+    }
+    for kind, body in failing.items():
+        paths = [tmp_path / f"{kind}-{i}.isgd" for i in range(2)]
+        for path in paths:
+            path.write_text(body)
+        for path in paths + paths:
+            with pytest.raises((ParseError, ValidationFailure)) as err:
+                load_structure(path)
+            if kind == "parse":
+                assert err.value.path == path
+            else:
+                assert err.value.subject == str(path) and kind in err.value.report.tags()
+
+
+def test_threads_loading_one_text_at_once_each_get_its_valid_structure(unshared_fixtures, hybrid):
+    # the share is read and then written without a lock: racing loads may each parse and check the text,
+    # and every one of them returns a whole, valid structure of it
+    path = unshared_fixtures / "eight_arrow.isgd"
+    results = []
+
+    def load():
+        for _ in range(20):
+            results.append(load_structure(path))
+
+    threads = [threading.Thread(target=load) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 80
+    assert all(isg == hybrid and isg.inverse_map() == hybrid.inverse_map() for isg in results)
+    assert any(isg is load_structure(path) for isg in results)
 
 
 def test_structure_ref_extraction(fixtures_dir):
@@ -328,17 +423,17 @@ def test_a_second_structure_header_is_a_parse_error_on_its_line(tmp_path, fixtur
     assert capsys.readouterr().err == f"error: {tmp_path / 'twice.pact'}: line {line}, col 1: duplicate structure header\n"
 
 
-def test_load_action_splits_the_action_text_into_lines_once(monkeypatch, fixtures_dir):
+def test_load_action_splits_the_action_text_into_lines_once(monkeypatch, unshared_fixtures):
     # the header names the structure file, and the same content lines then give the sections
     calls, bodies = [], []
     content, cut = textio._content_lines, textio._bodies
     monkeypatch.setattr(textio, "_content_lines", lambda text: calls.append(text) or content(text))
     monkeypatch.setattr(textio, "_bodies", lambda text: bodies.append(text) or cut(text))
-    load_action(fixtures_dir / "four_point.pact")
-    text = (fixtures_dir / "four_point.pact").read_text()
+    load_action(unshared_fixtures / "four_point.pact")
+    text = (unshared_fixtures / "four_point.pact").read_text()
     assert calls == [text]
     # one more split for the structure file, none for the action text beyond the first
-    assert bodies == [text, (fixtures_dir / "eight_arrow.isgd").read_text()]
+    assert bodies == [text, (unshared_fixtures / "eight_arrow.isgd").read_text()]
 
 
 def test_declared_inverse_mismatch_fails_loading(tmp_path, hybrid):
