@@ -128,19 +128,19 @@ MUTANTS = [
         "elif not action._linear and not isinstance(_construct(action), str):",
         "elif not action._linear and _construct(action):",
     ),
-    # a loaded structure is shared by the text it was read from, so a rewritten file is a new structure
+    # a loaded structure is shared by the bytes it was read from, so a rewritten file is a new structure
     Mutant(
         "structure-share-keyed-by-path",
         "src/isgact/textio.py",
-        "    shared = _shared.get(text)\n    if shared is None:\n        shared = _shared[text] = _checked_structure(text, path)\n",
-        "    shared = _shared.get(str(path))\n    if shared is None:\n        shared = _shared[str(path)] = _checked_structure(text, path)\n",
+        "    key = blake2b(data, digest_size=32).digest()\n",
+        "    key = str(path).encode()\n",
     ),
     # and only while something else holds it: a structure nothing holds is parsed and checked anew
     Mutant(
         "structure-share-held-strongly",
         "src/isgact/textio.py",
-        "_shared: weakref.WeakValueDictionary[str, InverseSemigroupoid] = weakref.WeakValueDictionary()",
-        "_shared: dict[str, InverseSemigroupoid] = {}",
+        "_shared: weakref.WeakValueDictionary[bytes, InverseSemigroupoid] = weakref.WeakValueDictionary()",
+        "_shared: dict[bytes, InverseSemigroupoid] = {}",
     ),
     # a plain mediating target is judged as an action map before its factoring map is read
     Mutant(

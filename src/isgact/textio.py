@@ -8,12 +8,13 @@ Each file is split into lines once, and each line is cut at its `#` once
 header is read off its first content line, and the same line iterator then
 parses the rest, so loading an action splits its text once.
 
-A loaded structure is shared by its text while something holds it: a load
-whose file reads the same as that of a live structure an earlier load
-returned gets that same object, without parsing or checking it again.  The
-share holds its structures weakly, so one that nothing else holds is gone,
-and the next load of its text parses and checks it anew.  A file that
-fails is never shared: every load of it raises, naming its own path.
+A loaded structure is shared by its file's bytes while something holds it:
+a load whose file holds the same bytes as that of a live structure an
+earlier load returned gets that same object, without parsing or checking it
+again.  The share keys each structure by a digest of those bytes, not by
+the text, and holds it weakly, so one that nothing else holds is gone, and
+the next load of its file parses and checks it anew.  A file that fails is
+never shared: every load of it raises, naming its own path.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ import re
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
+
+try:
+    from _blake2 import blake2b  # hashlib's own BLAKE2; importing hashlib maps OpenSSL too, about 4 MB of memory
+except ImportError:  # a CPython built without its bundled BLAKE2
+    from hashlib import blake2b
 
 from .actions import PartialAction
 from .core import (
@@ -385,11 +391,15 @@ def format_action(action: PartialAction, ref: str) -> str:
 
 
 def _read_text(path: Path) -> str:
-    """The file's contents without a leading byte-order mark; a byte that is not UTF-8 is a parse error naming the file.
+    """The file's contents without a leading byte-order mark; a byte that is not UTF-8 is a parse error naming the file."""
+    return _decode(path.read_bytes(), path)
+
+
+def _decode(data: bytes, path: Path) -> str:
+    """The text of a file's bytes without a leading byte-order mark; a byte that is not UTF-8 is a parse error naming the file.
 
     The error's line and column count the file's bytes, the mark included.
     """
-    data = path.read_bytes()
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
@@ -427,24 +437,26 @@ def _checked_structure(text: str, path: Path) -> InverseSemigroupoid:
     return result
 
 
-# the live structures that loads returned, keyed by the text they were read from
-_shared: weakref.WeakValueDictionary[str, InverseSemigroupoid] = weakref.WeakValueDictionary()
+# the live structures that loads returned, keyed by the 32-byte BLAKE2b digest of the bytes they were read
+# from; two files whose bytes differ but share a digest would share a structure, a collision no one has found
+_shared: weakref.WeakValueDictionary[bytes, InverseSemigroupoid] = weakref.WeakValueDictionary()
 
 
 def load_structure(path: str | Path) -> InverseSemigroupoid:
     """Read, parse, validate, and inverse-check a structure file.
 
-    A file whose text is that of a structure an earlier load returned, while
-    something still holds that structure, gives that same structure without
-    checking it again: a structure is a pure function of its text.  Only a
-    structure that passed is shared, so a failing file raises on every load,
-    naming its own path.
+    A file whose bytes are those of a structure an earlier load returned,
+    while something still holds that structure, gives that same structure
+    without decoding or checking it again: a structure is a pure function of
+    its file's bytes.  Only a structure that passed is shared, so a failing
+    file raises on every load, naming its own path.
     """
     path = Path(path)
-    text = _read_text(path)
-    shared = _shared.get(text)
+    data = path.read_bytes()
+    key = blake2b(data, digest_size=32).digest()
+    shared = _shared.get(key)
     if shared is None:
-        shared = _shared[text] = _checked_structure(text, path)
+        shared = _shared[key] = _checked_structure(_decode(data, path), path)
     return shared
 
 
@@ -467,7 +479,7 @@ def load_action(path: str | Path) -> tuple[PartialAction, InverseSemigroupoid]:
 
     The structure comes through ``load_structure``, so actions loaded while
     one of them is alive share the structure whenever their structure files
-    read the same, whatever their paths.
+    hold the same bytes, whatever their paths.
     """
     action, isg, _ = _load_action(Path(path))
     return action, isg

@@ -37,7 +37,7 @@ def fixtures_dir():
 
 @pytest.fixture
 def unshared_fixtures(tmp_path):
-    """A copy of the fixtures whose structure text no other load shares: a comment naming the copy heads it.
+    """A copy of the fixtures whose structure file no other load shares: a comment naming the copy heads it.
 
     A session fixture and module-level subjects hold the structure of the
     committed files for the whole run, so a load of those files checks nothing.

@@ -536,7 +536,7 @@ def test_each_structure_file_is_validated_once_per_command(capsys, monkeypatch, 
 
 
 def test_a_rewritten_structure_file_is_read_again(capsys, tmp_path, fixtures_dir):
-    # structures are shared by their text while something holds them, so a file rewritten since is read
+    # structures are shared by their bytes while something holds them, so a file rewritten since is read
     # again even while the structure of its old text is alive
     path = tmp_path / "s.isgd"
     path.write_text((fixtures_dir / "eight_arrow.isgd").read_text())
@@ -572,11 +572,12 @@ def test_restrict_reads_each_input_file_once(capsys, monkeypatch, fixtures_dir):
     ],
     ids=["validate", "globalize", "check"],
 )
-def test_no_command_lists_the_composable_pairs(capsys, monkeypatch, fixtures_dir, argv):
+def test_no_command_lists_the_composable_pairs(capsys, monkeypatch, unshared_fixtures, argv):
     # validate and check walk each arrow's right partners from the per-object index, and globalize's
-    # output check walks the generators' columns of the product table, so none builds the pair list
+    # output check walks the generators' columns of the product table, so none builds the pair list;
+    # the structure is one that no other load holds, so the command parses and scans it
     calls = count_calls(monkeypatch, "_composable", core.SemigroupoidTable)
-    argv = [str(fixtures_dir / a) if a.endswith((".isgd", ".pact")) else a for a in argv]
+    argv = [str(unshared_fixtures / a) if a.endswith((".isgd", ".pact")) else a for a in argv]
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert calls == []

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import threading
 import tracemalloc
@@ -353,6 +354,13 @@ def test_a_file_rewritten_while_its_structure_is_alive_loads_as_a_new_structure(
     new = load_structure(path)
     assert new is not old
     assert (len(old.arrows), len(new.arrows)) == (8, 1)
+
+
+def test_the_share_keeps_a_digest_of_each_file_and_no_copy_of_it(unshared_fixtures):
+    path = unshared_fixtures / "eight_arrow.isgd"
+    isg = load_structure(path)
+    assert textio._shared[hashlib.blake2b(path.read_bytes(), digest_size=32).digest()] is isg
+    assert {len(key) for key in textio._shared.keys()} == {32}
 
 
 def test_a_failing_structure_file_raises_with_its_own_path_on_every_load(tmp_path, fixtures_dir):
