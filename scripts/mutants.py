@@ -114,6 +114,13 @@ MUTANTS = [
         "    report = is_globalization_triple(canonical)\n    if not report.ok:\n",
         "    report = is_globalization_triple(canonical)\n    if False:\n",
     ),
+    # the construction's self-audit of the generators' class maps: class 0 recorded first is an image too
+    Mutant(
+        "class-map-audit-misses-class-0",
+        "src/isgact/globalization.py",
+        "                if moves[src] >= 0:\n",
+        "                if moves[src] > 0:\n",
+    ),
     # the certificate route assumes the linear checks passed: the construction reads every point's idempotent seed
     Mutant(
         "certificate-taken-off-the-linear-checks",

@@ -133,7 +133,7 @@ class PartialAction:
 
     def apply(self, s: str, x):
         """theta[s](x) when x lies in dom_of[inv(s)], else None."""
-        a, i = self.semigroupoid.table._aidx[s], self._pos.get(x)
+        a, i = self.semigroupoid._aidx[s], self._pos.get(x)
         if i is None or not self.masks[self.semigroupoid._inv[a]][i]:
             return None
         return _name(self, self.rows[a][i])
@@ -168,7 +168,7 @@ def _union(masks: Iterable[list[bool]], n: int) -> list[bool]:
 def _linear_violations(action: PartialAction) -> list[Violation]:
     """theta-domain, theta-range, P1 and P2: the checks that read each arrow's row and mask once; ``PartialAction._linear`` holds them."""
     isg = action.semigroupoid
-    arrows, inv, idem, mul = isg.arrows, isg._inv, isg._idem, isg.table._mul
+    arrows, inv, idem, mul = isg.arrows, isg._inv, isg._idem, isg._mul
     rows, masks, name = action.rows, action.masks, action.carrier
     v: list[Violation] = []
 
@@ -241,7 +241,7 @@ def _generator_edges_hold(action: PartialAction) -> bool:
     pass that must fail.
     """
     isg, rows = action.semigroupoid, action.rows
-    mul, cod, leaving = isg.table._mul, isg.table._cod, isg.table._leaving
+    mul, cod, leaving = isg._mul, isg._cod, isg._leaving
     return all(rows[mul[s][g]] == [rows[s][j] if j >= 0 else -1 for j in rows[g]] for g in isg._generators for s in leaving[cod[g]])
 
 
@@ -280,14 +280,14 @@ def _unsettled_pairs(action: PartialAction) -> Iterator[tuple[int, int, int]]:
     elif not action._linear and not isinstance(_construct(action), str):
         return
     isg = action.semigroupoid
-    rows, masks, inv, table = action.rows, action.masks, isg._inv, isg.table
+    rows, masks, inv = action.rows, action.masks, isg._inv
     # per arrow, the positions where its row is defined, the row there, and whether it is shaped
     keys = [[i for i, j in enumerate(row) if j >= 0] for row in rows]
     values = [list(map(row.__getitem__, at)) for row, at in zip(rows, keys)]
     shaped = [[j >= 0 for j in row] == masks[i] and all(map(image.__getitem__, vals)) for row, i, image, vals in zip(rows, inv, masks, values)]
-    for s, (d, products) in enumerate(zip(table._dom, table._mul)):
+    for s, (d, products) in enumerate(zip(isg._dom, isg._mul)):
         row_s = rows[s]
-        for t in table._into[d]:  # the right partners t of s, in declaration order, and the products s t
+        for t in isg._into[d]:  # the right partners t of s, in declaration order, and the products s t
             st = products[t]
             if shaped[s] and shaped[t] and shaped[st]:
                 if list(map(row_s.__getitem__, values[t])) == list(map(rows[st].__getitem__, keys[t])):
@@ -370,7 +370,7 @@ def validate_e_axioms(action: PartialAction) -> ValidationReport:
 def is_global(action: PartialAction) -> bool:
     """True when every dom_of[s] equals dom_of[s inv(s)]; it reads the masks alone, so any action may be asked."""
     isg, masks = action.semigroupoid, action.masks
-    return all(mask == masks[e] for mask, e in zip(masks, map(list.__getitem__, isg.table._mul, isg._inv)))
+    return all(mask == masks[e] for mask, e in zip(masks, map(list.__getitem__, isg._mul, isg._inv)))
 
 
 def restrict(source: PartialAction, subset: Iterable, trim: bool = False) -> PartialAction:

@@ -47,7 +47,7 @@ def _structure_dot(isg: InverseSemigroupoid) -> str:
     lines = ["digraph structure {", "  rankdir=LR;"]
     for o in isg.objects:
         lines.append(f'  "{o}";')
-    for a, d, c in zip(isg.arrows, isg.table._dom, isg.table._cod):
+    for a, d, c in zip(isg.arrows, isg._dom, isg._cod):
         lines.append(f'  "{isg.objects[d]}" -> "{isg.objects[c]}" [label="{a}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

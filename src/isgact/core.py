@@ -10,6 +10,9 @@ by position too.  The greedy generator search keeps the right Cayley tree it
 walks, so the globalization composes its class maps along it without a second
 walk.  ``inv``, ``inverse_map``, ``idempotent_set``, ``products``,
 ``strict_order`` and ``generators`` are name views of those integers.
+An ``InverseSemigroupoid`` is the ``SemigroupoidTable`` that passed the
+axiom scan and the pseudo-inverse search: it adopts the checked table's
+lists and keeps its inverses and idempotents by position beside them.
 Associativity is checked by an exhaustive scan that visits the composable
 triples only, walking each arrow's right partners from the per-object index.
 It reads each product s t once per composable pair, before the walk, and
@@ -141,7 +144,9 @@ class SemigroupoidTable:
         read materializes the instance ``__dict__``, after which CPython
         3.11 reads every attribute more slowly, and the associativity scan
         reads them once per composable triple (I_3's scan took 1.7 times
-        as long).
+        as long).  The subclass ``InverseSemigroupoid`` does carry cached
+        properties, so its constructor scans the table it is given and
+        adopts that table's lists only after the scan.
         """
         self.objects, self.arrows, self._dom, self._cod, self._mul = objects, arrows, dom, cod, mul
         self._oidx = {o: i for i, o in enumerate(objects)}
@@ -285,16 +290,18 @@ def _pseudo_inverses(table: SemigroupoidTable, i: int) -> list[int]:
     return out
 
 
-class InverseSemigroupoid:
-    """A semigroupoid in which every arrow has a unique pseudo-inverse.
+class InverseSemigroupoid(SemigroupoidTable):
+    """A semigroupoid in which every arrow has a unique pseudo-inverse: the table that passed the checks.
 
-    The constructor is the one way in and it checks everything once: the
-    semigroupoid axioms, then, only if they hold, the exhaustive
-    pseudo-inverse search, one ``_pseudo_inverses`` call per arrow position.
-    Names appear only in the ``no-inverse`` and ``non-unique-inverse``
-    violations.  A failure raises a StructuralError whose ``report`` names
-    the violations.  ``_inv[s]`` is the position of the inverse of arrow s,
-    and ``_idem[s]`` says whether s is idempotent.
+    The constructor is the one way in and it checks everything once, on the
+    table it is given: the semigroupoid axioms, then, only if they hold, the
+    exhaustive pseudo-inverse search, one ``_pseudo_inverses`` call per
+    arrow position.  Names appear only in the ``no-inverse`` and
+    ``non-unique-inverse`` violations.  A failure raises a StructuralError
+    whose ``report`` names the violations.  On success the structure adopts
+    that table's lists, so it is that table with its inverses known:
+    ``_inv[s]`` is the position of the inverse of arrow s, and ``_idem[s]``
+    says whether s is idempotent.
     """
 
     def __init__(self, table: SemigroupoidTable):
@@ -320,35 +327,15 @@ class InverseSemigroupoid:
             report = ValidationReport(tuple(violations))
         if not report.ok:
             raise StructuralError("table is not an inverse semigroupoid:\n" + report.render(), report)
-        self.table = table
+        self._adopt(table.objects, table.arrows, table._dom, table._cod, table._mul)
         self._inv = inv
         self._idem = [row[e] == e for e, row in enumerate(table._mul)]
 
-    @property
-    def arrows(self) -> tuple[str, ...]:
-        return self.table.arrows
-
-    @property
-    def objects(self) -> tuple[str, ...]:
-        return self.table.objects
-
-    def dom(self, s: str) -> str:
-        return self.table.dom(s)
-
-    def cod(self, s: str) -> str:
-        return self.table.cod(s)
-
-    def composable(self, s: str, t: str) -> bool:
-        return self.table.composable(s, t)
-
-    def mul(self, s: str, t: str) -> str | None:
-        return self.table.mul(s, t)
-
     def _names(self, indices: Iterable[int]) -> tuple[str, ...]:
-        return tuple(map(self.table.arrows.__getitem__, indices))
+        return tuple(map(self.arrows.__getitem__, indices))
 
     def inv(self, s: str) -> str:
-        return self.arrows[self._inv[self.table._aidx[s]]]
+        return self.arrows[self._inv[self._aidx[s]]]
 
     def inverse_map(self) -> dict[str, str]:
         return dict(zip(self.arrows, self._names(self._inv)))
@@ -362,8 +349,8 @@ class InverseSemigroupoid:
     @cached_property
     def _products(self) -> list[tuple[int, int, int]]:
         """Every composable pair with its product, (s, t, s t), s-major in declaration order."""
-        mul = self.table._mul
-        return [(s, t, mul[s][t]) for s, t in self.table._composable()]
+        mul = self._mul
+        return [(s, t, mul[s][t]) for s, t in self._composable()]
 
     @property
     def products(self) -> tuple[tuple[str, str, str], ...]:
@@ -372,9 +359,9 @@ class InverseSemigroupoid:
     @cached_property
     def _order(self) -> list[tuple[int, int]]:
         """Every pair (s, t) with s <= t in the natural order and s != t, s-major in declaration order."""
-        mul, inv = self.table._mul, self._inv
+        mul, inv = self._mul, self._inv
         # s <= t exactly when t (s* s) = s, so only arrows with the same endpoints are compared
-        return [(s, t) for s, t in self.table._parallel() if mul[t][mul[inv[s]][s]] == s]
+        return [(s, t) for s, t in self._parallel() if mul[t][mul[inv[s]][s]] == s]
 
     @property
     def strict_order(self) -> tuple[tuple[str, str], ...]:
@@ -391,7 +378,7 @@ class InverseSemigroupoid:
         The tree keeps the edge (u, g, u g), g a generator, by which the walk
         first reaches each arrow that is not a generator, u reached before u g.
         """
-        mul = self.table._mul
+        mul = self._mul
         gens: list[int] = []
         tree: list[tuple[int, int, int]] = []
         reached = [False] * len(mul)
@@ -418,11 +405,6 @@ class InverseSemigroupoid:
     @property
     def generators(self) -> tuple[str, ...]:
         return self._names(self._generators)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, InverseSemigroupoid):
-            return NotImplemented
-        return self.table == other.table
 
     def __repr__(self) -> str:
         return f"InverseSemigroupoid({len(self.objects)} objects, {len(self.arrows)} arrows)"

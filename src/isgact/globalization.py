@@ -135,7 +135,7 @@ def _number(parent: list[int]) -> tuple[list[int], int]:
 def _seed_index(action: PartialAction) -> list[tuple[range, list[int]]]:
     """Per arrow position, the ids of its seeds, in canonical order, and their positions in dom_of[inv(s) s]."""
     isg = action.semigroupoid
-    mul, columns = isg.table._mul, range(len(action.carrier))
+    mul, columns = isg._mul, range(len(action.carrier))
     blocks, start = [], 0
     for s, si in enumerate(isg._inv):
         pts = list(compress(columns, action.masks[mul[si][s]]))
@@ -146,7 +146,7 @@ def _seed_index(action: PartialAction) -> list[tuple[range, list[int]]]:
 
 def _translated(seeds: Sequence[Seed], action: PartialAction) -> list:
     """The seed index of a list in any order: per arrow position, its seeds' ids, increasing, and positions."""
-    pos, aidx = action._pos, action.semigroupoid.table._aidx
+    pos, aidx = action._pos, action.semigroupoid._aidx
     blocks: list = [([], []) for _ in aidx]
     for i, (s, x) in enumerate(seeds):
         ids, pts = blocks[aidx[s]]
@@ -197,7 +197,7 @@ def _related_pairs(blocks: list, action: PartialAction) -> Iterator[tuple[int, i
 def _generator_images(blocks: list, action: PartialAction) -> list[list[int]]:
     """Per generator g, a row over seed ids: the id of the seed (g p, x) for the seed (p, x), or -1."""
     isg = action.semigroupoid
-    n, mul = len(action.carrier), isg.table._mul
+    n, mul = len(action.carrier), isg._mul
     id_rows = [_scatter(n, pts, ids) for ids, pts in blocks]  # per arrow, its seed id at each carrier position, or -1
     images = []
     for g in isg._generators:
@@ -517,11 +517,11 @@ def verify_universal(glob: Globalization, target, sigma: ActionMap, exhaustive_b
 
 def fiber_classes(glob: Globalization, u: str) -> frozenset[int]:
     """Classes containing a seed whose arrow has codomain u."""
-    table = glob.action.semigroupoid.table
-    if u not in table._oidx:
+    isg = glob.action.semigroupoid
+    if u not in isg._oidx:
         raise StructuralError(f"unknown object: {u!r}")
-    q, o = glob.quotient, table._oidx[u]
-    return frozenset(chain.from_iterable(q._label[ids.start:ids.stop] for (ids, _), c in zip(q._blocks, table._cod) if c == o))
+    q, o = glob.quotient, isg._oidx[u]
+    return frozenset(chain.from_iterable(q._label[ids.start:ids.stop] for (ids, _), c in zip(q._blocks, isg._cod) if c == o))
 
 
 def check_fiber_injectivity(sigma: ActionMap, glob: Globalization) -> ValidationReport:

@@ -220,28 +220,22 @@ def _refuse_unreadable(kind: str, names, *banned: str) -> None:
             raise StructuralError(f"{kind} {x!r} cannot be written: it would not read back as one name")
 
 
-def format_structure(structure: SemigroupoidTable | InverseSemigroupoid) -> str:
-    """Canonical text for a structure; inverse section only when one is known.
+def format_structure(structure: SemigroupoidTable) -> str:
+    """Canonical text for a table; the inverse section only when it is an ``InverseSemigroupoid``.
 
     A name that would not read back, or that starts a line reading as a
     section header (an object `[u]`, say), raises StructuralError.
     """
-    if isinstance(structure, InverseSemigroupoid):
-        table = structure.table
-        inverse = structure._inv
-    else:
-        table = structure
-        inverse = None
-    objects, arrows = table.objects, table.arrows
+    objects, arrows = structure.objects, structure.arrows
     _refuse_unreadable("object", objects)
     _refuse_unreadable("arrow", arrows)
     sections = {
         "objects": list(objects),
-        "arrows": [f"{a} : {objects[d]} -> {objects[c]}" for a, d, c in zip(arrows, table._dom, table._cod)],
-        "mul": [f"{s} {arrows[t]} = {arrows[u]}" for s, row in zip(arrows, table._mul) for t, u in enumerate(row) if u != UNDEF],
+        "arrows": [f"{a} : {objects[d]} -> {objects[c]}" for a, d, c in zip(arrows, structure._dom, structure._cod)],
+        "mul": [f"{s} {arrows[t]} = {arrows[u]}" for s, row in zip(arrows, structure._mul) for t, u in enumerate(row) if u != UNDEF],
     }
-    if inverse is not None:
-        sections["inverse"] = [f"{a} = {arrows[i]}" for a, i in zip(arrows, inverse)]
+    if isinstance(structure, InverseSemigroupoid):
+        sections["inverse"] = [f"{a} = {arrows[i]}" for a, i in zip(arrows, structure._inv)]
     for lines in sections.values():
         for line in lines:
             if line[0] == "[" and _SECTION.match(line):
@@ -288,7 +282,7 @@ def _parse_sections(lines, isg: InverseSemigroupoid) -> PartialAction:
     """The action read off an action file's content lines after its header."""
     carrier: list[str] | None = None
     points: dict[str, int] = {}  # each carrier element's position
-    aidx = isg.table._aidx
+    aidx = isg._aidx
     masks: list = [None] * len(aidx)  # per arrow position, set by its section
     rows: list = [None] * len(aidx)
 

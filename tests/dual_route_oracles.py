@@ -108,7 +108,7 @@ def is_global_diagnostic(action: PartialAction) -> bool:
     isg = action.semigroupoid
     by_domains = is_global(action)
     by_composites = True
-    for s, t in isg.table.composable_pairs():
+    for s, t in isg.composable_pairs():
         st = isg.mul(s, t)
         comp = _composite_domain(action, s, t)
         if comp != action.dom_of[isg.inv(st)]:

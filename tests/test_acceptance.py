@@ -195,7 +195,7 @@ def test_criterion_7_round_trip_and_deterministic_json(fixtures_dir):
         for entry in catalog():
             structure_text = format_structure(entry.structure)
             doc = parse_structure(structure_text)
-            assert doc.table == entry.structure.table
+            assert doc.table == entry.structure
             assert format_structure(entry.structure) == structure_text
             for ca in entry.actions:
                 action_text = format_action(ca.action, "ref.isgd")

@@ -286,7 +286,7 @@ def test_catalog_listing_and_emission(capsys, hybrid):
 
     code, out, _ = run(capsys, "catalog", "--entry", "two-object-hybrid", "--emit-structure")
     assert code == 0
-    assert parse_structure(out).table == hybrid.table
+    assert parse_structure(out).table == hybrid
 
     code, out, _ = run(capsys, "catalog", "--entry", "two-object-hybrid", "--action", "1", "--seed", "0")
     assert code == 0

@@ -102,7 +102,7 @@ def test_semilattice_elements_are_self_inverse():
     assert all(lattice.inv(s) == s for s in lattice.arrows)
     # uniqueness really was exhaustive: no other candidates exist
     bot = lattice.arrows.index("bot")
-    assert core._pseudo_inverses(lattice.table, bot) == [bot]
+    assert core._pseudo_inverses(lattice, bot) == [bot]
 
 
 def test_no_inverse_is_reported():
@@ -141,6 +141,39 @@ def test_loading_runs_each_check_once(monkeypatch, unshared_fixtures):
         monkeypatch.setattr(core, name, counted(name))
     isg = load_structure(unshared_fixtures / "eight_arrow.isgd")
     assert calls == {"validate_semigroupoid": 1, "_pseudo_inverses": len(isg.arrows)}
+
+
+def test_a_loaded_structure_is_the_checked_table(fixtures_dir):
+    isg = load_structure(fixtures_dir / "eight_arrow.isgd")
+    assert isinstance(isg, SemigroupoidTable)
+
+
+def test_the_checks_read_the_given_table_not_the_structure(monkeypatch):
+    # the structure carries cached properties, so the scan must never read it: it reads the table it is given
+    table = two_object_hybrid_table()
+    scanned = []
+    original = core.validate_semigroupoid
+
+    def recorded(raw):
+        scanned.append(raw)
+        return original(raw)
+
+    monkeypatch.setattr(core, "validate_semigroupoid", recorded)
+    isg = InverseSemigroupoid(table)
+    assert len(scanned) == 1 and scanned[0] is table
+    # the structure takes the checked table's lists as its own
+    assert isg._mul is table._mul
+
+
+def test_a_structure_equals_the_raw_table_with_the_same_products(hybrid):
+    table = two_object_hybrid_table()
+    assert hybrid == table and table == hybrid
+    mul = dict(_HYBRID_MUL)
+    mul[("b", "b")] = "b*b"
+    changed = SemigroupoidTable(table.objects, table.arrows, {a: table.dom(a) for a in table.arrows},
+                                {a: table.cod(a) for a in table.arrows}, mul)
+    assert hybrid != changed and changed != hybrid
+    assert hybrid != semilattice_2()
 
 
 def test_idempotents(hybrid):
@@ -184,11 +217,11 @@ def test_is_identity():
     found = {s for s in hybrid_table.arrows if is_identity(hybrid_table, s)}
     assert found == {"aa*"}
     pairs = pair_groupoid_2()
-    assert is_identity(pairs.table, "pp") and is_identity(pairs.table, "qq")
-    assert not is_identity(pairs.table, "pq")
+    assert is_identity(pairs, "pp") and is_identity(pairs, "qq")
+    assert not is_identity(pairs, "pq")
     sym2 = symmetric_inverse_2()
-    assert is_identity(sym2.table, "id")
-    assert not is_identity(sym2.table, "z")
+    assert is_identity(sym2, "id")
+    assert not is_identity(sym2, "z")
     lattice = semilattice_2()
-    assert is_identity(lattice.table, "top")
-    assert not is_identity(lattice.table, "bot")
+    assert is_identity(lattice, "top")
+    assert not is_identity(lattice, "bot")

@@ -27,7 +27,7 @@ from isgact import (
     verify_universal,
 )
 from isgact.core import SemigroupoidTable, ValidationReport, Violation
-from isgact.catalog import catalog_entry, three_point_action
+from isgact.catalog import catalog_entry, four_point_action, three_point_action
 
 from pairwise_oracle import seed_domain, seeds_related
 from universal_oracle import verify_universal_by_enumeration
@@ -341,6 +341,24 @@ def test_a_wrong_class_map_entry_trips_the_output_check(monkeypatch, two_point, 
     report = is_globalization_triple(ActionMap._from_image(two_point, built[0], home))
     assert any(v.tag == "target-invalid" for v in report.violations)
     assert str(failure.value) == "constructed output is not a globalization of the input:\n" + report.render()
+
+
+def test_a_class_sent_to_two_classes_trips_the_class_map_audit(monkeypatch, hybrid):
+    # a fresh action, so the session fixture's held decisions stay those of the real partition
+    action = four_point_action(hybrid)
+
+    def planted(blocks, action, images):
+        # generator a moves seed 1 to seed 8, then seed 2 to seed 9: all seeds in class 0 but seed 9
+        assert images[0][1:3] == [8, 9]
+        label = [0] * len(images[0])
+        label[9] = 1
+        return label, 2
+
+    monkeypatch.setattr(globalization, "_congruence_labels", planted)
+    with pytest.raises(RuntimeError) as failure:
+        build_globalization(action)
+    # the first image recorded for class 0 is class 0 itself, so the audit must count an image of 0 as recorded
+    assert str(failure.value) == "class map for arrow a is not well defined: class 0 sent to both 0 and 1"
 
 
 def test_an_injective_canonical_map_does_not_certify_p3():

@@ -76,7 +76,7 @@ def test_inverse_laws(isg):
     for s in isg.arrows:
         assert isg.inv(isg.inv(s)) == s
         assert isg.mul(s, isg.inv(s)) in isg.idempotent_set()
-    for s, t in isg.table.composable_pairs():
+    for s, t in isg.composable_pairs():
         assert isg.inv(isg.mul(s, t)) == isg.mul(isg.inv(t), isg.inv(s))
 
 
@@ -182,7 +182,7 @@ def test_generators_are_greedy_and_generate_every_arrow(isg):
     assert sorted(ug for _, _, ug in tree) == sorted(set(range(len(isg.arrows))) - set(generators))
     reached = set(generators)
     for u, g, ug in tree:
-        assert g in generators and ug == isg.table._mul[u][g]
+        assert g in generators and ug == isg._mul[u][g]
         assert u in reached, (u, g, ug)
         reached.add(ug)
 
@@ -347,7 +347,7 @@ def test_seeded_restrictions_round_trip_through_text(slot, seed):
     text = format_action(action, "ref.isgd")
     assert parse_action(text, entry.structure) == action
     structure_text = format_structure(entry.structure)
-    assert parse_structure(structure_text).table == entry.structure.table
+    assert parse_structure(structure_text).table == entry.structure
 
 
 # ---------------------------------------------------------------------------

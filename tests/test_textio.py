@@ -27,7 +27,7 @@ from isgact import (
     validate_e_axioms,
     validate_p_axioms,
 )
-from isgact.catalog import catalog, four_point_action, grow_catalog, three_point_action
+from isgact.catalog import catalog, four_point_action, grow_catalog, three_point_action, two_object_hybrid_table
 from isgact.cli import run_cli
 
 
@@ -48,7 +48,7 @@ def test_structure_round_trip_on_every_catalog_entry():
     for entry in catalog():
         text = format_structure(entry.structure)
         doc = parse_structure(text)
-        assert doc.table == entry.structure.table
+        assert doc.table == entry.structure
         assert doc.inverse == entry.structure.inverse_map()
         assert format_structure(entry.structure) == text  # printing is stable
 
@@ -86,7 +86,7 @@ def assert_reads_back(isg, action):
     except StructuralError as err:
         assert any(repr(x) in str(err) for x in names), err
     else:
-        assert doc.table == isg.table and doc.inverse == isg.inverse_map()
+        assert doc.table == isg and doc.inverse == isg.inverse_map()
     try:
         back = parse_action(format_action(action, "ref.isgd"), isg)
     except StructuralError as err:
@@ -134,7 +134,7 @@ def test_a_formatter_refuses_a_name_or_writes_text_that_reads_back(drawn):
 def test_names_that_hold_format_characters_but_read_back_are_written(objects, arrows, points):
     # the two-object hybrid with its four-point action: no line that starts with `[` ends with `]`
     isg, action = renamed(catalog()[0].actions[0], objects, arrows, points)
-    assert parse_structure(format_structure(isg)).table == isg.table
+    assert parse_structure(format_structure(isg)).table == isg
     assert parse_action(format_action(action, "ref.isgd"), isg) == action
 
 
@@ -447,7 +447,7 @@ def test_load_action_splits_the_action_text_into_lines_once(monkeypatch, unshare
 def test_declared_inverse_mismatch_fails_loading(tmp_path, hybrid):
     inv = hybrid.inverse_map()
     inv["a"], inv["a*"] = "a", "a*"   # wrong on purpose
-    text = format_structure(hybrid.table) + "\n[inverse]\n"
+    text = format_structure(two_object_hybrid_table()) + "\n[inverse]\n"
     text += "".join(f"{s} = {t}\n" for s, t in inv.items())
     target = tmp_path / "bad_inverse.isgd"
     target.write_text(text)

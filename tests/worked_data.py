@@ -125,7 +125,7 @@ def audit_equivalence_lemmas(action: PartialAction, quotient):
 def assert_exact_composites(action: PartialAction):
     """For a global action the composite of two arrow maps IS the product map."""
     isg = action.semigroupoid
-    for s, t in isg.table.composable_pairs():
+    for s, t in isg.composable_pairs():
         st = isg.mul(s, t)
         allowed = action.dom_of[t] & action.dom_of[isg.inv(s)]
         composite = {x: action.theta[s][y] for x, y in action.theta[t].items() if y in allowed}
