@@ -8,9 +8,9 @@ action is made once and held on it: the linear checks
 (``PartialAction._unsettled``, the pairs that may break it).  The law is
 decided along the generators: on the right Cayley edges of a global action,
 and by a passing construction of its globalization (the certificate)
-otherwise.  Only an action that fails the law, or the linear checks, has
-its pairs compared one by one, to write its report.  P3 and E2 each run
-their pointwise check on the pairs left alone, so P and E, in either order,
+otherwise.  Only an action that fails the law, or the linear checks, is
+scanned pair by pair, to write its report: P3 and E2 each run their
+pointwise check on every composable pair, so P and E, in either order,
 and the construction's refusal share one decision.  Actions store
 arrows and points by position, and the scans read those rows in carrier
 order, with arrows through the structure's integer tables, so witnesses
@@ -246,7 +246,7 @@ def _generator_edges_hold(action: PartialAction) -> bool:
 
 
 def _unsettled_pairs(action: PartialAction) -> Iterator[tuple[int, int, int]]:
-    """The composable pairs (s, t, s t) of arrow positions whose rows may break the composition law, in (s, t) order.
+    """The composable pairs (s, t, s t) of arrow positions that P3 and E2 check pointwise, in (s, t) order.
 
     When the linear checks found nothing (``action._linear``), the law is
     decided along the generators, and no pair is left when it holds: P3 then
@@ -260,17 +260,9 @@ def _unsettled_pairs(action: PartialAction) -> Iterator[tuple[int, int, int]]:
     certificate.  On a valid input the check passes unless the construction
     is at fault.
 
-    Otherwise the law fails, or the linear checks do, and the pairs are
-    compared one by one to write the report.  A pair (s, t) compares two
-    lists read at the points where the row of t is defined: the row of s at
-    each value, the row of s t at each point.  For arrows whose row is
-    defined exactly on dom_of[inv] and lands in their own domain
-    ("shaped"), they are equal exactly when P3 holds for the pair: both
-    sides are undefined off dom_of[inv(s t)] n dom_of[inv t] and agree on
-    it.  A pair that fails, or that involves an arrow that is not shaped, is
-    left.  A pair that is not left satisfies E2 as well: theta[s] is defined
-    exactly on dom_of[inv s], so wherever theta[s](theta[t](x)) is defined,
-    theta[s t](x) equals it.  ``PartialAction._unsettled`` holds the pairs.
+    Otherwise the law fails, or the linear checks do, and every composable
+    pair is left (``isg._products``), so the report is that of the
+    pointwise scan.  ``PartialAction._unsettled`` holds the pairs.
     """
     from .globalization import _construct  # globalization imports this module
 
@@ -279,20 +271,7 @@ def _unsettled_pairs(action: PartialAction) -> Iterator[tuple[int, int, int]]:
             return
     elif not action._linear and not isinstance(_construct(action), str):
         return
-    isg = action.semigroupoid
-    rows, masks, inv = action.rows, action.masks, isg._inv
-    # per arrow, the positions where its row is defined, the row there, and whether it is shaped
-    keys = [[i for i, j in enumerate(row) if j >= 0] for row in rows]
-    values = [list(map(row.__getitem__, at)) for row, at in zip(rows, keys)]
-    shaped = [[j >= 0 for j in row] == masks[i] and all(map(image.__getitem__, vals)) for row, i, image, vals in zip(rows, inv, masks, values)]
-    for s, (d, products) in enumerate(zip(isg._dom, isg._mul)):
-        row_s = rows[s]
-        for t in isg._into[d]:  # the right partners t of s, in declaration order, and the products s t
-            st = products[t]
-            if shaped[s] and shaped[t] and shaped[st]:
-                if list(map(row_s.__getitem__, values[t])) == list(map(rows[st].__getitem__, keys[t])):
-                    continue
-            yield s, t, st
+    yield from action.semigroupoid._products
 
 
 def validate_p_axioms(action: PartialAction) -> ValidationReport:
@@ -316,10 +295,10 @@ def validate_e_axioms(action: PartialAction) -> ValidationReport:
 
     E1 reads each arrow's row once, and E3 compares each order pair's
     masks, looping over points only for a pair that fails.  E2 checks
-    theta[s t] against theta[s] o theta[t] pointwise only on the pairs that
-    ``action._unsettled`` leaves, the decision P reads too: every other pair
-    satisfies it, so the report is that of the scan over every composable
-    pair.
+    theta[s t] against theta[s] o theta[t] pointwise on the pairs that
+    ``action._unsettled`` leaves, the decision P reads too: none when the
+    composition law is certified, since P3 for a pair gives E2 for it, and
+    every composable pair otherwise.
     """
     isg = action.semigroupoid
     arrows, inv = isg.arrows, isg._inv

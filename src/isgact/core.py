@@ -34,7 +34,7 @@ UNDEF = -1
 
 
 class StructuralError(ValueError):
-    """Input data references undeclared names or is shaped wrongly.
+    """Input data references undeclared names or is malformed.
 
     When the cause is a failed axiom scan, ``report`` holds its violations.
     """

@@ -1,9 +1,9 @@
 """Reference oracle for validate_e_axioms: E2 by the pointwise scan of every composable pair.
 
-The library decides the composition law once, with the row comparison that
-P3 uses (or the generator edges on a global action), and runs the pointwise
-E2 check only on the pairs that comparison leaves.  This is the scan it
-replaced, which checks every product (s, t, s t) at every point; the tests
+The library decides the composition law once, by the generator edges of a
+global action or the construction of its globalization otherwise, and runs
+the pointwise E2 check only on an action that decision refuses.  This is the
+scan that checks every product (s, t, s t) at every point; the tests
 require equal reports: tags, messages, witnesses and order.  ``_union`` is
 copied here so that the oracle shares no code with the scan it checks.
 """

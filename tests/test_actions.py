@@ -4,6 +4,7 @@ from isgact import (
     CoverageError,
     PartialAction,
     SemigroupoidTable,
+    StructuralError,
     actions,
     infer_inverses,
     is_global,
@@ -20,6 +21,37 @@ from dual_route_oracles import is_global_diagnostic
 def test_corrected_four_point_action_passes_both_systems(four_point):
     assert validate_p_axioms(four_point).ok
     assert validate_e_axioms(four_point).ok
+
+
+# semilattice-2 on two points: top fixes both, bot fixes 1
+_VALID = {"carrier": ("1", "2"), "dom_of": {"top": {"1", "2"}, "bot": {"1"}}, "theta": {"top": {"1": "1", "2": "2"}, "bot": {"1": "1"}}}
+
+
+@pytest.mark.parametrize(
+    "replaced, message",
+    [
+        ({"carrier": ("1", "2", "1")}, "duplicate carrier elements"),
+        ({"dom_of": {"top": {"1", "2"}}}, "dom_of missing arrows: ['bot']"),
+        ({"theta": {"top": {"1": "1", "2": "2"}}}, "theta missing arrows: ['bot']"),
+        ({"dom_of": {**_VALID["dom_of"], "ghost": set()}}, "dom_of given for undeclared arrows: ['ghost']"),
+        ({"theta": {**_VALID["theta"], "ghost": {}}}, "theta given for undeclared arrows: ['ghost']"),
+        ({"dom_of": {**_VALID["dom_of"], "bot": {"1", "9"}}}, "dom_of[bot] leaves the carrier: ['9']"),
+        ({"theta": {**_VALID["theta"], "bot": {"1": "9"}}}, "theta[bot] maps '1' to '9' outside the carrier"),
+    ],
+    ids=["duplicate-carrier", "dom_of-missing", "theta-missing", "dom_of-undeclared", "theta-undeclared", "dom_of-leaves-carrier", "theta-leaves-carrier"],
+)
+def test_the_action_constructor_names_what_its_input_lacks_or_adds(replaced, message):
+    PartialAction(semilattice_2(), **_VALID)  # the valid action the cases change
+    with pytest.raises(StructuralError) as err:
+        PartialAction(semilattice_2(), **{**_VALID, **replaced})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("subset, message", [({"9"}, "['9']"), ({"1", "x", "9"}, "['9', 'x']")], ids=["one", "two"])
+def test_restrict_names_the_subset_points_outside_the_carrier(three_point, subset, message):
+    with pytest.raises(StructuralError) as err:
+        restrict(three_point, subset)
+    assert str(err.value) == f"subset leaves the carrier: {message}"
 
 
 def test_bad_range_variant_fails_with_a_witness_on_a(four_point_bad_range):

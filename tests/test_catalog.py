@@ -70,6 +70,17 @@ def test_fixed_seed_reproduces_the_two_point_restriction():
     assert random_partial_action(entry, 1, 0) == expected
 
 
+@pytest.mark.parametrize(
+    "entry, index",
+    [(entry, i) for entry in ENTRIES.values() for i, ca in enumerate(entry.actions) if not ca.global_tag],
+    ids=lambda x: getattr(x, "name", str(x)),
+)
+def test_a_seeded_restriction_of_an_action_that_is_not_global_is_refused(entry, index):
+    with pytest.raises(ValueError) as err:
+        random_partial_action(entry, index, 0)
+    assert str(err.value) == f"action {entry.actions[index].name} of {entry.name} is not global"
+
+
 def test_some_seed_yields_the_full_carrier():
     entry = ENTRIES["cyclic-3"]
     base = entry.actions[0].action

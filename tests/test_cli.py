@@ -172,6 +172,34 @@ def test_mediate_default_and_strict(capsys, fixtures_dir):
     assert out_strict == out
 
 
+def test_mediate_reports_a_sigma_that_is_not_injective_on_a_fiber_and_strict_refuses_its_map(capsys, tmp_path):
+    # pair-groupoid-2 on one point x, with pq and qp on empty domains, into the one-point global action
+    code, structure, _ = run(capsys, "catalog", "--entry", "pair-groupoid-2", "--emit-structure")
+    assert code == 0
+    (tmp_path / "pair.isgd").write_text(structure)
+    header, fixed, empty = "structure = pair.isgd\n[carrier] = x\n", "[domain {0}] = x\n[map {0}] = x->x\n", "[domain {0}] =\n[map {0}] =\n"
+    arrows = ("pp", "pq", "qp", "qq")
+    (tmp_path / "point.pact").write_text(header + "".join((empty if a in ("pq", "qp") else fixed).format(a) for a in arrows))
+    (tmp_path / "global.pact").write_text(header + "".join(fixed.format(a) for a in arrows))
+    args = ("mediate", str(tmp_path / "point.pact"), "--target", str(tmp_path / "global.pact"))
+    code, out, err = run(capsys, *args)
+    assert (code, err) == (1, "")
+    assert out == (
+        "sigma: 0 -> x, 1 -> x, 2 -> x\n"
+        "fiber injectivity: FAIL (2 violation(s))\n"
+        "  [fiber-injectivity] classes 0 and 1 in the fiber of p share the value x  witness=('p', 0, 1, 'x')\n"
+        "  [fiber-injectivity] classes 0 and 2 in the fiber of q share the value x  witness=('q', 0, 2, 'x')\n"
+    )
+    code, out, err = run(capsys, *args, "--strict")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: not a globalization triple:\n"
+        "FAIL (2 violation(s))\n"
+        "  [embedding-domain] preimage equation for arrow pq fails at x  witness=('pq', 'x')\n"
+        "  [embedding-domain] preimage equation for arrow qp fails at x  witness=('qp', 'x')\n"
+    )
+
+
 def test_mediate_with_an_explicit_embedding(capsys, fixtures_dir):
     code, out, _ = run(
         capsys,
@@ -478,6 +506,15 @@ def test_a_parse_error_is_one_positioned_error_line(capsys, tmp_path, fixtures_d
     assert code == 2
     assert out == ""
     assert err == f"error: {tmp_path / name}: {error}\n"
+
+
+def test_an_action_file_holding_only_its_header_misses_its_carrier_section(capsys, tmp_path, fixtures_dir):
+    (tmp_path / "eight_arrow.isgd").write_text((fixtures_dir / "eight_arrow.isgd").read_text())
+    path = tmp_path / "header.pact"
+    path.write_text("structure = eight_arrow.isgd\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: line 1, col 1: missing [carrier] section\n"
 
 
 def test_a_parse_error_in_a_referenced_structure_names_the_structure_file(capsys, tmp_path, fixtures_dir):

@@ -85,6 +85,23 @@ def test_structural_errors_are_not_axiom_violations():
         SemigroupoidTable(("o",), ("e", "e"), {"e": "o"}, {"e": "o"}, {})
 
 
+@pytest.mark.parametrize(
+    "objects, dom, cod, message",
+    [
+        (("o", "o"), {"e": "o"}, {"e": "o"}, "duplicate object names"),
+        (("o",), {}, {"e": "o"}, "dom undefined for arrow 'e'"),
+        (("o",), {"e": "o"}, {}, "cod undefined for arrow 'e'"),
+        (("o",), {"e": "o", "f": "o"}, {"e": "o"}, "dom given for undeclared arrow 'f'"),
+        (("o",), {"e": "o"}, {"e": "o", "f": "o"}, "cod given for undeclared arrow 'f'"),
+    ],
+    ids=["duplicate-objects", "dom-undefined", "cod-undefined", "dom-undeclared", "cod-undeclared"],
+)
+def test_the_table_constructor_names_what_its_input_lacks_or_adds(objects, dom, cod, message):
+    with pytest.raises(StructuralError) as err:
+        SemigroupoidTable(objects, ("e",), dom, cod, {("e", "e"): "e"})
+    assert str(err.value) == message
+
+
 def test_infer_inverses_on_the_hybrid_structure(hybrid):
     assert hybrid.inverse_map() == {
         "a": "a*", "a*": "a", "b": "b*", "b*": "b",

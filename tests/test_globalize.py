@@ -276,6 +276,9 @@ def test_uniqueness_reports_a_class_off_the_embedding():
     assert verify_universal_by_enumeration(glob, j, sigma).violations == (
         Violation("uniqueness", "3 commuting action maps found, expected exactly one", ()),
     )
+    with pytest.raises(WellDefinednessError) as err:
+        mediating(glob, j)
+    assert str(err.value) == f"class {n} is not one move from the embedding, so its value is not forced"
 
 
 def test_uniqueness_checks_the_forced_map():

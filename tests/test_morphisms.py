@@ -16,6 +16,7 @@ from isgact import (
     restrict,
     validate_p_axioms,
 )
+from isgact.catalog import catalog_entry
 from isgact.core import Violation
 
 from dual_route_oracles import embedding_by_points
@@ -24,6 +25,23 @@ from dual_route_oracles import embedding_by_points
 @pytest.fixture()
 def two_point(three_point):
     return restrict(three_point, {"1", "2"})
+
+
+@pytest.mark.parametrize(
+    "target, mapping, message",
+    [
+        ("semilattice-2", {"1": "1", "2": "2"}, "source and target actions live over different semigroupoids"),
+        ("three-point", {"1": "1"}, "map undefined on source elements: ['2']"),
+        ("three-point", {"1": "1", "2": "2", "3": "3"}, "map defined outside the source carrier: ['3']"),
+        ("three-point", {"1": "1", "2": "9"}, "map values outside the target carrier: ['9']"),
+    ],
+    ids=["different-semigroupoids", "undefined-on-source", "defined-outside-source", "values-outside-target"],
+)
+def test_the_map_constructor_names_what_its_input_lacks_or_adds(two_point, three_point, target, mapping, message):
+    targets = {"semilattice-2": catalog_entry("semilattice-2").actions[0].action, "three-point": three_point}
+    with pytest.raises(StructuralError) as err:
+        ActionMap(two_point, targets[target], mapping)
+    assert str(err.value) == message
 
 
 def test_identity_is_an_action_map(four_point, three_point):

@@ -242,7 +242,7 @@ def test_the_construction_refuses_what_the_scan_rejects_on_seeded_restrictions(s
     ids=[f"{entry.name}/{ca.name}" for entry in GROWN for ca in entry.actions],
 )
 def test_the_e_scan_matches_the_every_pair_oracle_on_corruptions_and_swaps(action):
-    # E2 runs only on the pairs that the P3 row comparison leaves; the oracle checks every pair pointwise
+    # E2 runs only when the composition-law decision refuses the action; the oracle checks every pair pointwise
     tags = set()
     for a in _corruptions_and_swaps(action):
         report = validate_e_axioms(a)
