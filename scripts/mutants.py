@@ -82,15 +82,22 @@ MUTANTS = [
     Mutant(
         "linear-checks-not-held",
         "src/isgact/actions.py",
-        "        if self._linear_found is None:\n            self._linear_found = tuple(_linear_violations(self))\n        return self._linear_found\n",
-        "        return tuple(_linear_violations(self))\n",
+        "    @cached_property\n    def _linear(",
+        "    @property\n    def _linear(",
     ),
     # so is the decision of the composition law
     Mutant(
-        "unsettled-pairs-not-held",
+        "law-decision-not-held",
         "src/isgact/actions.py",
-        "        if self._unsettled_found is None:\n            self._unsettled_found = tuple(_unsettled_pairs(self))\n        return self._unsettled_found\n",
-        "        return tuple(_unsettled_pairs(self))\n",
+        "    @cached_property\n    def _certified(",
+        "    @property\n    def _certified(",
+    ),
+    # the edge route assumes the linear checks passed: edges that hold give P3 only on a valid global action
+    Mutant(
+        "edges-taken-off-the-linear-checks",
+        "src/isgact/actions.py",
+        "return not action._linear and _generator_edges_hold(action)",
+        "return _generator_edges_hold(action)",
     ),
     # E3 compares each order pair's masks at once, and loops over points only where they fail
     Mutant(
@@ -125,15 +132,15 @@ MUTANTS = [
     Mutant(
         "certificate-taken-off-the-linear-checks",
         "src/isgact/actions.py",
-        "elif not action._linear and not isinstance(_construct(action), str):",
-        "elif not isinstance(_construct(action), str):",
+        "return not action._linear and not isinstance(_construct(action), str)",
+        "return not isinstance(_construct(action), str)",
     ),
     # an action is certified only by a construction that passed its self-audits, not by the message of one that failed
     Mutant(
         "construction-outcome-not-read",
         "src/isgact/actions.py",
-        "elif not action._linear and not isinstance(_construct(action), str):",
-        "elif not action._linear and _construct(action):",
+        "return not action._linear and not isinstance(_construct(action), str)",
+        "return not action._linear and bool(_construct(action))",
     ),
     # a loaded structure is shared by the bytes it was read from, so a rewritten file is a new structure
     Mutant(

@@ -4,17 +4,17 @@ Two axiom systems are validated: the definitional one (identity on
 idempotent domains, containment in the idempotent hull, composition
 compatibility) and the equivalent bijection-based one.  Each judgement of an
 action is made once and held on it: the linear checks
-(``PartialAction._linear``) and the composition law
-(``PartialAction._unsettled``, the pairs that may break it).  The law is
-decided along the generators: on the right Cayley edges of a global action,
-and by a passing construction of its globalization (the certificate)
-otherwise.  Only an action that fails the law, or the linear checks, is
-scanned pair by pair, to write its report: P3 and E2 each run their
-pointwise check on every composable pair, so P and E, in either order,
-and the construction's refusal share one decision.  Actions store
-arrows and points by position, and the scans read those rows in carrier
-order, with arrows through the structure's integer tables, so witnesses
-come out sorted and names appear only in the violations they report.
+(``PartialAction._linear``) and whether the composition law holds
+(``PartialAction._certified``), a yes or no.  The law is decided along the
+generators: on the right Cayley edges of a global action, and by a passing
+construction of its globalization (the certificate) otherwise.  Only an
+action that fails the law, or the linear checks, is scanned pair by pair,
+to write its report: P3 and E2 each run their pointwise check on every
+composable pair, so P and E, in either order, and the construction's
+refusal share one decision.  Actions store arrows and points by position,
+and the scans read those rows in carrier order, with arrows through the
+structure's integer tables, so witnesses come out sorted and names appear
+only in the violations they report.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import compress
 from operator import le
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .core import InverseSemigroupoid, StructuralError, ValidationReport, Violation
 
@@ -45,18 +45,13 @@ class PartialAction:
     dom_of[inv(s)] onto dom_of[s].  ``theta`` and ``dom_of`` are read-only
     name views of that store, built on first read, so the store is not to be
     changed after construction.  The judgements read off the store,
-    ``_linear`` and ``_unsettled``, are held the same way.
+    ``_linear`` and ``_certified``, are held the same way.
 
     The constructor takes names and only checks that they refer to declared
     arrows and carrier elements; everything else is left to the validators
     so that broken inputs are reported, not silently repaired.
     ``_from_rows`` takes rows and masks that are in range by construction.
     """
-
-    _theta: dict | None = None  # the name views and the judgements, until first read
-    _dom_of: dict | None = None
-    _linear_found: tuple | None = None
-    _unsettled_found: tuple | None = None
 
     def __init__(self, semigroupoid: InverseSemigroupoid, carrier: Iterable, dom_of: Mapping[str, Iterable], theta: Mapping[str, Mapping]):
         carrier = tuple(carrier)
@@ -99,34 +94,26 @@ class PartialAction:
         """Each carrier element's position."""
         return {x: i for i, x in enumerate(self.carrier)}
 
-    @property
+    @cached_property
     def theta(self) -> dict[str, dict]:
         """theta[s] as a dict from each point where it is defined to its image."""
-        if self._theta is None:
-            c = self.carrier
-            self._theta = {s: {c[i]: c[j] for i, j in enumerate(row) if j >= 0} for s, row in zip(self.semigroupoid.arrows, self.rows)}
-        return self._theta
+        c = self.carrier
+        return {s: {c[i]: c[j] for i, j in enumerate(row) if j >= 0} for s, row in zip(self.semigroupoid.arrows, self.rows)}
 
-    @property
+    @cached_property
     def dom_of(self) -> dict[str, frozenset]:
         """dom_of[s] as a frozenset of points."""
-        if self._dom_of is None:
-            self._dom_of = {s: frozenset(compress(self.carrier, mask)) for s, mask in zip(self.semigroupoid.arrows, self.masks)}
-        return self._dom_of
+        return {s: frozenset(compress(self.carrier, mask)) for s, mask in zip(self.semigroupoid.arrows, self.masks)}
 
-    @property
+    @cached_property
     def _linear(self) -> tuple[Violation, ...]:
         """The violations of the linear checks, ``_linear_violations``'s one call."""
-        if self._linear_found is None:
-            self._linear_found = tuple(_linear_violations(self))
-        return self._linear_found
+        return tuple(_linear_violations(self))
 
-    @property
-    def _unsettled(self) -> tuple[tuple[int, int, int], ...]:
-        """The pairs that may break the composition law, ``_unsettled_pairs``'s one call."""
-        if self._unsettled_found is None:
-            self._unsettled_found = tuple(_unsettled_pairs(self))
-        return self._unsettled_found
+    @cached_property
+    def _certified(self) -> bool:
+        """Whether the composition law is certified, ``_law_certified``'s one call."""
+        return _law_certified(self)
 
     def sorted_elements(self, xs: Iterable) -> list:
         return sorted(xs, key=self._pos.__getitem__)
@@ -245,48 +232,45 @@ def _generator_edges_hold(action: PartialAction) -> bool:
     return all(rows[mul[s][g]] == [rows[s][j] if j >= 0 else -1 for j in rows[g]] for g in isg._generators for s in leaving[cod[g]])
 
 
-def _unsettled_pairs(action: PartialAction) -> Iterator[tuple[int, int, int]]:
-    """The composable pairs (s, t, s t) of arrow positions that P3 and E2 check pointwise, in (s, t) order.
+def _law_certified(action: PartialAction) -> bool:
+    """Whether the composition law is certified along the generators, so that P3 and E2 need check no pair.
 
-    When the linear checks found nothing (``action._linear``), the law is
-    decided along the generators, and no pair is left when it holds: P3 then
-    holds for every pair, and P3 for a pair gives E2 for it.  A global
-    action, as the construction's outputs and mediating targets are, is
-    decided on its right Cayley edges (``_generator_edges_hold``).  Any
-    other action is decided by its globalization: the construction
-    (``globalization._construct``) closes its seeds along the generators,
-    and its output check passes only when the input satisfies P3 (the proof
-    is in ``build_globalization``), so a built globalization is the
-    certificate.  On a valid input the check passes unless the construction
-    is at fault.
+    Only an action that the linear checks found nothing on
+    (``action._linear``) is certified: P3 then holds for every pair, and P3
+    for a pair gives E2 for it.  A global action, as the construction's
+    outputs and mediating targets are, is decided on its right Cayley edges
+    (``_generator_edges_hold``).  Any other action is decided by its
+    globalization: the construction (``globalization._construct``) closes
+    its seeds along the generators, and its output check passes only when
+    the input satisfies P3 (the proof is in ``build_globalization``), so a
+    built globalization is the certificate.  On a valid input the check
+    passes unless the construction is at fault.
 
-    Otherwise the law fails, or the linear checks do, and every composable
-    pair is left (``isg._products``), so the report is that of the
-    pointwise scan.  ``PartialAction._unsettled`` holds the pairs.
+    An action that is not certified fails the law, or the linear checks,
+    and its report is that of the pointwise scan over every composable
+    pair.  ``PartialAction._certified`` holds the answer.
     """
     from .globalization import _construct  # globalization imports this module
 
     if is_global(action):
-        if not action._linear and _generator_edges_hold(action):
-            return
-    elif not action._linear and not isinstance(_construct(action), str):
-        return
-    yield from action.semigroupoid._products
+        return not action._linear and _generator_edges_hold(action)
+    return not action._linear and not isinstance(_construct(action), str)
 
 
 def validate_p_axioms(action: PartialAction) -> ValidationReport:
     """Check the definitional axiom system, with a witness per violation.
 
-    The linear checks (``action._linear``), then the full P3 check on each
-    pair that ``action._unsettled`` leaves, so witnesses keep their (s, t)
-    order.  Both are held on the action, so a second call, or E after P,
-    decides nothing again.  ``build_globalization`` calls it only to refuse
-    an input: it reads only the linear checks of its input, and its output
-    check proves P3.
+    The linear checks (``action._linear``), then, unless the composition law
+    is certified (``action._certified``), the full P3 check on every
+    composable pair in (s, t) order.  Both judgements are held on the
+    action, so a second call, or E after P, decides nothing again.
+    ``build_globalization`` calls it only to refuse an input: it reads only
+    the linear checks of its input, and its output check proves P3.
     """
     v = list(action._linear)
-    for s, t, st in action._unsettled:
-        v += _p3_violations(action, s, t, st)
+    if not action._certified:
+        for s, t, st in action.semigroupoid._products:
+            v += _p3_violations(action, s, t, st)
     return ValidationReport(tuple(v))
 
 
@@ -295,10 +279,9 @@ def validate_e_axioms(action: PartialAction) -> ValidationReport:
 
     E1 reads each arrow's row once, and E3 compares each order pair's
     masks, looping over points only for a pair that fails.  E2 checks
-    theta[s t] against theta[s] o theta[t] pointwise on the pairs that
-    ``action._unsettled`` leaves, the decision P reads too: none when the
-    composition law is certified, since P3 for a pair gives E2 for it, and
-    every composable pair otherwise.
+    theta[s t] against theta[s] o theta[t] pointwise on every composable
+    pair unless the composition law is certified (``action._certified``),
+    the decision P reads too, since P3 for a pair gives E2 for it.
     """
     isg = action.semigroupoid
     arrows, inv = isg.arrows, isg._inv
@@ -328,16 +311,17 @@ def validate_e_axioms(action: PartialAction) -> ValidationReport:
         if not inside:
             v.append(Violation("E1", f"carrier element {x} lies in no arrow domain", (x,)))
 
-    # E2: theta[st] extends theta[s] o theta[t] on the composite domain; the pairs P3 settles satisfy it.
-    for s, t, st in action._unsettled:
-        row_s, row_st = rows[s], rows[st]
-        image_t, window_s = masks[t], masks[inv[s]]
-        for i, j in enumerate(rows[t]):
-            if j >= 0 and image_t[j] and window_s[j]:
-                if row_st[i] < 0:
-                    v.append(Violation("E2", f"theta[{arrows[st]}] undefined at {name[i]} of the composite domain of ({arrows[s]},{arrows[t]})", (arrows[s], arrows[t], name[i])))
-                elif row_st[i] != row_s[j]:
-                    v.append(Violation("E2", f"theta[{arrows[s]}] o theta[{arrows[t]}] and theta[{arrows[st]}] disagree at {name[i]}", (arrows[s], arrows[t], name[i])))
+    # E2: theta[st] extends theta[s] o theta[t] on the composite domain; a certified law gives it on every pair.
+    if not action._certified:
+        for s, t, st in isg._products:
+            row_s, row_st = rows[s], rows[st]
+            image_t, window_s = masks[t], masks[inv[s]]
+            for i, j in enumerate(rows[t]):
+                if j >= 0 and image_t[j] and window_s[j]:
+                    if row_st[i] < 0:
+                        v.append(Violation("E2", f"theta[{arrows[st]}] undefined at {name[i]} of the composite domain of ({arrows[s]},{arrows[t]})", (arrows[s], arrows[t], name[i])))
+                    elif row_st[i] != row_s[j]:
+                        v.append(Violation("E2", f"theta[{arrows[s]}] o theta[{arrows[t]}] and theta[{arrows[st]}] disagree at {name[i]}", (arrows[s], arrows[t], name[i])))
 
     # E3: domains are monotone for the natural order.
     for s, t in isg._order:

@@ -62,9 +62,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def __bool__(self) -> bool:
-        return self.ok
-
     def tags(self) -> set[str]:
         return {v.tag for v in self.violations}
 

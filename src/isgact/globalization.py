@@ -42,7 +42,7 @@ class Seed(NamedTuple):
 
 
 class WellDefinednessError(ValueError):
-    """Two representatives of one class produced different values."""
+    """Two seeds of one class produced different values."""
 
     def __init__(self, message: str, witness: tuple = ()):
         self.witness = witness
@@ -54,9 +54,9 @@ class Quotient:
 
     A record of the action, the seed index, each seed's class label and the
     class count; ``close_equivalence`` and ``build_globalization`` close the
-    relation and build it.  Classes are numbered by their first seed, their
-    representative.  The other members are views built on first read, for
-    the API, renderers and error messages.
+    relation and build it.  Classes are numbered in the order of their first
+    seeds.  The other members are views built on first read, for the API,
+    renderers and error messages.
     """
 
     def __init__(self, action: PartialAction, blocks: list, label: list[int], n_classes: int):
@@ -81,14 +81,6 @@ class Quotient:
         for seed, c in zip(self.seeds, self._label):
             members[c].append(seed)
         return tuple(map(tuple, members))
-
-    @cached_property
-    def representatives(self) -> tuple[Seed, ...]:
-        return tuple(m[0] for m in self.classes)
-
-    @cached_property
-    def class_of(self) -> dict[Seed, int]:
-        return dict(zip(self.seeds, self._label))
 
 
 def _merge(parent: list[int], pending: list[tuple[int, int]], tops: Sequence[list[int]] = ()) -> None:
@@ -493,13 +485,13 @@ def verify_universal(glob: Globalization, target, sigma: ActionMap, exhaustive_b
     if total > exhaustive_bound:
         notes.append(f"uniqueness skipped (bound): {len(points)}^{len(classes)} = {total} candidates exceed {exhaustive_bound}")
     else:
-        none_found = Violation("uniqueness", "0 commuting action maps found, expected exactly one", ())
+        no_map = Violation("uniqueness", "0 commuting action maps found, expected exactly one", ())
         try:
             values = _forced_values(glob, j)
         except WellDefinednessError:
             values = None
         if values is None:
-            v.append(none_found)
+            v.append(no_map)
         elif -1 in values:
             c = classes[values.index(-1)]
             v.append(Violation("uniqueness", f"class {c} is not one move from the embedding, so its value is not forced", (c,)))
@@ -509,7 +501,7 @@ def verify_universal(glob: Globalization, target, sigma: ActionMap, exhaustive_b
             # sigma's own check already decided the same map between the same two actions
             same = is_sigma and sigma.source is forced.source and sigma.target is forced.target
             if not (sig_report if same else is_action_map(forced)).ok:
-                v.append(none_found)
+                v.append(no_map)
             elif not is_sigma:
                 v.append(Violation("uniqueness", "the enumerated factoring map differs from sigma", ()))
     return ValidationReport(tuple(v), tuple(notes))

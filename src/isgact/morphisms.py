@@ -141,10 +141,6 @@ class GlobalizationTriple:
             raise StructuralError("not a globalization triple:\n" + report.render())
         self.embedding = embedding
 
-    @property
-    def target(self) -> PartialAction:
-        return self.embedding.target
-
 
 def compose(g: ActionMap, f: ActionMap) -> ActionMap:
     """Pointwise composite g after f; endpoints must match."""

@@ -52,8 +52,6 @@ class PairwiseQuotient(NamedTuple):
     edges: tuple
     n_classes: int
     classes: tuple
-    representatives: tuple
-    class_of: dict
 
 
 def pairwise_closure(seeds, action: PartialAction) -> PairwiseQuotient:
@@ -82,9 +80,7 @@ def pairwise_closure(seeds, action: PartialAction) -> PairwiseQuotient:
                     label[j] = c
                     stack.append(j)
         classes.append(tuple(seeds[i] for i in sorted(members)))
-    return PairwiseQuotient(
-        seeds, edges, len(classes), tuple(classes), tuple(m[0] for m in classes), dict(zip(seeds, label))
-    )
+    return PairwiseQuotient(seeds, edges, len(classes), tuple(classes))
 
 
 def seed_domain(action: PartialAction, s: str, seeds=None) -> list[Seed]:

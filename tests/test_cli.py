@@ -42,19 +42,20 @@ def p_axiom_routes(monkeypatch):
     """A function listing each decision of the composition law, in order, however many validators read it.
 
     Each decision is its action's carrier with "edges" when the generator
-    edges settled every pair, "certificate" when the action's construction
-    passed its output check, or "scan" when it went on to compare the rows.
+    edges certified the law, "certificate" when the action's construction
+    passed its output check, or "scan" when neither did, so that P3 and E2
+    scan every pair.
     A decision is listed when it starts, so one made inside another, on the
     output of its construction, comes after it.
     """
     decisions, deciding = [], []  # deciding: the indices of the decisions under way, innermost last
-    unsettled = actions._unsettled_pairs
+    certified = actions._law_certified
 
     def decided(action):
         deciding.append(len(decisions))
         decisions.append((action.carrier, "scan"))
         try:
-            return iter(tuple(unsettled(action)))  # run now, so the routes it takes are logged inside it
+            return certified(action)
         finally:
             deciding.pop()
 
@@ -67,7 +68,7 @@ def p_axiom_routes(monkeypatch):
 
         return run
 
-    monkeypatch.setattr(actions, "_unsettled_pairs", decided)
+    monkeypatch.setattr(actions, "_law_certified", decided)
     monkeypatch.setattr(actions, "_generator_edges_hold", logged("edges", actions._generator_edges_hold, bool))
     monkeypatch.setattr(globalization, "_construct", logged("certificate", globalization._construct, lambda outcome: not isinstance(outcome, str)))
     return lambda: decisions
@@ -517,6 +518,15 @@ def test_an_action_file_holding_only_its_header_misses_its_carrier_section(capsy
     assert err == f"error: {path}: line 1, col 1: missing [carrier] section\n"
 
 
+def test_an_action_file_with_a_second_carrier_section_is_refused_at_it(capsys, tmp_path, fixtures_dir):
+    (tmp_path / "eight_arrow.isgd").write_text((fixtures_dir / "eight_arrow.isgd").read_text())
+    path = tmp_path / "twice.pact"
+    path.write_text("structure = eight_arrow.isgd\n[carrier] = 1 2\n[carrier] = 1 2\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: line 3, col 1: duplicate [carrier] section\n"
+
+
 def test_a_parse_error_in_a_referenced_structure_names_the_structure_file(capsys, tmp_path, fixtures_dir):
     lines = (fixtures_dir / "eight_arrow.isgd").read_text().splitlines()
     lines[6] = "a : u -> w"
@@ -726,7 +736,7 @@ def test_globalize_and_mediate_read_no_name_view(capsys, monkeypatch, fixtures_d
     reads = []
     for view in ("theta", "dom_of"):
         original = getattr(actions.PartialAction, view)
-        monkeypatch.setattr(actions.PartialAction, view, property(lambda a, _f=original.fget: reads.append(a) or _f(a)))
+        monkeypatch.setattr(actions.PartialAction, view, property(lambda a, _f=original.func: reads.append(a) or _f(a)))
     restricted, target = fixtures_dir / "three_point_restricted.pact", fixtures_dir / "three_point_global.pact"
     assert run(capsys, "globalize", str(restricted), "--format", fmt)[0] == 0
     assert run(capsys, "mediate", str(restricted), "--target", str(target), "--strict")[0] == 0
@@ -737,12 +747,12 @@ def test_globalize_and_mediate_read_no_name_view(capsys, monkeypatch, fixtures_d
 def test_p_then_e_decide_the_linear_checks_and_the_composition_law_once(capsys, monkeypatch, fixtures_dir, command):
     # the swapped fixture passes the linear checks and leaves pairs for both P3 and E2
     linear = count_calls(monkeypatch, "_linear_violations", actions)
-    unsettled = count_calls(monkeypatch, "_unsettled_pairs", actions)
+    certified = count_calls(monkeypatch, "_law_certified", actions)
     code, out, _ = run(capsys, command, str(fixtures_dir / "three_point_swapped.pact"))
     assert code == 1
     assert out.count("\n  [P3") == 24 and out.count("\n  [E2]") == 20
     # the input once each; the certificate's attempt judges its one-class output once each too, and fails
-    assert [a.carrier for a, in linear] == [a.carrier for a, in unsettled] == [("1", "2"), (0,)]
+    assert [a.carrier for a, in linear] == [a.carrier for a, in certified] == [("1", "2"), (0,)]
 
 
 @pytest.mark.parametrize("command", ["validate", "check"])
@@ -766,7 +776,7 @@ def test_globalize_runs_the_linear_checks_once_on_an_input_it_refuses_for_them(c
 def test_globalize_json_and_mediate_build_no_seed_view(capsys, monkeypatch, fixtures_dir):
     # the construction, the JSON writer and mediating read the seed index and the class labels
     reads = []
-    for view in ("seeds", "classes", "representatives", "class_of", "edges"):
+    for view in ("seeds", "classes", "edges"):
         original = getattr(globalization.Quotient, view)
         monkeypatch.setattr(globalization.Quotient, view, property(lambda q, _f=original.func: reads.append(q) or _f(q)))
     restricted, target = fixtures_dir / "three_point_restricted.pact", fixtures_dir / "three_point_global.pact"

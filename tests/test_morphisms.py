@@ -67,6 +67,16 @@ def test_an_embedding_corestricts_to_an_isomorphism(three_point, two_point):
     assert is_isomorphism(ActionMap(two_point, onto_image, inc.mapping))
 
 
+def test_a_bijection_that_is_not_equivariant_is_not_an_isomorphism(three_point):
+    # a cycles the three points, so swapping 1 and 2 commutes with neither a nor a*
+    swap = ActionMap(three_point, three_point, {"1": "2", "2": "1", "3": "3"})
+    assert swap.image() == frozenset(three_point.carrier)
+    report = is_action_map(swap)
+    assert report.tags() == {"equivariance"}
+    assert [v.witness for v in report.violations] == [(s, x) for s in ("a", "a*") for x in ("1", "2", "3")]
+    assert not is_isomorphism(swap)
+
+
 def test_constant_map_fails_injectivity(two_point):
     const = ActionMap(two_point, two_point, {"1": "1", "2": "1"})
     report = is_embedding(const)

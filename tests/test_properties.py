@@ -253,7 +253,7 @@ def test_the_e_scan_matches_the_every_pair_oracle_on_corruptions_and_swaps(actio
 
 @pytest.mark.parametrize("name", sorted(SUBJECTS))
 def test_the_reports_do_not_depend_on_what_the_action_was_asked_before(name):
-    # the action holds its linear checks and its unsettled pairs; no report may change them or read them twice
+    # the action holds its linear checks and its composition-law decision; no report may change them or read them twice
     def fresh(a):
         return PartialAction._from_rows(a.semigroupoid, a.carrier, a.rows, a.masks)
 
@@ -425,8 +425,6 @@ def _assert_the_construction_closes_as_the_general_closure(action):
         assert built.n_classes == general.n_classes
         assert built.seeds == general.seeds
         assert built.classes == general.classes
-        assert built.representatives == general.representatives
-        assert built.class_of == general.class_of
         assert built.edges == general.edges
 
 
@@ -453,7 +451,7 @@ def test_the_construction_closes_as_the_general_closure_on_an_empty_carrier():
 def _assert_class_maps_match_the_seed_domain_oracle(action):
     glob = build_globalization(action)
     isg = action.semigroupoid
-    class_of = glob.quotient.class_of
+    class_of = dict(zip(glob.quotient.seeds, glob.quotient._label))
     for s in isg.arrows:
         domain = seed_domain(action, s, glob.quotient.seeds)
         moves = glob.global_action.theta[s]

@@ -101,6 +101,7 @@ def audit_equivalence_lemmas(action: PartialAction, quotient):
     and left-multiplied seeds stay equivalent.
     """
     isg = action.semigroupoid
+    class_of = {seed: c for c, members in enumerate(quotient.classes) for seed in members}
     for members in quotient.classes:
         for s, x in members:
             for t, y in members:
@@ -119,7 +120,7 @@ def audit_equivalence_lemmas(action: PartialAction, quotient):
                     assert mem_s == mem_t, (p, s, x, t, y)
                     if mem_s:
                         ps, pt = isg.mul(p, s), isg.mul(p, t)
-                        assert quotient.class_of[Seed(ps, x)] == quotient.class_of[Seed(pt, y)], (p, s, x, t, y)
+                        assert class_of[Seed(ps, x)] == class_of[Seed(pt, y)], (p, s, x, t, y)
 
 
 def assert_exact_composites(action: PartialAction):
