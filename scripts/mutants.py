@@ -3,12 +3,14 @@
 
 Each mutant is a small exact-text patch of one file under ``src/``: the
 fast path it breaks has an oracle in ``tests/``, or a pin that the tier-1
-suite holds.  For each mutant, one at a time, the script copies the
-repository without ``.git`` to a temporary directory, applies the patch
-there, and runs the tier-1 suite in one ``pytest -x -q`` process.  The
-mutant is killed when that run fails, and survives when it passes.  A patch
-whose old text does not occur exactly once in its file is stale, and is
-reported without being run.
+suite holds.  The script first copies the repository without ``.git`` to a
+temporary snapshot, so an edit made to the working tree during the run
+reaches no mutant.  For each mutant, one at a time, it copies the snapshot
+to a temporary directory, applies the patch there, and runs the tier-1
+suite in one ``pytest -x -q`` process.  The mutant is killed when that run
+fails, and survives when it passes.  A patch whose old text does not occur
+exactly once in its file in the snapshot is stale, and is reported without
+being run.
 
 The suite in the copy leaves out the test that checks the patches against
 the source, since in the copy one of them is already applied.  Before the
@@ -172,14 +174,14 @@ def occurrences(root: Path, mutant: Mutant) -> int:
     return path.read_text(encoding="utf-8").count(mutant.old) if path.is_file() else 0
 
 
-def run(mutant: Mutant) -> tuple[str, str]:
+def run(mutant: Mutant, snapshot: Path) -> tuple[str, str]:
     """The outcome, killed, survived or stale, and the first failing test with the suite's last output line."""
-    found = occurrences(ROOT, mutant)
+    found = occurrences(snapshot, mutant)
     if found != 1:
         return "stale", f"old text found {found} times in {mutant.path}"
     with tempfile.TemporaryDirectory(prefix="isgact-mutant-") as tmp:
         copy = Path(tmp) / "repo"
-        shutil.copytree(ROOT, copy, ignore=IGNORED)
+        shutil.copytree(snapshot, copy)
         target = copy / mutant.path
         target.write_text(target.read_text(encoding="utf-8").replace(mutant.old, mutant.new), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -195,16 +197,19 @@ def run(mutant: Mutant) -> tuple[str, str]:
 
 
 def main() -> int:
-    outcome, detail = run(CONTROL)
-    print(f"{outcome:8} {CONTROL.name}: {detail}", flush=True)
-    if outcome != "survived":
-        print("the control must survive: the suite does not pass on a comment-only patch, so no kill counts")
-        return 1
-    outcomes = []
-    for mutant in MUTANTS:
-        outcome, detail = run(mutant)
-        print(f"{outcome:8} {mutant.name}: {detail}", flush=True)
-        outcomes.append(outcome)
+    with tempfile.TemporaryDirectory(prefix="isgact-snapshot-") as tmp:
+        snapshot = Path(tmp) / "repo"
+        shutil.copytree(ROOT, snapshot, ignore=IGNORED)
+        outcome, detail = run(CONTROL, snapshot)
+        print(f"{outcome:8} {CONTROL.name}: {detail}", flush=True)
+        if outcome != "survived":
+            print("the control must survive: the suite does not pass on a comment-only patch, so no kill counts")
+            return 1
+        outcomes = []
+        for mutant in MUTANTS:
+            outcome, detail = run(mutant, snapshot)
+            print(f"{outcome:8} {mutant.name}: {detail}", flush=True)
+            outcomes.append(outcome)
     print(f"{outcomes.count('killed')} killed, {outcomes.count('survived')} survived, {outcomes.count('stale')} stale")
     return 0 if outcomes.count("killed") == len(outcomes) else 1
 

@@ -115,16 +115,6 @@ class PartialAction:
         """Whether the composition law is certified, ``_law_certified``'s one call."""
         return _law_certified(self)
 
-    def sorted_elements(self, xs: Iterable) -> list:
-        return sorted(xs, key=self._pos.__getitem__)
-
-    def apply(self, s: str, x):
-        """theta[s](x) when x lies in dom_of[inv(s)], else None."""
-        a, i = self.semigroupoid._aidx[s], self._pos.get(x)
-        if i is None or not self.masks[self.semigroupoid._inv[a]][i]:
-            return None
-        return _name(self, self.rows[a][i])
-
     def __contains__(self, x) -> bool:
         return x in self._pos
 

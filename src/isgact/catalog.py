@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .actions import PartialAction, is_global, restrict
 from .core import InverseSemigroupoid, SemigroupoidTable
-from .globalization import build_globalization
 
 
 @dataclass(frozen=True)
@@ -131,11 +130,6 @@ def _rotations(n: int) -> tuple[dict[str, dict], tuple]:
     return maps, points
 
 
-def cyclic_group(n: int) -> InverseSemigroupoid:
-    """The cyclic group of order n as a one-object structure."""
-    return partial_bijections(*_rotations(n))[0]
-
-
 # all seven partial injections of a two-point set
 _SYM2 = (
     {
@@ -180,11 +174,6 @@ def pair_groupoid_translation(isg: InverseSemigroupoid) -> PartialAction:
 
 # two commuting idempotents with top bot = bot, identities on nested domains
 _SEMILATTICE_2 = ({"top": {"1": "1", "2": "2"}, "bot": {"1": "1"}}, ("1", "2"))
-
-
-def semilattice_2() -> InverseSemigroupoid:
-    """Two commuting idempotents with top bot = bot."""
-    return partial_bijections(*_SEMILATTICE_2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +241,3 @@ def random_partial_action(entry: CatalogEntry, global_index: int, subset_seed: i
     subset = rng.sample(carrier, size)
     return restrict(base.action, subset, trim=True)
 
-
-def grow_catalog(entry: CatalogEntry) -> CatalogEntry:
-    """Add the globalization of every action as a fresh global action."""
-    added = []
-    for ca in entry.actions:
-        glob = build_globalization(ca.action)
-        added.append(CatalogAction(ca.name + "+globalized", glob.global_action, True))
-    return CatalogEntry(entry.name, entry.structure, entry.actions + tuple(added))

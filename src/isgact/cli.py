@@ -344,7 +344,3 @@ def run_cli(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

@@ -8,8 +8,8 @@ pseudo-inverse search, idempotents, products and the natural order visit
 each arrow's composable or parallel partners only, and keep their results
 by position too.  The greedy generator search keeps the right Cayley tree it
 walks, so the globalization composes its class maps along it without a second
-walk.  ``inv``, ``inverse_map``, ``idempotent_set``, ``products``,
-``strict_order`` and ``generators`` are name views of those integers.
+walk.  ``inv``, ``inverse_map``, ``idempotent_set`` and ``strict_order``
+are name views of those integers.
 An ``InverseSemigroupoid`` is the ``SemigroupoidTable`` that passed the
 axiom scan and the pseudo-inverse search: it adopts the checked table's
 lists and keeps its inverses and idempotents by position beside them.
@@ -163,9 +163,6 @@ class SemigroupoidTable:
     def cod(self, s: str) -> str:
         return self.objects[self._cod[self._aidx[s]]]
 
-    def composable(self, s: str, t: str) -> bool:
-        return self._dom[self._aidx[s]] == self._cod[self._aidx[t]]
-
     def mul(self, s: str, t: str) -> str | None:
         u = self._mul[self._aidx[s]][self._aidx[t]]
         return None if u == UNDEF else self.arrows[u]
@@ -181,10 +178,6 @@ class SemigroupoidTable:
         for a, ends in enumerate(zip(self._dom, self._cod)):
             hom.setdefault(ends, []).append(a)
         return [(s, t) for s, ends in enumerate(zip(self._dom, self._cod)) for t in hom[ends] if t != s]
-
-    def composable_pairs(self) -> list[tuple[str, str]]:
-        a = self.arrows
-        return [(a[s], a[t]) for s, t in self._composable()]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SemigroupoidTable):
@@ -349,10 +342,6 @@ class InverseSemigroupoid(SemigroupoidTable):
         mul = self._mul
         return [(s, t, mul[s][t]) for s, t in self._composable()]
 
-    @property
-    def products(self) -> tuple[tuple[str, str, str], ...]:
-        return tuple(map(self._names, self._products))
-
     @cached_property
     def _order(self) -> list[tuple[int, int]]:
         """Every pair (s, t) with s <= t in the natural order and s != t, s-major in declaration order."""
@@ -398,10 +387,6 @@ class InverseSemigroupoid(SemigroupoidTable):
     @property
     def _generators(self) -> list[int]:
         return self._generator_walk[0]
-
-    @property
-    def generators(self) -> tuple[str, ...]:
-        return self._names(self._generators)
 
     def __repr__(self) -> str:
         return f"InverseSemigroupoid({len(self.objects)} objects, {len(self.arrows)} arrows)"

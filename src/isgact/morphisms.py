@@ -46,9 +46,6 @@ class ActionMap:
     def __call__(self, x):
         return self.mapping[x]
 
-    def image(self) -> frozenset:
-        return frozenset(self.mapping.values())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ActionMap):
             return NotImplemented
@@ -151,7 +148,7 @@ def compose(g: ActionMap, f: ActionMap) -> ActionMap:
 
 def is_isomorphism(f: ActionMap) -> bool:
     """Bijective on carriers and equivariant in both directions."""
-    if len(f.image()) != len(f.source.carrier) or f.image() != frozenset(f.target.carrier):
+    if sorted(f._image) != list(range(len(f.target.carrier))):
         return False
     if not is_action_map(f).ok:
         return False

@@ -88,13 +88,12 @@ def _content_lines(text: str):
 
 
 def _token_col(body: str, token_index: int) -> int:
+    """The 1-based column of the body's token at ``token_index``, which exists."""
+    toks = body.split()
     col = 0
-    for i, tok in enumerate(body.split()):
-        col = body.index(tok, col)
-        if i == token_index:
-            return col + 1
-        col += len(tok)
-    return 1
+    for tok in toks[:token_index]:
+        col = body.index(tok, col) + len(tok)
+    return body.index(toks[token_index], col) + 1
 
 
 _SECTION = re.compile(r"^\[([^\]]*)\]\s*$")
@@ -115,24 +114,20 @@ def parse_structure(text: str) -> StructureDoc:
     spans: dict[str, range] = {}  # each section's content lines, as line indices
     current: str | None = None
     for i, body in enumerate(lines):
-        if "[" not in body:  # not a header: only its place before every header matters here
+        m = _SECTION.match(body.strip()) if "[" in body else None
+        if m is None:  # not a header: only its place before every header matters here
             if current is None and body.strip():
                 raise ParseError(i + 1, 1, "content before any section header")
             continue
-        body = body.strip()
-        m = _SECTION.match(body) if body[0] == "[" else None
-        if m:
-            name = m.group(1).strip()
-            if name not in ("objects", "arrows", "mul", "inverse"):
-                raise ParseError(i + 1, 1, f"unknown section [{name}]")
-            if name in spans:
-                raise ParseError(i + 1, 1, f"duplicate section [{name}]")
-            if current is not None:
-                spans[current] = range(spans[current].start, i)
-            spans[name] = range(i + 1, len(lines))
-            current = name
-        elif current is None:
-            raise ParseError(i + 1, 1, "content before any section header")
+        name = m.group(1).strip()
+        if name not in ("objects", "arrows", "mul", "inverse"):
+            raise ParseError(i + 1, 1, f"unknown section [{name}]")
+        if name in spans:
+            raise ParseError(i + 1, 1, f"duplicate section [{name}]")
+        if current is not None:
+            spans[current] = range(spans[current].start, i)
+        spans[name] = range(i + 1, len(lines))
+        current = name
 
     for required in ("objects", "arrows", "mul"):
         if required not in spans:

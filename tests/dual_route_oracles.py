@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from isgact import ActionMap, InverseSemigroupoid, PartialAction, ValidationReport, Violation, is_global
 
-from p_scan_oracle import _composite_domain
+from p_scan_oracle import _composite_domain, composable_pairs, in_carrier_order
 
 
 def is_action_map(f: ActionMap) -> ValidationReport:
@@ -25,7 +25,7 @@ def is_action_map(f: ActionMap) -> ValidationReport:
     v: list[Violation] = []
     for s in isg.arrows:
         family = tgt.dom_of[s]
-        for x in src.sorted_elements([x for x in src.dom_of[s] if m[x] not in family]):
+        for x in in_carrier_order(src, [x for x in src.dom_of[s] if m[x] not in family]):
             v.append(Violation("family", f"map sends {x} of dom_of[{s}] to {m[x]} outside the target dom_of[{s}]", (s, x)))
     for s in isg.arrows:
         theta_s, target_s = src.theta[s], tgt.theta[s]
@@ -34,7 +34,7 @@ def is_action_map(f: ActionMap) -> ValidationReport:
             moved, expected = theta_s.get(x), target_s.get(m[x])
             if moved is None or expected is None or m[moved] != expected:
                 bad[x] = moved, expected
-        for x in src.sorted_elements(bad):
+        for x in in_carrier_order(src, bad):
             moved, expected = bad[x]
             if moved is None:
                 v.append(Violation("equivariance", f"source theta[{s}] undefined at {x}", (s, x)))
@@ -64,7 +64,7 @@ def is_embedding_by_names(f: ActionMap) -> ValidationReport:
     src, tgt = f.source, f.target
     isg = src.semigroupoid
     v = list(is_action_map(f).violations) + _injectivity(f)
-    image = f.image()
+    image = set(f.mapping.values())
     for s in isg.arrows:
         reachable = set()
         for z in image & tgt.dom_of[isg.inv(s)]:
@@ -72,7 +72,7 @@ def is_embedding_by_names(f: ActionMap) -> ValidationReport:
             if w is not None:
                 reachable.add(w)
         pre = {x for x in src.carrier if f(x) in reachable}
-        for x in src.sorted_elements(pre ^ src.dom_of[s]):
+        for x in in_carrier_order(src, pre ^ src.dom_of[s]):
             v.append(Violation("embedding-domain", f"preimage equation for arrow {s} fails at {x}", (s, x)))
     return ValidationReport(tuple(v))
 
@@ -87,7 +87,7 @@ def embedding_by_points(f: ActionMap) -> ValidationReport:
     src, tgt = f.source, f.target
     isg = src.semigroupoid
     v = list(is_action_map(f).violations) + _injectivity(f)
-    image = f.image()
+    image = set(f.mapping.values())
     for s in isg.arrows:
         si = isg.inv(s)
         for x in src.carrier:
@@ -108,7 +108,7 @@ def is_global_diagnostic(action: PartialAction) -> bool:
     isg = action.semigroupoid
     by_domains = is_global(action)
     by_composites = True
-    for s, t in isg.composable_pairs():
+    for s, t in composable_pairs(isg):
         st = isg.mul(s, t)
         comp = _composite_domain(action, s, t)
         if comp != action.dom_of[isg.inv(st)]:
@@ -149,6 +149,6 @@ def natural_leq_diagnostic(isg: InverseSemigroupoid, s: str, t: str) -> OrderDia
     idem = isg.idempotent_set()
     rp = isg.mul(t, isg.mul(isg.inv(s), s)) == s
     lp = isg.mul(isg.mul(s, isg.inv(s)), t) == s
-    ri = any(isg.composable(t, e) and isg.mul(t, e) == s for e in isg.arrows if e in idem)
-    li = any(isg.composable(f, t) and isg.mul(f, t) == s for f in isg.arrows if f in idem)
+    ri = any(isg.dom(t) == isg.cod(e) and isg.mul(t, e) == s for e in isg.arrows if e in idem)
+    li = any(isg.dom(f) == isg.cod(t) and isg.mul(f, t) == s for f in isg.arrows if f in idem)
     return OrderDiagnostic(rp, ri, lp, li)

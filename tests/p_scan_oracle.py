@@ -19,6 +19,17 @@ refuses exactly the actions this scan rejects, with this scan's report.
 from isgact import PartialAction, StructuralError, ValidationReport, Violation, build_globalization
 
 
+def composable_pairs(isg) -> list[tuple[str, str]]:
+    """Every pair (s, t) with dom(s) = cod(t), by the brute-force filter over all pairs, s-major in declaration order."""
+    return [(s, t) for s in isg.arrows for t in isg.arrows if isg.dom(s) == isg.cod(t)]
+
+
+def in_carrier_order(action: PartialAction, xs) -> list:
+    """The points xs in the order of the action's carrier."""
+    xs = set(xs)
+    return [x for x in action.carrier if x in xs]
+
+
 def _composite_domain(action: PartialAction, s: str, t: str) -> set:
     """Largest set on which theta[s](theta[t](x)) makes sense."""
     allowed = action.dom_of[t] & action.dom_of[action.semigroupoid.inv(s)]
@@ -37,12 +48,12 @@ def _linear_violations(action: PartialAction) -> list[Violation]:
         expected = action.dom_of[isg.inv(s)]
         moves = action.theta[s]
         keys = moves.keys()
-        for x in action.sorted_elements(keys - expected):
+        for x in in_carrier_order(action, keys - expected):
             v.append(Violation("theta-domain", f"theta[{s}] defined at {x} outside dom_of[{isg.inv(s)}]", (s, x)))
-        for x in action.sorted_elements(expected - keys):
+        for x in in_carrier_order(action, expected - keys):
             v.append(Violation("theta-domain", f"theta[{s}] undefined at {x} of dom_of[{isg.inv(s)}]", (s, x)))
         image = action.dom_of[s]
-        for x in action.sorted_elements([x for x, y in moves.items() if y not in image]):
+        for x in in_carrier_order(action, [x for x, y in moves.items() if y not in image]):
             v.append(Violation("theta-range", f"theta[{s}] maps {x} to {moves[x]} outside dom_of[{s}]", (s, x, moves[x])))
 
     # P1: identity maps on idempotent domains; idempotent domains cover the carrier.
@@ -50,7 +61,7 @@ def _linear_violations(action: PartialAction) -> list[Violation]:
         if e not in idem:
             continue
         moves = action.theta[e]
-        for x in action.sorted_elements([x for x, y in moves.items() if x != y]):
+        for x in in_carrier_order(action, [x for x, y in moves.items() if x != y]):
             v.append(Violation("P1", f"theta[{e}] moves {x} to {moves[x]}; identity required", (e, x, moves[x])))
     covered = set()
     for e in isg.arrows:
@@ -63,7 +74,7 @@ def _linear_violations(action: PartialAction) -> list[Violation]:
     # P2: dom_of[s] contained in dom_of[s inv(s)].
     for s in isg.arrows:
         e = isg.mul(s, isg.inv(s))
-        for x in action.sorted_elements(action.dom_of[s] - action.dom_of[e]):
+        for x in in_carrier_order(action, action.dom_of[s] - action.dom_of[e]):
             v.append(Violation("P2", f"dom_of[{s}] element {x} missing from dom_of[{e}]", (s, x)))
     return v
 
@@ -74,11 +85,12 @@ def validate_p_axioms_by_scan(action: PartialAction) -> ValidationReport:
     v = _linear_violations(action)
 
     # P3: the composite-domain equation plus pointwise agreement on it.
-    for s, t, st in isg.products:
+    for s, t in composable_pairs(isg):
+        st = isg.mul(s, t)
         lhs = _composite_domain(action, s, t)
         rhs = dom_of[inv(st)] & dom_of[inv(t)]
         if lhs != rhs:
-            for x in action.sorted_elements(lhs - rhs):
+            for x in in_carrier_order(action, lhs - rhs):
                 v.append(
                     Violation(
                         "P3-domain",
@@ -86,7 +98,7 @@ def validate_p_axioms_by_scan(action: PartialAction) -> ValidationReport:
                         (s, t, x),
                     )
                 )
-            for x in action.sorted_elements(rhs - lhs):
+            for x in in_carrier_order(action, rhs - lhs):
                 v.append(
                     Violation(
                         "P3-domain",
@@ -102,7 +114,7 @@ def validate_p_axioms_by_scan(action: PartialAction) -> ValidationReport:
             direct = theta_st.get(x)
             if through is None or direct is None or through != direct:
                 bad[x] = through, direct
-        for x in action.sorted_elements(bad):
+        for x in in_carrier_order(action, bad):
             through, direct = bad[x]
             v.append(
                 Violation(

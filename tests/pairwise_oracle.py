@@ -27,7 +27,7 @@ def seeds_related(action: PartialAction, p: Seed, q: Seed) -> bool:
     s, x = p
     t, y = q
     isg = action.semigroupoid
-    if isg.composable(isg.inv(t), s):
+    if isg.dom(isg.inv(t)) == isg.cod(s):
         carry = isg.mul(isg.inv(t), s)
         if x in action.dom_of[isg.mul(isg.inv(s), t)] and action.theta[carry].get(x) == y:
             return True
@@ -95,7 +95,7 @@ def seed_domain(action: PartialAction, s: str, seeds=None) -> list[Seed]:
     isg = action.semigroupoid
     w = isg.mul(isg.inv(s), s)
     window = {
-        p: action.dom_of[isg.mul(isg.inv(p), isg.mul(w, p))] for p in isg.arrows if isg.composable(s, p)
+        p: action.dom_of[isg.mul(isg.inv(p), isg.mul(w, p))] for p in isg.arrows if isg.dom(s) == isg.cod(p)
     }
     return [seed for seed in seeds if seed.point in window.get(seed.arrow, ())]
 

@@ -12,7 +12,7 @@ from isgact import (
     validate_e_axioms,
     validate_p_axioms,
 )
-from isgact.catalog import four_point_action, semilattice_2, three_point_action
+from isgact.catalog import catalog_entry, four_point_action, three_point_action
 
 from derived_oracle import check_derived_propositions
 from dual_route_oracles import is_global_diagnostic
@@ -41,9 +41,9 @@ _VALID = {"carrier": ("1", "2"), "dom_of": {"top": {"1", "2"}, "bot": {"1"}}, "t
     ids=["duplicate-carrier", "dom_of-missing", "theta-missing", "dom_of-undeclared", "theta-undeclared", "dom_of-leaves-carrier", "theta-leaves-carrier"],
 )
 def test_the_action_constructor_names_what_its_input_lacks_or_adds(replaced, message):
-    PartialAction(semilattice_2(), **_VALID)  # the valid action the cases change
+    PartialAction(catalog_entry("semilattice-2").structure, **_VALID)  # the valid action the cases change
     with pytest.raises(StructuralError) as err:
-        PartialAction(semilattice_2(), **{**_VALID, **replaced})
+        PartialAction(catalog_entry("semilattice-2").structure, **{**_VALID, **replaced})
     assert str(err.value) == message
 
 
@@ -100,10 +100,10 @@ def test_shrunken_domain_breaks_bijectivity(hybrid, four_point):
 
 
 def test_point_evaluation(four_point):
-    assert four_point.apply("b", "2") == "4"
-    assert four_point.apply("b*b", "1") == "1"
-    assert four_point.apply("a", "3") is None
-    assert four_point.apply("a", "9") is None  # a point outside the carrier
+    assert four_point.theta["b"]["2"] == "4"
+    assert four_point.theta["b*b"]["1"] == "1"
+    assert "3" not in four_point.theta["a"]
+    assert "9" not in four_point.theta["a"]  # a point outside the carrier
 
 
 def test_restrict_reproduces_the_two_point_action(three_point):
@@ -137,7 +137,7 @@ def test_restrict_output_always_validates(three_point, four_point):
 
 
 def _uncovered_source():
-    lattice = semilattice_2()
+    lattice = catalog_entry("semilattice-2").structure
     return PartialAction(
         lattice,
         ("1", "2"),

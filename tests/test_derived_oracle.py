@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 
 from isgact import load_action, load_structure, parse_action
-from isgact.catalog import catalog, grow_catalog
+from isgact.catalog import catalog
 
 from corruptions import coherent_swaps, labeled_corruptions
 from derived_oracle import check_derived_propositions, fails_alone
+from grown_catalog import grow_catalog
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SUBJECTS = {path.name: load_action(path)[0] for path in sorted(FIXTURES.glob("*.pact"))}

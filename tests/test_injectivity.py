@@ -32,8 +32,10 @@ from isgact import (
     mediating,
     restrict,
 )
-from isgact.catalog import catalog, grow_catalog, pair_groupoid_2, random_partial_action
+from isgact.catalog import catalog, pair_groupoid_2, random_partial_action
 from isgact.core import Violation
+
+from grown_catalog import grow_catalog
 
 GROWN_SLOTS = [
     (entry, i)
@@ -55,18 +57,18 @@ def test_the_mediating_map_is_injective_on_every_fiber(slot, seed):
     base = entry.actions[index].action
     glob, sigma = _mediating_into(base, random_partial_action(entry, index, seed))
     fiber_injective = check_fiber_injectivity(sigma, glob).ok
-    injective = len(sigma.image()) == len(glob.global_action.carrier)
+    injective = len(set(sigma.mapping.values())) == len(glob.global_action.carrier)
     event(f"{entry.name}/{entry.actions[index].name}: fiber-injective={fiber_injective} injective={injective}")
     assert fiber_injective
     if entry.name.startswith("cyclic-"):
-        assert injective and sigma.image() == frozenset(base.carrier)
+        assert injective and set(sigma.mapping.values()) == set(base.carrier)
 
 
 def test_the_two_point_restriction_is_fiber_injective_and_not_injective(fixtures_dir):
     base, _ = load_action(fixtures_dir / "three_point_global.pact")
     glob, sigma = _mediating_into(base, restrict(base, {"1", "2"}))
     assert check_fiber_injectivity(sigma, glob).ok
-    assert len(glob.global_action.carrier) == 4 and len(sigma.image()) == 3
+    assert len(glob.global_action.carrier) == 4 and len(set(sigma.mapping.values())) == 3
 
 
 def test_a_map_that_is_not_an_embedding_can_mediate_a_map_that_is_not_injective_on_a_fiber():

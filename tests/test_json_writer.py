@@ -5,9 +5,10 @@ import json
 from hypothesis import given, settings, strategies as st
 
 from isgact import PartialAction, build_globalization, random_partial_action, restrict
-from isgact.catalog import catalog, catalog_entry, grow_catalog, partial_bijections
+from isgact.catalog import catalog, catalog_entry, partial_bijections
 from isgact.cli import _globalization_json
 
+from grown_catalog import grow_catalog
 from json_oracle import globalization_json
 
 GROWN_SLOTS = [

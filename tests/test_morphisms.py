@@ -63,18 +63,25 @@ def test_inclusion_of_a_restriction_is_an_embedding(three_point, two_point):
 
 def test_an_embedding_corestricts_to_an_isomorphism(three_point, two_point):
     inc = inclusion_map(two_point, three_point)
-    onto_image = restrict(three_point, inc.image())
+    onto_image = restrict(three_point, inc.mapping.values())
     assert is_isomorphism(ActionMap(two_point, onto_image, inc.mapping))
 
 
 def test_a_bijection_that_is_not_equivariant_is_not_an_isomorphism(three_point):
     # a cycles the three points, so swapping 1 and 2 commutes with neither a nor a*
     swap = ActionMap(three_point, three_point, {"1": "2", "2": "1", "3": "3"})
-    assert swap.image() == frozenset(three_point.carrier)
+    assert sorted(swap.mapping.values()) == sorted(three_point.carrier)
     report = is_action_map(swap)
     assert report.tags() == {"equivariance"}
     assert [v.witness for v in report.violations] == [(s, x) for s in ("a", "a*") for x in ("1", "2", "3")]
     assert not is_isomorphism(swap)
+
+
+@pytest.mark.parametrize("subject", ["table", "action", "map"])
+def test_equality_with_another_type_is_left_to_the_other_operand(subject, three_point):
+    x = {"table": catalog_entry("cyclic-2").structure, "action": three_point, "map": identity_map(three_point)}[subject]
+    assert x.__eq__(object()) is NotImplemented
+    assert x != object()
 
 
 def test_constant_map_fails_injectivity(two_point):

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import parse_oracle as oracle
+from grown_catalog import grow_catalog
 from isgact import (
     InverseSemigroupoid,
     ParseError,
@@ -22,7 +23,7 @@ from isgact import (
     parse_structure,
     validate_semigroupoid,
 )
-from isgact.catalog import catalog, grow_catalog
+from isgact.catalog import catalog
 from isgact.core import _pseudo_inverses
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -82,7 +83,7 @@ def assert_same_passes(table, named):
         return
     isg = InverseSemigroupoid(table)
     assert isg.idempotent_set() == oracle.idempotent_set(named)
-    assert isg.products == oracle.products(named)
+    assert tuple(map(isg._names, isg._products)) == oracle.products(named)
     assert isg.strict_order == oracle.strict_order(named, {s: c[0] for s, c in inverses.items()})
 
 

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isgact import build_globalization, compose, identity_map, inclusion_map, is_isomorphism, restrict
-from isgact.catalog import catalog, grow_catalog
+from isgact.catalog import catalog
 
+from grown_catalog import grow_catalog
 from reflector_oracle import reflect
 
 GROWN_SLOTS = [

@@ -47,6 +47,19 @@ def test_script_exits_cleanly(argv, expected):
         assert line in done.stdout
 
 
+def test_every_reach_allowance_and_kept_name_names_code_that_exists():
+    # the reach map runs in CI (scripts/reach.py); here only its two lists are checked against the source
+    spec = importlib.util.spec_from_file_location("reach", ROOT / "scripts" / "reach.py")
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    assert reach.ALLOWED and reach.KEPT
+    for (module, block), reason in reach.ALLOWED.items():
+        assert reason and block in [name for name, _, _ in reach.blocks(reach.SRC / module)], (module, block)
+    names = reach.public_names()
+    for name, reason in reach.KEPT.items():
+        assert reason and name in names, name
+
+
 def test_every_mutant_patch_applies_exactly_once():
     # the mutants themselves run in CI (scripts/mutants.py); here only their patches are checked against the source
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")

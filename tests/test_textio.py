@@ -27,8 +27,10 @@ from isgact import (
     validate_e_axioms,
     validate_p_axioms,
 )
-from isgact.catalog import catalog, four_point_action, grow_catalog, three_point_action, two_object_hybrid_table
+from isgact.catalog import catalog, four_point_action, three_point_action, two_object_hybrid_table
 from isgact.cli import run_cli
+
+from grown_catalog import grow_catalog
 
 
 def test_fixture_structure_matches_the_builder(fixtures_dir, hybrid):
@@ -70,7 +72,7 @@ def renamed(ca, objects, arrows, points):
         objects, arrows,
         {a[s]: o[isg.dom(s)] for s in isg.arrows},
         {a[s]: o[isg.cod(s)] for s in isg.arrows},
-        {(a[s], a[t]): a[u] for s, t, u in isg.products},
+        {(a[s], a[t]): a[u] for s, t, u in map(isg._names, isg._products)},
     )
     structure = InverseSemigroupoid(table)
     dom_of = {a[s]: [p[x] for x in xs] for s, xs in action.dom_of.items()}
@@ -212,7 +214,7 @@ def test_structure_with_empty_mul_parses():
     text = "[objects]\nu\nv\n\n[arrows]\nf : u -> v\n\n[mul]\n"
     doc = parse_structure(text)
     assert doc.table.arrows == ("f",)
-    assert doc.table.composable_pairs() == []
+    assert doc.table._composable() == []
 
 
 def test_mul_line_on_a_non_composable_pair_is_a_parse_error():
@@ -248,10 +250,14 @@ def test_assorted_structure_parse_errors():
         parse_structure("[objects]\nu\n\n[arrows]\ne u u\n\n[mul]\n")
     with pytest.raises(ParseError, match="unknown section"):
         parse_structure("[stuff]\n")
+    with pytest.raises(ParseError, match="line 3, col 1: duplicate section \\[objects\\]"):
+        parse_structure("[objects]\nu\n[objects]\nv\n")
     with pytest.raises(ParseError, match="missing section"):
         parse_structure("[objects]\nu\n")
     with pytest.raises(ParseError, match="before any section"):
         parse_structure("u v\n")
+    with pytest.raises(ParseError, match="line 1, col 1: content before any section"):
+        parse_structure("u [v]\n[objects]\nu\n")  # a bracket that opens no header
 
 
 def test_parse_error_positions_name_the_offending_token():
