@@ -23,12 +23,16 @@ def run(capsys, *argv):
 
 
 def count_calls(monkeypatch, name, *owners):
-    """Route every given module's or class's binding of ``name`` through one shared call log."""
+    """Route every given module's or class's binding of ``name`` through one shared call log.
+
+    An owner that does not bind ``name`` is skipped, but one of them must:
+    a log that nothing can write to would pin nothing.
+    """
     calls = []
-    for owner in owners:
-        original = getattr(owner, name, None)
-        if original is None:
-            continue
+    bound = [owner for owner in owners if getattr(owner, name, None) is not None]
+    assert bound, f"no owner binds {name}"
+    for owner in bound:
+        original = getattr(owner, name)
 
         def counted(*args, _original=original, **kwargs):
             calls.append(args)
